@@ -13,9 +13,12 @@ Measures the three executors on the Table 2 workload (7-qubit × 4-layer
 plus serial vs. batched parameter-shift gradients (one circuit execution
 per shifted parameter vector vs. ONE batched execution for the whole shift
 table), the adjoint-method gradient (one forward + one reverse sweep for
-ALL parameters), and the structural fusion counts (gates vs. kernel steps)
-for all six paper ansätze.  Wall times are the median of ``--repeats``
-timed runs after a warm-up call.
+ALL parameters), the structural fusion counts (gates vs. kernel steps)
+for all six paper ansätze, and the ``repro.lower`` precision tiers: the
+float32 layer step, a 10+ qubit float32 forward, and the in-place planned
+executor (step time, peak traced memory, arena bytes) against the seed
+float64 adjoint, optionally across a qubit sweep.  Wall times are the
+median of ``--repeats`` timed runs after a warm-up call.
 
 Usage::
 
@@ -27,9 +30,11 @@ Usage::
 ``--check-structure`` exits non-zero unless every fusing ansatz's compiled
 plan executes fewer kernel steps than gates; ``--check-adjoint`` exits
 non-zero unless an adjoint gradient performs exactly 2 plan sweeps
-(forward + reverse) where parameter-shift needs 2P+1 circuit columns.
-Both are deterministic assertions suitable for CI, unlike wall-clock
-thresholds.
+(forward + reverse) where parameter-shift needs 2P+1 circuit columns;
+``--check-lowering`` exits non-zero unless float64 lowered execution is
+bitwise identical to the seed adjoint layer and float32 lands inside its
+⟨Z⟩ budget.  All are deterministic assertions suitable for CI, unlike
+wall-clock thresholds.
 """
 
 from __future__ import annotations
@@ -50,11 +55,9 @@ from repro import autodiff as ad  # noqa: E402
 from repro import obs  # noqa: E402
 from repro.autodiff import backward  # noqa: E402
 from repro.lower import (  # noqa: E402
-    LoweringConfig,
     amplitude_budget,
     expectation_budget,
     lower_plan,
-    numba_available,
 )
 from repro.torq import (  # noqa: E402
     ANSATZ_NAMES,
@@ -63,11 +66,16 @@ from repro.torq import (  # noqa: E402
     adjoint_grad,
     batched_parameter_shift_grad,
     classify_parameters,
+    compile_gates,
     make_ansatz,
     make_batched_ansatz_forward,
     parameter_shift_grad,
     shift_table,
 )
+from repro.torq.adjoint import adjoint_state_vjp  # noqa: E402
+from repro.torq.embedding import scale_input  # noqa: E402
+from repro.torq.measure import pauli_z_expectations  # noqa: E402
+from repro.torq.state import zero_state  # noqa: E402
 
 N_QUBITS = 7
 N_LAYERS = 4
@@ -209,12 +217,13 @@ def bench_adjoint(shift_result: dict, reps: int, seed: int = 2) -> dict:
 
 
 def _adjoint_layer_step(batch: int, n_qubits: int, n_layers: int,
-                        lowering: LoweringConfig | None, seed: int = 0):
-    """One adjoint-backend training step, optionally lowered."""
+                        precision: str = "float64", seed: int = 0):
+    """One adjoint-backend training step at ``precision`` (float32 runs
+    the lowered planned executor)."""
     layer = QuantumLayer(
         n_qubits=n_qubits, n_layers=n_layers, ansatz=ANSATZ,
         scaling="acos", rng=np.random.default_rng(seed), compiled=True,
-        grad_method="adjoint", lowering=lowering,
+        grad_method="adjoint", precision=precision,
     )
     acts = ad.Tensor(
         np.random.default_rng(seed + 1).uniform(-0.9, 0.9, (batch, n_qubits))
@@ -231,50 +240,33 @@ def _adjoint_layer_step(batch: int, n_qubits: int, n_layers: int,
 
 def bench_lowering(batch: int, n_qubits: int, n_layers: int, reps: int,
                    seed: int = 0) -> dict:
-    """Precision-tier rows: seed adjoint f64 vs lowered f64 vs f32+SoA.
+    """Precision-tier rows: seed float64 adjoint vs the float32 tier.
 
-    The float64 lowered path is bitwise identical to the seed (asserted
-    here, not assumed); the float32+SoA tier is the perf row, reported
-    with its measured ⟨Z⟩ deviation against the documented budget.
+    The float32 row is the quantum layer on the lowered planned
+    executor, reported with its measured ⟨Z⟩ deviation against the
+    documented budget (asserted here, not assumed).
     """
-    tiers = [
-        ("adjoint_f64", None),
-        ("lowered_f64", LoweringConfig(precision="float64")),
-        ("lowered_f32_soa", LoweringConfig(precision="float32")),
-        ("lowered_f32_nosoa",
-         LoweringConfig(precision="float32", passes=("precision",))),
-    ]
     rows = []
     z_ref = None
     times: dict[str, float] = {}
-    for name, lowering in tiers:
+    for name, precision in (("adjoint_f64", "float64"),
+                            ("lowered_f32", "float32")):
         run, layer, acts = _adjoint_layer_step(
-            batch, n_qubits, n_layers, lowering, seed=seed
+            batch, n_qubits, n_layers, precision, seed=seed
         )
         times[name] = _median_time(run, reps)
         with ad.no_grad():
             z = layer(acts).data
         n_gates = len(layer.embedded_gate_sequence())
-        row = {
-            "tier": name,
-            "precision": layer.precision,
-            "passes": list(lowering.passes) if lowering is not None else [],
-            "numba": bool(lowering is not None
-                          and lowering.numba_requested() and numba_available()),
-            "step_s": times[name],
-        }
+        row = {"tier": name, "precision": precision, "step_s": times[name]}
         if z_ref is None:
             z_ref = z
         else:
             err = float(np.max(np.abs(z - z_ref)))
-            budget = expectation_budget(layer.precision, n_qubits, n_gates)
+            budget = expectation_budget(precision, n_qubits, n_gates)
             row["max_abs_z_err"] = err
             row["z_budget"] = budget
-            if layer.precision == "float64":
-                assert np.array_equal(z, z_ref), \
-                    "lowered float64 tier is not bitwise identical"
-            else:
-                assert err <= budget, f"f32 z error {err} over budget {budget}"
+            assert err <= budget, f"f32 z error {err} over budget {budget}"
         row["speedup_vs_adjoint_f64"] = times["adjoint_f64"] / times[name]
         rows.append(row)
         print(f"  {name}: {times[name]*1e3:.1f} ms "
@@ -285,7 +277,7 @@ def bench_lowering(batch: int, n_qubits: int, n_layers: int, reps: int,
         "batch": batch,
         "n_qubits": n_qubits,
         "n_layers": n_layers,
-        "speedup_f32_soa_vs_f64": times["adjoint_f64"] / times["lowered_f32_soa"],
+        "speedup_f32_vs_f64": times["adjoint_f64"] / times["lowered_f32"],
         "tiers": rows,
     }
 
@@ -302,8 +294,8 @@ def bench_big_statevector(n_qubits: int, n_layers: int, batch: int,
     gates = ansatz.gate_sequence()
     rng = np.random.default_rng(seed)
     values = [float(v) for v in rng.uniform(0, 2 * np.pi, ansatz.param_count)]
-    lo64 = lower_plan(gates, n_qubits, LoweringConfig(precision="float64"))
-    lo32 = lower_plan(gates, n_qubits, LoweringConfig(precision="float32"))
+    lo64 = lower_plan(gates, n_qubits, "float64")
+    lo32 = lower_plan(gates, n_qubits, "float32")
 
     def resolve(i):
         return values[i]
@@ -334,20 +326,6 @@ def bench_big_statevector(n_qubits: int, n_layers: int, batch: int,
     return row
 
 
-def _planned_pair(n_qubits: int, n_layers: int, seed: int):
-    """Float32 unplanned vs planned(+autotuned) lowered plans + workload."""
-    ansatz = make_ansatz(ANSATZ, n_qubits=n_qubits, n_layers=n_layers)
-    gates = ansatz.gate_sequence()
-    rng = np.random.default_rng(seed)
-    values = [float(v) for v in rng.uniform(0, 2 * np.pi, ansatz.param_count)]
-    unplanned = lower_plan(gates, n_qubits, LoweringConfig(precision="float32"))
-    planned = lower_plan(
-        gates, n_qubits,
-        LoweringConfig(precision="float32", plan_memory=True, autotune=True),
-    )
-    return unplanned, planned, values, len(gates)
-
-
 def _full_step(plan, values, weights, batch):
     """One forward + readout + adjoint step on a lowered plan."""
     def resolve(i):
@@ -356,7 +334,20 @@ def _full_step(plan, values, weights, batch):
     def run():
         planes = plan.run_planes(batch, resolve)
         plan.z_expectations(planes)
-        plan.adjoint_vjp(values, weights, planes=planes)
+        return plan.adjoint_vjp(values, weights, planes=planes)
+
+    return run
+
+
+def _seed_step(gates, n_qubits, values, weights, batch):
+    """The same step on the seed float64 plan and ``torq.adjoint``."""
+    plan = compile_gates(gates, n_qubits)
+
+    def run():
+        final = plan.run(zero_state(batch, n_qubits), lambda i: values[i])
+        pauli_z_expectations(final)
+        return adjoint_state_vjp(gates, n_qubits, values, weights,
+                                 plan=plan, final_state=final)
 
     return run
 
@@ -373,50 +364,59 @@ def _peak_traced_bytes(run) -> int:
 
 def bench_planned(n_qubits: int, n_layers: int, batch: int, reps: int,
                   seed: int = 0) -> dict:
-    """In-place planned execution vs the allocating float32 path.
+    """The in-place planned executor against the seed float64 adjoint.
 
-    The headline perf row: forward + ⟨Z⟩ + adjoint at ``n_qubits`` with
-    the memory-planned arena executor (autotuned kernels) against the
-    allocating lowered float32 path, reporting step-time speedup, peak
-    traced memory of one warm step, the arena footprint, and the
-    per-shape autotune winners recorded in the plan's audit trail.
+    Forward + ⟨Z⟩ + adjoint at ``n_qubits``: step time, peak traced
+    memory of one warm step, and the arena footprint of the planned
+    float64 and float32 tiers.  The float64 planned gradients are
+    asserted bitwise equal to the seed's.
     """
-    unplanned, planned, values, n_gates = _planned_pair(
-        n_qubits, n_layers, seed)
+    ansatz = make_ansatz(ANSATZ, n_qubits=n_qubits, n_layers=n_layers)
+    gates = ansatz.gate_sequence()
+    rng = np.random.default_rng(seed)
+    values = [float(v) for v in rng.uniform(0, 2 * np.pi, ansatz.param_count)]
     weights = np.ones((batch, n_qubits))
     with ad.no_grad():
-        run_un = _full_step(unplanned, values, weights, batch)
-        run_pl = _full_step(planned, values, weights, batch)
-        t_un = _median_time(run_un, reps)
-        t_pl = _median_time(run_pl, reps)
-        peak_un = _peak_traced_bytes(run_un)
-        peak_pl = _peak_traced_bytes(run_pl)
-    report = planned.memory_report().get(batch, {})
-    winners = {
-        key: rec["winner"]
-        for key, rec in planned.autotune_decisions.items()
-    }
+        seed_run = _seed_step(gates, n_qubits, values, weights, batch)
+        t_seed = _median_time(seed_run, reps)
+        peak_seed = _peak_traced_bytes(seed_run)
+        seed_grads = seed_run()
     row = {
         "n_qubits": n_qubits,
         "n_layers": n_layers,
-        "n_gates": n_gates,
+        "n_gates": len(gates),
         "batch": batch,
-        "precision": "float32",
-        "unplanned_step_s": t_un,
-        "planned_step_s": t_pl,
-        "speedup_planned_vs_unplanned": t_un / t_pl,
-        "unplanned_peak_traced_bytes": peak_un,
-        "planned_peak_traced_bytes": peak_pl,
-        "peak_memory_ratio": peak_un / max(1, peak_pl),
-        "arena_bytes": report.get("arena_bytes"),
-        "memory_plan": report.get("memory_plan"),
-        "autotune_winners": winners,
+        "seed_f64_step_s": t_seed,
+        "seed_f64_peak_traced_bytes": peak_seed,
+        "planned": {},
     }
-    print(f"  {n_qubits} qubits x batch {batch}: unplanned {t_un*1e3:.1f} ms, "
-          f"planned {t_pl*1e3:.1f} ms "
-          f"({row['speedup_planned_vs_unplanned']:.2f}x); peak mem "
-          f"{peak_un/2**20:.1f} -> {peak_pl/2**20:.1f} MiB "
-          f"({row['peak_memory_ratio']:.1f}x lower)")
+    parts = [f"seed f64 {t_seed*1e3:.1f} ms, {peak_seed/2**20:.1f} MiB"]
+    for precision in ("float64", "float32"):
+        plan = lower_plan(gates, n_qubits, precision)
+        run = _full_step(plan, values, weights, batch)
+        with ad.no_grad():
+            t = _median_time(run, reps)
+            peak = _peak_traced_bytes(run)
+            grads = run()
+        if precision == "float64":
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(seed_grads, grads)), \
+                "planned float64 gradients are not bitwise identical"
+        report = plan.memory_report()[batch]
+        row["planned"][precision] = {
+            "step_s": t,
+            "speedup_vs_seed_f64": t_seed / t,
+            "peak_traced_bytes": peak,
+            "peak_memory_ratio_vs_seed_f64": peak_seed / max(1, peak),
+            "arena_bytes": report["arena_bytes"],
+            "memory_plan": report["memory_plan"],
+        }
+        parts.append(
+            f"planned {precision} {t*1e3:.1f} ms ({t_seed/t:.2f}x), "
+            f"{peak/2**20:.2f} MiB + {report['arena_bytes']/2**20:.2f} MiB "
+            f"arena"
+        )
+    print(f"  {n_qubits} qubits x batch {batch}: " + "; ".join(parts))
     return row
 
 
@@ -435,13 +435,7 @@ def _parse_qubit_sweep(spec: str) -> list[int]:
 
 def bench_qubit_sweep(qubits: list[int], n_layers: int, batch: int,
                       reps: int, seed: int = 0) -> list[dict]:
-    """Planned-vs-unplanned float32 rows across statevector sizes.
-
-    One row per qubit count: step times, speedup, peak traced bytes, the
-    arena footprint, and the autotune winner per fused shape class —
-    the shape classes (and often the winners) change with ``pre``/``post``
-    extents, which is the autotuner's reason to exist.
-    """
+    """:func:`bench_planned` rows across statevector sizes."""
     rows = []
     for n in qubits:
         rows.append(bench_planned(n, n_layers, batch, reps, seed=seed))
@@ -449,41 +443,31 @@ def bench_qubit_sweep(qubits: list[int], n_layers: int, batch: int,
 
 
 def check_lowering() -> int:
-    """Deterministic CI assertion for the lowering pipeline.
+    """Deterministic CI assertion for the lowered tiers.
 
-    * the SoA pass claimed every fused single-qubit block,
-    * the float64 tier is bitwise identical to the seed adjoint layer,
-    * the float32 tier's ⟨Z⟩ deviation is within its documented budget.
+    * float64 lowered execution of the layer's circuit (driven with the
+      layer's angles and parameters) is bitwise identical to the seed
+      adjoint layer's ⟨Z⟩,
+    * the float32 layer's ⟨Z⟩ deviation is within its documented budget.
     """
     n_qubits, n_layers, batch = 4, 2, 16
-    run64, base, acts = _adjoint_layer_step(batch, n_qubits, n_layers, None)
-    lo = lower_plan(
-        base.embedded_gate_sequence(), n_qubits, LoweringConfig()
-    )
-    fused = [r for r in lo.describe() if r["kind"] == "fused_1q"]
-    unclaimed = [r for r in fused if r["backend"] != "soa"]
-    claimed = lo.claims.get("soa", 0)
-    _, l64, _ = _adjoint_layer_step(
-        batch, n_qubits, n_layers, LoweringConfig(precision="float64")
-    )
-    _, l32, _ = _adjoint_layer_step(
-        batch, n_qubits, n_layers, LoweringConfig(precision="float32")
-    )
+    _, base, acts = _adjoint_layer_step(batch, n_qubits, n_layers)
+    _, l32, _ = _adjoint_layer_step(batch, n_qubits, n_layers, "float32")
+    gates = base.embedded_gate_sequence()
     with ad.no_grad():
         z0 = base(acts).data
-        z64 = l64(acts).data
         z32 = l32(acts).data
-    n_gates = len(base.embedded_gate_sequence())
-    budget = expectation_budget("float32", n_qubits, n_gates)
+        angles = scale_input(base.scaling, acts).data
+    values = [angles[:, q] for q in range(n_qubits)]
+    values += [float(v) for v in base.params.data]
+    lo64 = lower_plan(gates, n_qubits, "float64")
+    z64 = lo64.z_expectations(lo64.run_planes(batch, lambda i: values[i]))
+    budget = expectation_budget("float32", n_qubits, len(gates))
     err32 = float(np.max(np.abs(z32 - z0)))
-    ok = (
-        bool(fused) and not unclaimed and claimed >= len(fused)
-        and np.array_equal(z64, z0) and err32 <= budget
-    )
+    bitwise = bool(np.array_equal(z64, z0))
+    ok = bitwise and err32 <= budget
     status = "passed" if ok else "FAILED"
-    print(f"lowering check {status}: SoA claimed {claimed} step(s) "
-          f"({len(fused)} fused blocks, {len(unclaimed)} unclaimed), "
-          f"f64 bitwise={np.array_equal(z64, z0)}, "
+    print(f"lowering check {status}: f64 bitwise={bitwise}, "
           f"f32 z err {err32:.1e} <= {budget:.1e}")
     return 0 if ok else 1
 
@@ -540,16 +524,16 @@ def main(argv=None) -> int:
     parser.add_argument("--check-adjoint", action="store_true",
                         help="assert an adjoint gradient = exactly 2 sweeps")
     parser.add_argument("--check-lowering", action="store_true",
-                        help="assert the SoA pass claimed the fused blocks, "
-                             "f64 lowering is bitwise, f32 within budget")
+                        help="assert f64 lowering is bitwise and f32 is "
+                             "within budget")
     parser.add_argument("--repeats", type=int, default=None,
                         help="timed runs per measurement (median reported; "
                              "default 2 with --toy, 5 otherwise)")
     parser.add_argument("--qubits-sweep", type=str, default=None,
                         metavar="LO..HI",
-                        help="planned-vs-unplanned float32 rows across "
-                             "statevector sizes (e.g. 9..14); defaults to "
-                             "9..14 on full runs, off with --toy")
+                        help="planned-executor rows across statevector "
+                             "sizes (e.g. 9..14); defaults to 9..14 on full "
+                             "runs, off with --toy")
     parser.add_argument("--seed", type=int, default=0,
                         help="base seed for parameters and activations")
     parser.add_argument("--out", type=Path,
@@ -590,7 +574,7 @@ def main(argv=None) -> int:
     big_row = bench_big_statevector(
         big_n, 2, big_batch, max(1, reps - 1), seed=args.seed
     )
-    print("planned in-place execution (float32 tier, memory-planned arena):")
+    print("planned in-place execution vs seed float64 adjoint:")
     plan_n, plan_batch = (6, 8) if args.toy else (14, 32)
     planned_row = bench_planned(
         plan_n, n_layers, plan_batch, max(1, reps - 1), seed=args.seed
@@ -617,9 +601,8 @@ def main(argv=None) -> int:
             "repeats": reps,
             "seed": args.seed,
         },
-        # CPU/BLAS fingerprint plus the tier the main tables ran under
-        # (the default float64, no lowering); the "lowering" section
-        # carries per-row tier/pass metadata for the tiered entries.
+        # CPU/BLAS fingerprint; the "lowering", "big_statevector" and
+        # "planned_execution" sections carry per-row precision tiers.
         "environment": obs.environment_info(),
         "table2_step": step_rows,
         "parameter_shift": shift,

@@ -34,7 +34,7 @@ FULL_INTRO = {"repro.obs", "repro.resilience", "repro.lower",
 # Optional human-readable section titles.
 TITLES = {"repro.obs": "Observability",
           "repro.resilience": "Resilience & checkpointing",
-          "repro.lower": "Lowering passes & precision tiers",
+          "repro.lower": "Lowering & precision tiers",
           "repro.campaign": "Campaign orchestration"}
 
 # Guide sections emitted right after their parent package: submodules whose
@@ -51,7 +51,6 @@ GUIDE_SECTIONS = {
         ("Error budgets", "repro.lower.budget"),
         ("Memory planning", "repro.lower.memplan"),
         ("In-place planned execution", "repro.lower.inplace"),
-        ("Kernel autotuning", "repro.lower.autotune"),
     ],
     "repro.campaign": [
         ("Journal semantics", "repro.campaign.journal"),

@@ -123,7 +123,7 @@ class TapeFallback(RuntimeError):
     """Raised during tracing when a step cannot be tape-compiled."""
 
 
-#: replay precision tiers (mirrors ``repro.lower.config.PRECISION_TIERS``
+#: replay precision tiers (mirrors ``repro.lower.PRECISION_TIERS``
 #: without importing it — :mod:`repro.lower` depends on this package).
 _PRECISION_TIERS = ("float64", "float32")
 

@@ -1,82 +1,59 @@
-"""Backend lowering: pass pipelines and precision tiers for hot kernels.
+"""Backend lowering: precision tiers and in-place planned execution.
 
-``repro.lower`` takes the repo's two *frozen artifacts* — compiled TorQ
-:class:`~repro.torq.compile.ExecutionPlan` objects and autodiff
-:class:`~repro.autodiff.tape.Tape` schedules — and runs a configurable
-pass pipeline over them.  Each registered pass may rewrite, fuse, or
-claim steps for an alternative backend; anything unclaimed (or claimed
-by a pass whose environment dependency is missing) falls back to the
-bitwise float64 seed path.
+``repro.lower`` takes a compiled TorQ
+:class:`~repro.torq.compile.ExecutionPlan` and runs it as raw NumPy
+kernels over split real/imaginary statevector planes at a precision tier
+— the measured (tape-free) path behind
+``QuantumLayer(precision="float32", grad_method="adjoint")`` and
+float32 serving.  The precision string is the only input: there are no
+passes, kernel variants or environment switches to choose among.
 
 Entry points:
 
-* :func:`lower_plan` — compile + lower a gate sequence under a
-  :class:`LoweringConfig` (cached; the cache key incorporates the
-  circuit structure, the precision tier, and the active pass set).
-* :func:`lower_compiled` — lower an already-compiled plan, uncached.
+* :func:`lower_plan` — compile + lower a gate sequence at ``precision``
+  (``"float64"`` or ``"float32"``); cached on the circuit structure and
+  the tier, so tiers never alias each other's artifacts.
 * :func:`audit_plan` — per-op error-budget accounting: run a lowered
-  plan step-by-step against the float64 seed plan and report each
-  step's amplitude deviation.
+  plan step by step against the float64 seed plan and report each step's
+  amplitude deviation.
 * :mod:`repro.lower.budget` — the documented error budgets the float32
   tier is tested against.
 
-Built-in passes (run in :attr:`LoweringConfig.passes` order; later
-passes see earlier claims; third parties add more via
-:func:`register_pass`):
+One executor.  Every :class:`LoweredPlan` runs through the
+:class:`~repro.lower.inplace.PlannedExecution` bound to its batch size,
+created on first use and kept for the plan's lifetime (one per batch
+size served, so a serving bucket ladder binds each arena once).  All
+intermediates — plane ping-pongs, SoA pack buffers, phase scratches,
+complex adjoint carriers — are liveness-planned into shared arena slots
+(:mod:`repro.lower.memplan`), and after the first run forward, readout
+and (float32) adjoint perform **zero statevector-sized allocations**.
+``LoweredPlan.memory_report()`` returns the arena audit per bound batch.
 
-* ``precision`` — activates the tier.  At float32 every step runs its
-  kernels on float32/complex64 carriers; at float64 it is an audited
-  no-op so the default stays bitwise.
-* ``soa`` — claims fused single-qubit runs for structure-of-arrays
-  execution: the two statevector planes packed into one contiguous
-  ``(batch, pre, 4, post)`` buffer so a whole fused run is one real
-  4×4 block-GEMM, forward and adjoint un-apply.
-* ``numba`` — feature-flagged JIT kernels (``use_numba=True`` or
-  ``REPRO_LOWER_NUMBA=1``).  When numba is not importable the pass
-  degrades **silently** to the NumPy kernels; the skip is recorded in
-  ``plan.fallbacks`` (and a ``lower.pass.fallback`` counter under
-  profiling), never raised.
-* ``autotune`` — feature-flagged per-shape kernel selection
-  (``autotune=True`` or ``REPRO_LOWER_AUTOTUNE=1``, float32 only).
-  See *Memory-planned execution* below.
-* ``memplan`` — feature-flagged in-place execution
-  (``plan_memory=True``).  See *Memory-planned execution* below.
+The tiers:
 
-Memory-planned execution (``plan_memory=True``):
+* ``float64`` — bitwise identical to the seed executor: amplitudes, ⟨Z⟩
+  (the readout layout is probed once from an allocating seed-order
+  forward) and adjoint gradients (the reverse sweep runs the seed
+  ``adjoint_step`` kernels from the arena's final planes).
+* ``float32`` — statevector work in float32/complex64, parameter-space
+  algebra in float64, inside the :mod:`~repro.lower.budget` error
+  budgets.  Each fused single-qubit run is one real 4×4 block-GEMM over
+  the SoA-packed planes — broadcast over ``(batch, pre, 4, post)``, or
+  one ``(4, N)`` column GEMM for a batch-independent matrix over a
+  short ``post`` extent — and the adjoint runs in place on the arena.
 
-``LoweringConfig(plan_memory=True)`` routes ``run_planes`` /
-``z_expectations`` / ``adjoint_vjp`` through a
-:class:`~repro.lower.inplace.PlannedExecution` bound per batch size: all
-intermediates (plane ping-pongs, SoA pack buffers, phase scratches,
-complex adjoint carriers) are liveness-planned into shared arena slots
-(:mod:`repro.lower.memplan`) and the warm path performs **zero
-statevector-sized allocations** — forward, readout, and (float32)
-adjoint all run in place.  The float64 planned path stays bitwise
-identical to the unplanned executor (the readout scratch layout is
-probed from one seed run); the float64 adjoint delegates to the seed
-kernels unchanged.  ``LoweredPlan.memory_report()`` returns the arena
-and autotune audit per bound batch.
-
-With ``autotune=True`` (or ``REPRO_LOWER_AUTOTUNE=1``) the float32
-planned executor picks each fused-run kernel per shape class — batch,
-qubit count, run extents, dtype — by microbenchmark instead of the
-built-in heuristic.  Winners are recorded in
-``LoweredPlan.autotune_decisions`` and persisted to a small JSON cache
-keyed by the machine's environment fingerprint
-(:func:`repro.obs.envinfo.env_fingerprint`), so the benchmarks run once
-per shape class per machine.  The cache lives at
-``$REPRO_AUTOTUNE_CACHE_DIR/autotune-<fingerprint>.json`` (default
-``~/.cache/repro/``); :func:`clear_autotune_cache` drops it and
-:func:`autotune_cache_info` reports its location and size.
+``run_planes`` returns arena views stamped with their run;
+``adjoint_vjp(values, weights, planes=...)`` re-runs the forward for
+``values`` in place when a later forward at the same batch size has
+overwritten the arena, so two forwards before one backward still give
+the first forward's gradient.
 
 Config surfaces: ``QuantumLayer(precision="float32")`` (requires
-``grad_method="adjoint"``; an explicit ``lowering=LoweringConfig(...)``
-overrides the default pass set), ``TrainerConfig.precision`` /
-``PDETrainerConfig.precision`` (the tape-replay tier), and
-``compile_step(fn, params, precision=...)`` directly.  Every cache
-involved — lowered plans, tape executors, ``zero_state`` frozen bases —
-incorporates the tier (and pass set) in its key, so tiers never alias
-each other's artifacts.
+``grad_method="adjoint"``), ``FrozenModel``/``load_bundle(precision=)``,
+``TrainerConfig.precision`` / ``PDETrainerConfig.precision`` (the tape
+replay tier), and ``compile_step(fn, params, precision=...)`` directly.
+Every cache involved — lowered plans, tape executors, ``zero_state``
+frozen bases — incorporates the tier in its key.
 
 Tape lowering (the float32 replay tier) lives in
 :func:`repro.autodiff.tape.compile_step` via its ``precision`` argument;
@@ -96,56 +73,21 @@ from .budget import (
     gradient_budget,
     tape_budget,
 )
-from .autotune import (
-    AUTOTUNE_CACHE_ENV_VAR,
-    Autotuner,
-    autotune_cache_info,
-    clear_autotune_cache,
-    get_autotuner,
-)
-from .config import (
-    AUTOTUNE_ENV_VAR,
-    DEFAULT_PASSES,
-    NUMBA_ENV_VAR,
-    PRECISION_TIERS,
-    LoweringConfig,
-)
+from .inplace import PlannedExecution
 from .memplan import Arena, BufferSpec, MemoryPlan, plan_buffers
-from .numba_backend import numba_available
-from .passes import (
-    LoweringPass,
-    available_passes,
-    register_pass,
-    run_pipeline,
-)
-from .plan_exec import LoweredPlan, build_lowered_steps
+from .plan_exec import PRECISION_TIERS, LoweredPlan
 
 __all__ = [
-    "LoweringConfig",
     "LoweredPlan",
-    "LoweringPass",
     "PRECISION_TIERS",
-    "DEFAULT_PASSES",
-    "NUMBA_ENV_VAR",
-    "AUTOTUNE_ENV_VAR",
-    "AUTOTUNE_CACHE_ENV_VAR",
-    "env_fingerprint_cached",
     "lower_plan",
-    "lower_compiled",
     "audit_plan",
     "clear_lowered_cache",
     "lowered_cache_info",
-    "register_pass",
-    "available_passes",
-    "numba_available",
     "amplitude_budget",
     "expectation_budget",
     "gradient_budget",
     "tape_budget",
-    "Autotuner",
-    "get_autotuner",
-    "clear_autotune_cache",
-    "autotune_cache_info",
     "BufferSpec",
     "MemoryPlan",
     "Arena",
@@ -154,84 +96,41 @@ __all__ = [
 ]
 
 
-def __getattr__(name):
-    # PlannedExecution imports from plan_exec at module load; exposing it
-    # lazily avoids the circular import while keeping the public surface.
-    if name == "PlannedExecution":
-        from .inplace import PlannedExecution
-
-        return PlannedExecution
-    raise AttributeError(name)
-
-
-def lower_compiled(plan, config: LoweringConfig | None = None) -> LoweredPlan:
-    """Lower an already-compiled :class:`ExecutionPlan` (uncached)."""
-    config = config or LoweringConfig()
-    lowered = LoweredPlan(
-        plan, config, build_lowered_steps(plan, config.rdtype, config.cdtype)
-    )
-    run_pipeline(lowered)
-    return lowered
-
-
 # Lowered plans are tiny (they borrow the seed plan's precomputed
-# buffers) but rebuilding them per call would re-run the pipeline every
-# forward; same LRU discipline as the plan cache underneath.
+# buffers) but each owns its bound arenas, so repeated lowering must hit
+# the same object; same LRU discipline as the plan cache underneath.
 _LOWERED_CACHE: "OrderedDict[tuple, LoweredPlan]" = OrderedDict()
 _LOWERED_CACHE_MAX = 512
 # The serve path rehydrates lowered plans from executor threads while
-# the front end polls cache stats; one lock covers dict + fingerprint.
+# the front end polls cache stats.
 _lowered_cache_lock = threading.RLock()
 
-# Planned artifacts carry autotuned kernel decisions, which are only
-# valid for the environment that benchmarked them; key the LRU on the
-# environment fingerprint (memoised — it never changes within a process)
-# so a persisted/forked cache can never serve another machine's choices.
-_ENV_FP: str | None = None
 
-
-def _env_fp() -> str:
-    global _ENV_FP
-    if _ENV_FP is None:
-        from ..obs.envinfo import env_fingerprint
-
-        _ENV_FP = env_fingerprint()
-    return _ENV_FP
-
-
-def env_fingerprint_cached() -> str:
-    """The process-memoised environment fingerprint lowered-plan cache
-    keys use (also what serve bundles record at freeze time)."""
-    return _env_fp()
-
-
-def lower_plan(gates, n_qubits: int, config: LoweringConfig | None = None,
+def lower_plan(gates, n_qubits: int, precision: str = "float64",
                cache: bool = True) -> LoweredPlan:
-    """Compile a gate sequence and lower it under ``config``.
+    """Compile a gate sequence and lower it to ``precision``.
 
-    Keyed on the same circuit-structure key as the plan cache *plus*
-    :meth:`LoweringConfig.key`, so precision tiers and pass sets never
-    alias each other's lowered artifacts.
+    Keyed on the same circuit-structure key as the plan cache *plus* the
+    tier, so a float32 and a float64 lowering of one circuit never share
+    an artifact.  ``cache=False`` builds a fresh, unshared plan.
     """
     from ..torq.compile import compile_gates
 
-    config = config or LoweringConfig()
     gates = tuple(gates)
     plan = compile_gates(gates, n_qubits, cache=cache)
     if not cache:
-        return lower_compiled(plan, config)
+        return LoweredPlan(plan, precision)
     key = (
         n_qubits,
         tuple((g.name, g.qubits, g.params) for g in gates),
-        config.key(),
-        _env_fp(),
+        precision,
     )
     with _lowered_cache_lock:
         lowered = _LOWERED_CACHE.get(key)
         if lowered is not None and lowered.plan is plan:
             _LOWERED_CACHE.move_to_end(key)
             return lowered
-    lowered = lower_compiled(plan, config)
+    lowered = LoweredPlan(plan, precision)
     with _lowered_cache_lock:
         existing = _LOWERED_CACHE.get(key)
         if existing is not None and existing.plan is plan:
@@ -259,12 +158,14 @@ def lowered_cache_info() -> dict:
 def audit_plan(lowered: LoweredPlan, values, batch: int | None = None) -> list[dict]:
     """Per-op error-budget accounting against the float64 seed plan.
 
-    Runs the lowered plan and the seed :class:`ExecutionPlan` side by
-    side from |0…0⟩ and records, after every step, the max-abs deviation
-    of the lowered amplitudes from the float64 oracle.  ``values`` is
-    the flat parameter list (floats or ``(batch,)`` arrays).  Returns a
-    list of ``{"kind", "gates", "backend", "claimed_by", "max_abs_err"}``
-    records in step order — the float64 tier reports 0.0 everywhere.
+    Runs the lowered plan's planned executor and the seed
+    :class:`ExecutionPlan` side by side from |0…0⟩ and records, after
+    every step, the max-abs deviation of the lowered amplitudes from the
+    float64 oracle.  ``values`` is the flat parameter list (floats or
+    ``(batch,)`` arrays).  Returns a list of ``{"kind", "gates",
+    "max_abs_err"}`` records in step order — the float64 tier reports
+    0.0 everywhere.  The audit is a forward run: it overwrites the arena
+    bound to ``batch``.
     """
     from ..autodiff import no_grad
     from ..torq.state import zero_state
@@ -280,26 +181,20 @@ def audit_plan(lowered: LoweredPlan, values, batch: int | None = None) -> list[d
     def resolve(i: int):
         return values[i]
 
-    seed_state = zero_state(batch, lowered.n_qubits)
-    tensor = seed_state.tensor
-    lo = zero_state(batch, lowered.n_qubits, dtype=lowered.rdtype)
-    re, im = lo.tensor.re.data, lo.tensor.im.data
+    tensor = zero_state(batch, lowered.n_qubits).tensor
+    planned = lowered.planned_execution(batch).forward_steps(resolve)
     records = []
     with no_grad():
-        for seed_step, step in zip(lowered.plan.steps, lowered.steps):
+        for seed_step, step, (re, im) in zip(
+            lowered.plan.steps, lowered.steps, planned
+        ):
             tensor = seed_step(tensor, resolve)
-            re, im = step.forward(re, im, resolve)
             err = max(
                 float(np.max(np.abs(re.astype(np.float64) - tensor.re.data))),
                 float(np.max(np.abs(im.astype(np.float64) - tensor.im.data))),
             )
             records.append(
-                {
-                    "kind": step.kind,
-                    "gates": list(step.gates),
-                    "backend": step.backend,
-                    "claimed_by": list(step.claimed_by),
-                    "max_abs_err": err,
-                }
+                {"kind": step.kind, "gates": list(step.gates),
+                 "max_abs_err": err}
             )
     return records

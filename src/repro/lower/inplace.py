@@ -1,11 +1,12 @@
 """In-place planned execution of lowered plans over preallocated arenas.
 
-:class:`PlannedExecution` binds a :class:`~repro.lower.plan_exec.LoweredPlan`
-to a concrete batch size and executes the forward sweep, the ⟨Z⟩
-readout, and (on the float32 tier) the adjoint reverse sweep **without
-allocating a single statevector-sized array after the first run**.  All
-carriers — plane ping-pongs, SoA pack buffers, phase-mask scratches,
-complex adjoint carriers, the observable mask — are declared up front as
+:class:`PlannedExecution` is the one executor of a
+:class:`~repro.lower.plan_exec.LoweredPlan`.  It binds the plan to a
+concrete batch size and executes the forward sweep, the ⟨Z⟩ readout, and
+(on the float32 tier) the adjoint reverse sweep **without allocating a
+single statevector-sized array after the first run**.  All carriers —
+plane ping-pongs, SoA pack buffers, phase-mask scratches, complex adjoint
+carriers, the observable mask — are declared up front as
 :class:`~repro.lower.memplan.BufferSpec` live intervals over one virtual
 timeline (init, forward steps, readout, adjoint init, reverse steps) and
 assigned to shared arena slots by the liveness planner.  Re-running a
@@ -16,35 +17,39 @@ Correctness contract (mirrors :mod:`repro.lower.plan_exec`):
 * **float64** — every planned kernel performs the seed's elementwise /
   GEMM / gather arithmetic with ``out=`` destinations (bitwise identical
   to the allocating forms), so plane *values* are bitwise equal to the
-  unplanned executor whatever buffer layout they sit in.  The one place
+  seed executor whatever buffer layout they sit in.  The one place
   layout itself is load-bearing is the ⟨Z⟩ readout: summation order
-  follows the memory layout of the probability array, and the unplanned
+  follows the memory layout of the probability array, and the seed
   layout is the end product of NumPy's ufunc layout propagation across
   the whole circuit (gathers emit batch-fastest strides, full-shape
   masks snap back to C order, partial broadcasts produce mixed orders).
   Rather than re-implement that heuristic, the first run *probes* it:
-  one unplanned seed forward records the strides of ``re·re + im·im``,
-  and the arena's readout scratch is laid out with exactly those strides
-  — same values in the same memory order, bitwise-identical reduction.
-  The float64 **adjoint** is delegated to the seed kernels unchanged
-  (their exact allocation/ufunc sequence is the bitwise contract), so
-  the in-place adjoint applies to the float32 tier only — where the
-  speed and the memory ceiling live.
-* **float32** — forward fused-run kernels are selected per shape class
-  by :mod:`repro.lower.autotune` among SoA variants (broadcast 4×4 GEMM,
-  per-batch row GEMM, single column GEMM), the strided 2×2 apply, and
-  the numba JIT kernel when present; the adjoint packs the complex
-  carriers into real ``(batch, 4, pre·post)`` buffers so un-apply is one
-  real GEMM and the overlap matrix one batched GEMM.  Deviation stays
-  within the documented float32 budgets.
+  one allocating forward records the strides of ``re·re + im·im``, and
+  the arena's readout scratch is laid out with exactly those strides —
+  same values in the same memory order, bitwise-identical reduction.
+  The float64 **adjoint** runs the seed kernels unchanged (their exact
+  allocation/ufunc sequence is the bitwise contract), so the in-place
+  adjoint applies to the float32 tier only — where the speed and the
+  memory ceiling live.
+* **float32** — each fused run packs the planes into SoA form and runs
+  one real 4×4 GEMM: broadcast over ``(batch, pre, 4, post)``
+  (``bcast``), or — for a batch-independent matrix over a short ``post``
+  extent, where the broadcast form degenerates into many tiny GEMMs — a
+  single ``(4, batch·pre·post)`` column GEMM (``cols``).  The readout
+  scratch is C-ordered.  The adjoint packs the complex carriers into
+  real ``(batch, 4, pre·post)`` buffers so un-apply is one real GEMM and
+  the overlap matrix one batched GEMM.  Deviation stays within the
+  documented float32 budgets.
 
 Steps the planner cannot execute in place (unfused ``gate`` steps — rare
 leftovers the compiler could not fuse) fall back to the allocating
 kernel plus one copy into the arena; they are listed in
 :meth:`PlannedExecution.describe` under ``fallback_steps``.
 
-The returned plane views alias arena slots: they are valid until the
-next ``run_forward`` on the same bound execution.
+:meth:`PlannedExecution.run_forward` returns the final planes as
+:class:`Planes` — arena views stamped with the run that wrote them.
+They are valid until the next forward on the same bound execution;
+:meth:`PlannedExecution.holds` tells whether the arena still holds them.
 """
 
 from __future__ import annotations
@@ -55,11 +60,10 @@ from .. import obs
 from ..torq import compile as torq_compile
 from ..torq.adjoint import _z_weight_mask_into
 from ..torq.state import zero_planes_into, zero_state
-from .autotune import get_autotuner
 from .memplan import Arena, BufferSpec, plan_buffers
-from .plan_exec import _bcast, _block44, _compose_factors, _np_value
+from .plan_exec import _bcast, _block44, _np_value
 
-__all__ = ["PlannedExecution"]
+__all__ = ["PlannedExecution", "Planes"]
 
 
 def _span_bytes(shape: tuple, strides: tuple, itemsize: int) -> int:
@@ -69,13 +73,24 @@ def _span_bytes(shape: tuple, strides: tuple, itemsize: int) -> int:
     return sum(s * (d - 1) for s, d in zip(strides, shape)) + itemsize
 
 
+class Planes(tuple):
+    """The ``(re, im)`` final planes of one forward run — arena views —
+    stamped with the run number that wrote them."""
+
+    def __new__(cls, re, im, run: int):
+        self = super().__new__(cls, (re, im))
+        self.run = run
+        return self
+
+
 class PlannedExecution:
     """One lowered plan bound to one batch size, executing in place.
 
     Construction is cheap; the arena (liveness plan, slot buffers, bound
-    views, seed layout probe, autotune decisions) is built lazily on the
-    first :meth:`run_forward` — the probe and the microbenchmarks need
-    resolved parameter values.
+    views, float64 seed layout probe) is built lazily on the first
+    :meth:`run_forward` — the probe needs resolved parameter values.
+    ``runs`` counts forward sweeps, so a caller holding :class:`Planes`
+    can tell whether the arena still holds them (:meth:`holds`).
     """
 
     def __init__(self, lowered, batch: int):
@@ -86,7 +101,7 @@ class PlannedExecution:
         self.rdtype = np.dtype(lowered.rdtype)
         self.cdtype = np.dtype(lowered.cdtype)
         self.f64 = self.rdtype == np.float64
-        self._choices: dict[tuple, str] = {}
+        self.runs = 0
         self._fallback_steps: list[int] = []
         self._built = False
 
@@ -94,11 +109,11 @@ class PlannedExecution:
     # Bind time: seed layout probe, liveness specs, arena, bound views
     # ------------------------------------------------------------------
     def _probe_readout_strides(self, resolve) -> tuple:
-        """Strides of the seed readout's probability array.
+        """Strides of the seed readout's probability array (float64).
 
-        Runs the unplanned forward once (the only allocating run this
-        bound execution ever performs) and records the layout of
-        ``re·re + im·im`` — the array whose memory order fixes the
+        Runs the allocating per-step forward once (the only allocating
+        run this bound execution ever performs) and records the layout
+        of ``re·re + im·im`` — the array whose memory order fixes the
         readout's reduction order, and with it float64 bitwise equality.
         """
         base = zero_state(self.batch, self.n_qubits, dtype=self.rdtype)
@@ -112,11 +127,12 @@ class PlannedExecution:
     def _ensure(self, resolve) -> None:
         if self._built:
             return
-        ro_strides = self._probe_readout_strides(resolve)
-        self._build(ro_strides)
+        # Only the float64 readout order is load-bearing; float32 reads
+        # out of C-ordered scratch.
+        self._build(self._probe_readout_strides(resolve) if self.f64 else None)
         self._built = True
 
-    def _build(self, ro_strides: tuple) -> None:
+    def _build(self, ro_strides: tuple | None) -> None:
         steps = self.lowered.steps
         K = len(steps)
         b, n, dim = self.batch, self.n_qubits, self.dim
@@ -152,7 +168,8 @@ class PlannedExecution:
                     )
                 specs.append(BufferSpec(f"s{i}.sc", plane, pos, pos))
 
-        ro_bytes = _span_bytes(full, ro_strides, rd.itemsize)
+        ro_bytes = (plane if ro_strides is None
+                    else _span_bytes(full, ro_strides, rd.itemsize))
         specs.append(BufferSpec("ro.a", ro_bytes, ro_pos, ro_pos))
         specs.append(BufferSpec("ro.b", ro_bytes, ro_pos, ro_pos))
 
@@ -209,22 +226,17 @@ class PlannedExecution:
                 R = pre * post
                 pack = (b, pre, 2, post)
                 ctx.update(
-                    pre=pre, post=post, runlen=len(step.seed._factors),
+                    post=post,
                     src_re=self._full[i][0].reshape(pack),
                     src_im=self._full[i][1].reshape(pack),
                     dst_re=self._full[i + 1][0].reshape(pack),
                     dst_im=self._full[i + 1][1].reshape(pack),
                     p_bcast=ar.view(f"s{i}.a", (b, pre, 4, post), rd),
                     q_bcast=ar.view(f"s{i}.b", (b, pre, 4, post), rd),
-                    p_rows=ar.view(f"s{i}.a", (b, 4, pre, post), rd),
-                    q_rows=ar.view(f"s{i}.b", (b, 4, pre, post), rd),
-                    p_rows2=ar.view(f"s{i}.a", (b, 4, R), rd),
-                    q_rows2=ar.view(f"s{i}.b", (b, 4, R), rd),
                     p_cols=ar.view(f"s{i}.a", (4, b, pre, post), rd),
                     q_cols=ar.view(f"s{i}.b", (4, b, pre, post), rd),
                     p_cols2=ar.view(f"s{i}.a", (4, b * R), rd),
                     q_cols2=ar.view(f"s{i}.b", (4, b * R), rd),
-                    scr=ar.view(f"s{i}.a", (b, pre, post), rd),
                 )
             elif step.kind == "phase_mask":
                 if step._coeffs:
@@ -236,9 +248,10 @@ class PlannedExecution:
 
         # Readout scratch with the seed-probed strides: same values in
         # the same memory order → the same pairwise reduction → bitwise.
-        self._ro = (
-            ar.strided_view("ro.a", full, rd, ro_strides),
-            ar.strided_view("ro.b", full, rd, ro_strides),
+        self._ro = tuple(
+            ar.view(name, full, rd) if ro_strides is None
+            else ar.strided_view(name, full, rd, ro_strides)
+            for name in ("ro.a", "ro.b")
         )
 
         if plane_adjoint:
@@ -281,31 +294,52 @@ class PlannedExecution:
     # ------------------------------------------------------------------
     # Forward sweep
     # ------------------------------------------------------------------
-    def run_forward(self, resolve):
+    def run_forward(self, resolve) -> Planes:
         """Execute the plan from |0…0⟩ inside the arena.
 
-        Returns ``(re, im)`` full-shape views of the final planes —
-        valid until the next ``run_forward`` on this bound execution.
+        Returns the final planes as full-shape arena views stamped with
+        this run — valid until the next forward on this bound execution.
         """
-        self._ensure(resolve)
-        re0, im0 = self._full[0]
-        zero_planes_into(re0, im0)
-        steps = self.lowered.steps
         if obs.is_profiling():
             reg = obs.metrics()
             reg.counter(
                 "lower.planned.run", precision=self.lowered.precision
             ).inc()
             with reg.scope("lower.planned.forward", n_qubits=self.n_qubits):
-                for i, step in enumerate(steps):
-                    with reg.timer(
-                        "lower.planned.apply", kind=step.kind
-                    ).time():
-                        self._fwd_step(i, step, resolve)
+                for _ in self.forward_steps(resolve):
+                    pass
         else:
-            for i, step in enumerate(steps):
+            self._begin(resolve)
+            for i, step in enumerate(self.lowered.steps):
                 self._fwd_step(i, step, resolve)
-        return self._full[len(steps)]
+        return Planes(*self.final_planes(), self.runs)
+
+    def forward_steps(self, resolve):
+        """Run the forward sweep step by step, yielding each step's output
+        planes (arena views, valid until the next step runs)."""
+        self._begin(resolve)
+        reg = obs.metrics() if obs.is_profiling() else None
+        for i, step in enumerate(self.lowered.steps):
+            if reg is not None:
+                with reg.timer("lower.planned.apply", kind=step.kind).time():
+                    self._fwd_step(i, step, resolve)
+            else:
+                self._fwd_step(i, step, resolve)
+            yield self._full[i + 1]
+
+    def _begin(self, resolve) -> None:
+        self._ensure(resolve)
+        self.runs += 1
+        zero_planes_into(*self._full[0])
+
+    def holds(self, planes) -> bool:
+        """Whether the arena still holds ``planes`` — the final planes
+        of this execution's latest forward run."""
+        return (
+            isinstance(planes, Planes)
+            and planes.run == self.runs
+            and planes[0] is self.final_planes()[0]
+        )
 
     def _fwd_step(self, i, step, resolve):
         kind = step.kind
@@ -321,108 +355,21 @@ class PlannedExecution:
     # -- fused single-qubit runs --------------------------------------
     def _fwd_fused(self, i, step, resolve):
         m = step._matrix(resolve)
-        if self.f64:
-            # Bitwise path: the seed's exact pack → broadcast GEMM →
-            # slice sequence, with out= destinations (bitwise-equal).
-            # Kernel choice is pinned, never autotuned.
-            self._fused_bcast(i, step, m)
-            return
-        choice = self._fused_choice(i, step, m, resolve)
-        self._run_fused_kernel(i, step, m, resolve, choice)
-
-    def _fused_choice(self, i, step, m, resolve) -> str:
-        mode = "const" if m.ndim == 2 else "batch"
-        cached = self._choices.get((i, mode))
-        if cached is not None:
-            return cached
-        ctx = self._ctx[i]
-        names = ["bcast", "rows", "strided"]
-        if mode == "const":
-            names.append("cols")
-            if step.numba_kernels is not None:  # pragma: no cover - numba
-                names.append("numba")
-        if self.lowered.config.autotune_requested():
-            # Shape class, not step index: every fused run with the same
-            # (mode, batch bucket, width, position, length) shares one
-            # benchmarked decision, on disk, across processes.
-            batch_bucket = 1 << max(0, self.batch - 1).bit_length()
-            key = (
-                "fused_fwd", mode, batch_bucket, self.n_qubits,
-                ctx["pre"], ctx["runlen"], str(self.rdtype),
-            )
-            candidates = {
-                name: (lambda name=name: self._run_fused_kernel(
-                    i, step, m, resolve, name
-                ))
-                for name in names
-            }
-            winner = get_autotuner().decide(key, candidates)
-            source = "autotune"
-        else:
-            # PR 7's hardcoded heuristic, kept as the untuned fallback.
-            if mode == "const" and step.numba_kernels is not None:  # pragma: no cover - numba
-                winner = "numba"
-            elif mode == "const" and ctx["post"] < 8:
-                winner = "cols"
-            else:
-                winner = "bcast"
-            key = ("fused_fwd", mode, self.batch, self.n_qubits,
-                   ctx["pre"], ctx["runlen"], str(self.rdtype))
-            source = "heuristic"
-        self._choices[(i, mode)] = winner
-        self.lowered.autotune_decisions[f"step{i}/{mode}"] = {
-            "key": "|".join(str(k) for k in key),
-            "winner": winner,
-            "source": source,
-        }
-        return winner
-
-    def _run_fused_kernel(self, i, step, m, resolve, name) -> None:
-        if name in ("bcast", "numba"):
-            self._fused_bcast(i, step, m, force_numpy=(name == "bcast"))
-        elif name == "rows":
-            self._fused_rows(i, m)
-        elif name == "cols":
+        # float64 always takes the broadcast GEMM: the seed's exact
+        # pack → GEMM → slice sequence, with out= destinations (bitwise).
+        if not self.f64 and m.ndim == 2 and self._ctx[i]["post"] < 8:
             self._fused_cols(i, m)
         else:
-            self._fused_strided(i, step, resolve)
+            self._fused_bcast(i, m)
 
-    def _fused_bcast(self, i, step, m, force_numpy: bool = False) -> None:
+    def _fused_bcast(self, i, m) -> None:
         ctx = self._ctx[i]
         P, Q = ctx["p_bcast"], ctx["q_bcast"]
         P[:, :, 0:2] = ctx["src_re"]
         P[:, :, 2:4] = ctx["src_im"]
-        kernels = step.numba_kernels
-        if (
-            not force_numpy
-            and kernels is not None
-            and m.ndim == 2
-            and P.dtype == m.dtype
-        ):  # pragma: no cover - requires numba installed
-            post = ctx["post"]
-            kernels["apply_block44"](
-                m, P.reshape(-1, 4, post), Q.reshape(-1, 4, post)
-            )
-        else:
-            np.matmul(m, P, out=Q)
+        np.matmul(m, P, out=Q)
         ctx["dst_re"][...] = Q[:, :, 0:2]
         ctx["dst_im"][...] = Q[:, :, 2:4]
-
-    def _fused_rows(self, i, m) -> None:
-        ctx = self._ctx[i]
-        P, Q = ctx["p_rows"], ctx["q_rows"]
-        sr, si = ctx["src_re"], ctx["src_im"]
-        P[:, 0] = sr[:, :, 0]
-        P[:, 1] = sr[:, :, 1]
-        P[:, 2] = si[:, :, 0]
-        P[:, 3] = si[:, :, 1]
-        m2 = m.reshape(-1, 4, 4) if m.ndim == 4 else m
-        np.matmul(m2, ctx["p_rows2"], out=ctx["q_rows2"])
-        dr, di = ctx["dst_re"], ctx["dst_im"]
-        dr[:, :, 0] = Q[:, 0]
-        dr[:, :, 1] = Q[:, 1]
-        di[:, :, 0] = Q[:, 2]
-        di[:, :, 1] = Q[:, 3]
 
     def _fused_cols(self, i, m) -> None:
         ctx = self._ctx[i]
@@ -438,46 +385,6 @@ class PlannedExecution:
         dr[:, :, 1] = Q[1]
         di[:, :, 0] = Q[2]
         di[:, :, 1] = Q[3]
-
-    def _fused_strided(self, i, step, resolve) -> None:
-        ctx = self._ctx[i]
-        u = _compose_factors(step.seed._factors, resolve)
-        if u.ndim == 3:
-            uc = u.reshape(-1, 2, 2, 1, 1).astype(self.cdtype)
-            u00, u01 = uc[:, 0, 0], uc[:, 0, 1]
-            u10, u11 = uc[:, 1, 0], uc[:, 1, 1]
-        else:
-            uc = u.astype(self.cdtype)
-            u00, u01, u10, u11 = uc[0, 0], uc[0, 1], uc[1, 0], uc[1, 1]
-        sr, si = ctx["src_re"], ctx["src_im"]
-        a0r, a1r = sr[:, :, 0], sr[:, :, 1]
-        a0i, a1i = si[:, :, 0], si[:, :, 1]
-        dr, di = ctx["dst_re"], ctx["dst_im"]
-        S = ctx["scr"]
-
-        def accum(out, pairs):
-            first = True
-            for src, coeff, sign in pairs:
-                if first:
-                    np.multiply(src, coeff, out=out)
-                    if sign < 0:
-                        np.negative(out, out=out)
-                    first = False
-                    continue
-                np.multiply(src, coeff, out=S)
-                if sign > 0:
-                    np.add(out, S, out=out)
-                else:
-                    np.subtract(out, S, out=out)
-
-        accum(dr[:, :, 0], [(a0r, u00.real, 1), (a0i, u00.imag, -1),
-                            (a1r, u01.real, 1), (a1i, u01.imag, -1)])
-        accum(di[:, :, 0], [(a0r, u00.imag, 1), (a0i, u00.real, 1),
-                            (a1r, u01.imag, 1), (a1i, u01.real, 1)])
-        accum(dr[:, :, 1], [(a0r, u10.real, 1), (a0i, u10.imag, -1),
-                            (a1r, u11.real, 1), (a1i, u11.imag, -1)])
-        accum(di[:, :, 1], [(a0r, u10.imag, 1), (a0i, u10.real, 1),
-                            (a1r, u11.imag, 1), (a1i, u11.real, 1)])
 
     # -- phase masks ---------------------------------------------------
     def _fwd_phase(self, i, step, resolve):
@@ -578,7 +485,8 @@ class PlannedExecution:
 
         Float32 tier only — the float64 tier's adjoint is pinned to the
         seed kernels for bitwise equality and handled by the caller.
-        Assumes the arena holds this execution's forward planes.
+        The caller (:meth:`LoweredPlan.adjoint_vjp`) makes sure the
+        arena holds the forward being differentiated.
         """
         if self.f64:
             raise RuntimeError("in-place adjoint sweep is float32-only")
@@ -728,7 +636,7 @@ class PlannedExecution:
 
     # ------------------------------------------------------------------
     def describe(self) -> dict:
-        """Audit record: arena footprint, kernel choices, fallbacks."""
+        """Audit record: arena footprint and fallback steps."""
         if not self._built:
             return {"batch": self.batch,
                     "precision": self.lowered.precision,
@@ -740,5 +648,4 @@ class PlannedExecution:
             "memory_plan": self.plan.describe(),
             "arena_bytes": self.arena.total_bytes,
             "fallback_steps": list(self._fallback_steps),
-            "autotune": dict(self.lowered.autotune_decisions),
         }

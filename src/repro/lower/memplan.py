@@ -1,7 +1,7 @@
 """Plan-time memory planning: liveness analysis and carrier arenas.
 
-The unplanned lowered executor allocates fresh statevector-sized arrays
-at every plan step (pack buffers, GEMM outputs, gathered planes, adjoint
+An allocating executor creates fresh statevector-sized arrays at every
+plan step (pack buffers, GEMM outputs, gathered planes, adjoint
 carriers).  At 14 qubits those are megabyte-class ``mmap`` allocations —
 page-fault and zeroing cost on every step, and a transient peak of many
 live statevectors.  This module plans all of that away:

@@ -1,46 +1,39 @@
-"""Numpy-native lowered execution of compiled TorQ plans.
+"""Lowered TorQ plans: one compiled plan at one precision tier.
 
-A :class:`LoweredPlan` is what the pass pipeline produces from a frozen
-:class:`~repro.torq.compile.ExecutionPlan`: one lowered step per plan
-step, each a raw-NumPy kernel over *split real/imaginary planes* (two
-float arrays of shape ``(batch, 2, ..., 2)``) instead of autodiff
-tensors.  The lowered executor serves the measured (tape-free) path of
+A :class:`LoweredPlan` wraps a frozen
+:class:`~repro.torq.compile.ExecutionPlan` with one lowered step per plan
+step, each working on *split real/imaginary planes* (two float arrays of
+shape ``(batch, 2, ..., 2)``) at the tier dtype instead of autodiff
+tensors.  It serves the measured (tape-free) path of
 :class:`~repro.torq.layer.QuantumLayer` — forward statevector simulation
-plus the adjoint reverse sweep — at a configurable precision tier.
+plus the adjoint reverse sweep — and it runs only one way: through the
+:class:`~repro.lower.inplace.PlannedExecution` bound to the batch size,
+in place over that execution's liveness-planned arena.
 
 Correctness contract, per tier:
 
-* **float64** — every lowered kernel mirrors the seed arithmetic
-  operation-for-operation (the same ufunc calls on the same memory
-  layouts), so amplitudes, ⟨Z⟩ readouts, and adjoint gradients are
-  **bitwise identical** to the seed Tensor/complex128 path.  The fused
-  single-qubit step reuses the seed's own symbolic matrix composition
-  (under ``no_grad``) and its exact pack → 4×4 GEMM → slice sequence;
-  the float64 adjoint sweep *is* the seed ``adjoint_step`` code.
+* **float64** — the planned kernels perform the seed arithmetic with
+  ``out=`` destinations, so amplitudes, ⟨Z⟩ readouts, and adjoint
+  gradients are **bitwise identical** to the seed Tensor/complex128
+  path.  The fused single-qubit matrix is the seed's own symbolic
+  composition (under ``no_grad``); the reverse sweep *is* the seed
+  ``adjoint_step`` code, started from the arena's final planes.
 * **float32** — state-sized work runs in float32/complex64.  All
   parameter-space algebra (2×2 factor matrices, prefix/suffix products,
   gradient contractions against the overlap matrix) stays float64, so
-  the tier's deviation is bounded by the documented amplitude budget
-  (:mod:`repro.lower.budget`) and gradients lose no more than the
-  carriers themselves.
+  the tier's deviation is bounded by the documented budgets
+  (:mod:`repro.lower.budget`).
 
-Backends per step (reported by :meth:`LoweredPlan.describe`):
-
-* ``numpy`` — the baseline plane-arithmetic lowering ("strided complex
-  views": one multiply/add pair per nonzero matrix entry),
-* ``soa``   — structure-of-arrays packing: the planes are packed into
-  one contiguous ``(batch, pre, 4, post)`` buffer and the whole fused
-  run is ONE real 4×4 GEMM (forward *and* adjoint un-apply),
-* ``numba`` — the optional JIT kernels of
-  :mod:`repro.lower.numba_backend` layered on top of the SoA packing.
-
-Steps read the private precomputed index/factor fields of the seed plan
-steps — the two modules evolve together by design.
+Besides the tier-cast constants and matrices the executor reads, every
+lowered step keeps one allocating ``forward``.  It runs at float64 once
+per bound execution, as the probe that records the seed readout layout,
+and at both tiers for unfused ``gate`` steps, which the executor runs
+allocating and copies into its arena.  Steps read the private
+precomputed index/factor fields of the seed plan steps — the two modules
+evolve together by design.
 """
 
 from __future__ import annotations
-
-from collections import OrderedDict
 
 import numpy as np
 
@@ -48,9 +41,18 @@ from .. import obs
 from ..autodiff import Tensor, no_grad
 from ..torq import compile as torq_compile
 from ..torq.adjoint import _z_weight_mask
-from ..torq.state import zero_state
 
-__all__ = ["LoweredPlan", "build_lowered_steps"]
+__all__ = ["LoweredPlan", "PRECISION_TIERS"]
+
+#: Supported precision tiers.  ``float64`` is the seed arithmetic
+#: (complex128 statevectors, bitwise identical); ``float32`` runs
+#: state-sized work in float32/complex64.
+PRECISION_TIERS: tuple[str, ...] = ("float64", "float32")
+
+_DTYPES = {
+    "float64": (np.float64, np.complex128),
+    "float32": (np.float32, np.complex64),
+}
 
 _INV = float(1.0 / np.sqrt(2.0))
 
@@ -101,13 +103,12 @@ def _block44(u: np.ndarray) -> np.ndarray:
 
 
 def _pack_planes(re: np.ndarray, im: np.ndarray, pack_shape: tuple) -> np.ndarray:
-    """SoA packing: one contiguous ``(batch, pre, 4, post)`` buffer with
-    the real rows stacked above the imaginary rows (exactly the seed's
-    ``concatenate`` layout — copying values verbatim keeps the float64
-    tier bitwise).  Explicit allocate-and-assign rather than
-    ``np.concatenate``: concatenate layout-matches its inputs, so a
-    strided carrier (e.g. downstream of a flip) would propagate a
-    non-contiguous pack straight into the GEMM."""
+    """One contiguous ``(batch, pre, 4, post)`` buffer with the real rows
+    stacked above the imaginary rows (exactly the seed's ``concatenate``
+    layout — copying values verbatim keeps the float64 tier bitwise).
+    Explicit allocate-and-assign rather than ``np.concatenate``:
+    concatenate layout-matches its inputs, so a strided carrier would
+    propagate a non-contiguous pack straight into the GEMM."""
     pr = re.reshape(pack_shape)
     out = np.empty(pr.shape[:2] + (4,) + pr.shape[3:], dtype=pr.dtype)
     out[:, :, 0:2] = pr
@@ -115,105 +116,45 @@ def _pack_planes(re: np.ndarray, im: np.ndarray, pack_shape: tuple) -> np.ndarra
     return out
 
 
-def _pack_complex(z: np.ndarray, pack_shape: tuple) -> np.ndarray:
-    """SoA packing of a complex carrier into real planes."""
-    p = z.reshape(pack_shape)
-    out = np.empty(p.shape[:2] + (4,) + p.shape[3:], dtype=p.real.dtype)
-    out[:, :, 0:2] = p.real
-    out[:, :, 2:4] = p.imag
-    return out
-
-
-def _unpack_complex(packed: np.ndarray, shape: tuple, cdtype) -> np.ndarray:
-    """Inverse of :func:`_pack_complex` back into one complex array."""
-    out = np.empty(packed.shape[:2] + (2,) + packed.shape[3:], dtype=cdtype)
-    out.real = packed[:, :, 0:2]
-    out.imag = packed[:, :, 2:4]
-    return out.reshape(shape)
-
-
-def _apply_block(packed: np.ndarray, m: np.ndarray, numba_kernels=None,
-                 fast: bool = False):
-    """One real GEMM ``m @ packed`` (the fused-block hot loop).
-
-    ``fast=True`` (float32 tier only — never the bitwise float64 path,
-    whose FP sequence must mirror the seed's broadcasted matmul exactly)
-    reshapes small-``post`` packs into a single ``(4, N)`` GEMM: the
-    broadcasted form degenerates into ``batch*pre`` tiny ``(4, post)``
-    multiplies whose dispatch overhead dwarfs the flops when ``post``
-    shrinks (the last qubits of the register).
-    """
-    # The pack step just concatenated, so this must already be dense —
-    # a strided buffer here would mean a hidden copy inside BLAS.
-    assert packed.flags["C_CONTIGUOUS"]
-    if (
-        numba_kernels is not None
-        and m.ndim == 2
-        and packed.dtype == m.dtype
-    ):  # pragma: no cover - requires numba installed
-        rows = packed.reshape(-1, 4, packed.shape[-1])
-        out = np.empty_like(rows)
-        numba_kernels["apply_block44"](m, rows, out)
-        return out.reshape(packed.shape)
-    if fast and m.ndim == 2 and packed.shape[-1] < 8:
-        b, p, _, k = packed.shape
-        cols = np.ascontiguousarray(packed.transpose(2, 0, 1, 3)).reshape(4, -1)
-        out = (m @ cols).reshape(4, b, p, k)
-        return np.ascontiguousarray(out.transpose(1, 2, 0, 3))
-    return np.matmul(m, packed)
-
-
 # ----------------------------------------------------------------------
 # Lowered steps
 # ----------------------------------------------------------------------
 
 class _LoweredStep:
-    """Base lowered step: tier dtypes plus claim bookkeeping."""
+    """Base lowered step: the seed step plus the tier dtypes."""
 
-    __slots__ = ("seed", "kind", "gates", "backend", "claimed_by",
-                 "rdtype", "cdtype", "numba_kernels")
+    __slots__ = ("seed", "kind", "gates", "rdtype", "cdtype")
 
     def __init__(self, seed_step, rdtype, cdtype):
         self.seed = seed_step
         self.kind = seed_step.kind
         self.gates = seed_step.gates
-        self.backend = "numpy"
-        self.claimed_by: tuple[str, ...] = ()
         self.rdtype = np.dtype(rdtype)
         self.cdtype = np.dtype(cdtype)
-        self.numba_kernels = None
 
     @property
     def f64(self) -> bool:
         return self.rdtype == np.float64
 
-    def claim(self, pass_name: str, backend: str | None = None) -> None:
-        self.claimed_by = self.claimed_by + (pass_name,)
-        if backend is not None:
-            self.backend = backend
-
 
 class _LoweredFused(_LoweredStep):
-    """Fused single-qubit run on planes.
+    """Fused single-qubit run: one real 4×4 block matrix applied to the
+    packed planes."""
 
-    ``soa=True`` (the SoA pass claimed it): pack → one real 4×4 GEMM →
-    unpack, the seed layout exactly.  ``soa=False``: per-entry 2×2 plane
-    arithmetic over strided half-views (the ablation baseline).
-    """
+    def _matrix(self, resolve) -> np.ndarray:
+        """The real 4×4 block matrix at the tier dtype.
 
-    __slots__ = ("soa",)
-
-    def __init__(self, seed_step, rdtype, cdtype):
-        super().__init__(seed_step, rdtype, cdtype)
-        self.soa = False
-
-    # -- matrix composition ------------------------------------------
-    def _matrix64(self, resolve) -> np.ndarray:
-        """The real 4×4 block matrix, float64, via the seed's own
-        symbolic composition (bitwise-identical entries)."""
+        float64 reuses the seed's own symbolic composition (bitwise-
+        identical entries); float32 composes the float64 factors
+        numerically and casts once.
+        """
         s = self.seed
         if s._const_m is not None:
-            return s._const_m
+            return s._const_m if self.f64 else s._const_m.astype(self.rdtype)
+        if not self.f64:
+            return _block44(_compose_factors(s._factors, resolve)).astype(
+                self.rdtype
+            )
         with no_grad():
             mats = [p(resolve) if callable(p) else p for p in s._parts]
             u = mats[0]
@@ -222,132 +163,15 @@ class _LoweredFused(_LoweredStep):
             m = torq_compile._block_matrix(u)
         return m.data if isinstance(m, Tensor) else m
 
-    def _matrix(self, resolve) -> np.ndarray:
-        if self.f64:
-            return self._matrix64(resolve)
-        s = self.seed
-        if s._const_m is not None:
-            return s._const_m.astype(self.rdtype)
-        # Compose in float64 (parameter-space, cheap), cast once.
-        return _block44(_compose_factors(s._factors, resolve)).astype(self.rdtype)
-
-    # -- forward ------------------------------------------------------
     def forward(self, re, im, resolve):
+        """The seed's pack → broadcast GEMM → slice sequence (float64)."""
         s = self.seed
-        # float64 always takes the pack→GEMM route: that IS the seed
-        # arithmetic (the seed fused step packs and matmuls too), so the
-        # unclaimed fallback stays bitwise.  The strided baseline below
-        # is the float32 ablation when the SoA pass is not active.
-        if self.soa or self.f64:
-            m = self._matrix(resolve)
-            packed = _pack_planes(re, im, s._pack_shape)
-            out = _apply_block(packed, m, self.numba_kernels,
-                               fast=not self.f64)
-            return (
-                out[:, :, 0:2].reshape(s._full_shape),
-                out[:, :, 2:4].reshape(s._full_shape),
-            )
-        # Strided-view baseline: one complex 2×2 applied entrywise.
-        u = _compose_factors(s._factors, resolve)
-        if u.ndim == 3:
-            u = u.reshape(-1, 2, 2, 1, 1)
-            u00, u01 = u[:, 0, 0], u[:, 0, 1]
-            u10, u11 = u[:, 1, 0], u[:, 1, 1]
-        else:
-            u00, u01, u10, u11 = u[0, 0], u[0, 1], u[1, 0], u[1, 1]
-        pr = re.reshape(s._pack_shape)
-        pi = im.reshape(s._pack_shape)
-        a0r, a1r = pr[:, :, 0], pr[:, :, 1]
-        a0i, a1i = pi[:, :, 0], pi[:, :, 1]
-        if not self.f64:
-            u00, u01, u10, u11 = (
-                x.astype(np.complex64) for x in (u00, u01, u10, u11)
-            )
-        n0r = a0r * u00.real - a0i * u00.imag + a1r * u01.real - a1i * u01.imag
-        n0i = a0r * u00.imag + a0i * u00.real + a1r * u01.imag + a1i * u01.real
-        n1r = a0r * u10.real - a0i * u10.imag + a1r * u11.real - a1i * u11.imag
-        n1i = a0r * u10.imag + a0i * u10.real + a1r * u11.imag + a1i * u11.real
+        out = np.matmul(self._matrix(resolve),
+                        _pack_planes(re, im, s._pack_shape))
         return (
-            np.stack([n0r, n1r], axis=2).reshape(s._full_shape),
-            np.stack([n0i, n1i], axis=2).reshape(s._full_shape),
+            out[:, :, 0:2].reshape(s._full_shape),
+            out[:, :, 2:4].reshape(s._full_shape),
         )
-
-    # -- adjoint ------------------------------------------------------
-    def adjoint(self, psi, mu, resolve, accumulate):
-        s = self.seed
-        if self.f64:
-            return s.adjoint_step(psi, mu, resolve, accumulate)
-        shape = psi.shape
-        pack = s._pack_shape
-        if s._const_np_dag is not None:
-            udag = s._const_np_dag
-            mats = None
-        else:
-            eye = np.eye(2, dtype=np.complex128)
-            mats = []
-            for kind, payload in s._factors:
-                if kind == "const":
-                    mats.append((payload, None, None))
-                else:
-                    u, du = torq_compile._np_factor_mats(
-                        kind, _np_value(resolve, payload)
-                    )
-                    mats.append((u, du, payload))
-            prefixes = [eye]
-            for u, _, _ in mats:
-                prefixes.append(np.matmul(u, prefixes[-1]))
-            udag = torq_compile._np_dagger(prefixes[-1])
-        # Strided complex 2×2 application for the tier carriers.  The
-        # SoA 4×4 pack wins on the forward's separate real/imag planes
-        # but loses here: packing a *complex* carrier costs a strided
-        # real/imag extraction plus an unpack per step, measured ~4×
-        # slower than broadcasting the 2×2 over strided views.
-        ud = udag.astype(self.cdtype)
-        if ud.ndim == 3:
-            u00 = ud[:, 0, 0].reshape(-1, 1, 1)
-            u01 = ud[:, 0, 1].reshape(-1, 1, 1)
-            u10 = ud[:, 1, 0].reshape(-1, 1, 1)
-            u11 = ud[:, 1, 1].reshape(-1, 1, 1)
-        else:
-            u00, u01, u10, u11 = ud[0, 0], ud[0, 1], ud[1, 0], ud[1, 1]
-        pz = psi.reshape(pack)
-        mz = mu.reshape(pack)
-        pp = np.stack(
-            [pz[:, :, 0] * u00 + pz[:, :, 1] * u01,
-             pz[:, :, 0] * u10 + pz[:, :, 1] * u11], axis=2
-        )
-        mp = np.stack(
-            [mz[:, :, 0] * u00 + mz[:, :, 1] * u01,
-             mz[:, :, 0] * u10 + mz[:, :, 1] * u11], axis=2
-        )
-        psi_prev = pp.reshape(shape)
-        mu_prev = mp.reshape(shape)
-        if mats is None:
-            return psi_prev, mu_prev
-        # Per-batch 2×2 overlap in tier precision; 2×2 algebra in float64.
-        # Four strided multiply-reduce passes, e_bij = Σ_pk μ̄[b,p,i,k]·
-        # ψ[b,p,j,k] — cheaper than einsum (no BLAS) or batched matmul
-        # (two transpose copies) at these shapes.
-        b = mu.shape[0]
-        mc = np.conj(mz)
-        e = np.empty((b, 2, 2), dtype=np.complex128)
-        for i in range(2):
-            for j in range(2):
-                e[:, i, j] = (
-                    (mc[:, :, i] * pp[:, :, j]).reshape(b, -1).sum(axis=1)
-                )
-        suffix = np.eye(2, dtype=np.complex128)
-        for j in range(len(mats) - 1, -1, -1):
-            u, du, ref = mats[j]
-            if ref is not None:
-                d = np.matmul(suffix, np.matmul(du, prefixes[j]))
-                if d.ndim == 2:
-                    g = 2.0 * np.real(np.einsum("ij,bij->b", d, e))
-                else:
-                    g = 2.0 * np.real(np.einsum("bij,bij->b", d, e))
-                accumulate(ref, g)
-            suffix = np.matmul(suffix, u)
-        return psi_prev, mu_prev
 
 
 class _LoweredPhase(_LoweredStep):
@@ -370,14 +194,11 @@ class _LoweredPhase(_LoweredStep):
         self._const_flat = kf if (kf is None or self.f64) else kf.astype(self.cdtype)
 
     def forward(self, re, im, resolve):
+        """The seed's grow-as-you-add mask and plane update (float64)."""
         s = self.seed
-        rd = self.rdtype
         total = None
         for coeff, ref in self._coeffs:
-            theta = _bcast(_np_value(resolve, ref), s._bshape)
-            if not self.f64:
-                theta = theta.astype(rd)
-            term = theta * coeff
+            term = _bcast(_np_value(resolve, ref), s._bshape) * coeff
             total = term if total is None else total + term
         if total is None:  # all-Z run: the mask is the constant ±1 pattern
             return re * self._const, im * self._const
@@ -387,76 +208,28 @@ class _LoweredPhase(_LoweredStep):
             mim = mim * self._const
         return re * mre - im * mim, re * mim + im * mre
 
-    def adjoint(self, psi, mu, resolve, accumulate):
-        s = self.seed
-        if self.f64:
-            return s.adjoint_step(psi, mu, resolve, accumulate)
-        shape = psi.shape
-        pf = psi.reshape(s._flat)
-        mf = mu.reshape(s._flat)
-        if s._term_refs:
-            w = (np.conj(pf) * mf).imag
-            if self.numba_kernels is not None and w.dtype == self._coeff_flat.dtype:  # pragma: no cover - requires numba
-                g = np.empty((w.shape[0], len(s._term_refs)), dtype=w.dtype)
-                self.numba_kernels["diag_batch_product"](w, self._coeff_flat.T, g)
-            else:
-                g = 2.0 * (w @ self._coeff_flat.T)
-            g64 = np.asarray(g, dtype=np.float64)
-            for t, ref in enumerate(s._term_refs):
-                accumulate(ref, g64[:, t])
-            vals = [
-                np.asarray(_np_value(resolve, ref), dtype=self.rdtype)
-                for ref in s._term_refs
-            ]
-            if any(v.ndim for v in vals):
-                batch = pf.shape[0]
-                thetas = np.stack(
-                    [np.broadcast_to(v, (batch,)) for v in vals], axis=1
-                )
-                total = thetas @ self._coeff_flat
-            else:
-                total = np.asarray(vals) @ self._coeff_flat
-            mask = np.empty(total.shape, dtype=self.cdtype)
-            mask.real = np.cos(total)
-            mask.imag = -np.sin(total)
-            if self._const_flat is not None:
-                mask = mask * self._const_flat
-        else:
-            mask = self._const_flat
-        return (pf * mask).reshape(shape), (mf * mask).reshape(shape)
-
 
 class _LoweredPerm(_LoweredStep):
-    """Basis relabeling: one gather per plane / carrier."""
+    """Basis relabeling: one gather per plane."""
 
     def forward(self, re, im, resolve):
+        """Fancy indexing (not ``np.take``) on purpose: it reproduces the
+        seed gather's batch-fastest output layout, which the readout
+        probe must see (float64)."""
         s = self.seed
         src = s._src
-        if self.f64:
-            # Fancy indexing (not np.take) on purpose: it reproduces the
-            # seed gather's batch-fastest output layout, and downstream
-            # reduction order follows layout — the float64 tier must sum
-            # in the seed's order to stay bitwise.  The explicit
-            # pack/readout allocations absorb the strided view without
-            # hidden copies.
-            return (
-                re.reshape(s._flat_shape)[:, src].reshape(s._full_shape),
-                im.reshape(s._flat_shape)[:, src].reshape(s._full_shape),
-            )
-        # float32 tier: np.take yields a C-contiguous gather, sparing
-        # every downstream reshape/pack the silent strided-view copy.
         return (
-            np.take(re.reshape(s._flat_shape), src, axis=1).reshape(s._full_shape),
-            np.take(im.reshape(s._flat_shape), src, axis=1).reshape(s._full_shape),
+            re.reshape(s._flat_shape)[:, src].reshape(s._full_shape),
+            im.reshape(s._flat_shape)[:, src].reshape(s._full_shape),
         )
-
-    def adjoint(self, psi, mu, resolve, accumulate):
-        # Pure indexing — dtype-preserving for every tier.
-        return self.seed.adjoint_step(psi, mu, resolve, accumulate)
 
 
 class _LoweredGate(_LoweredStep):
-    """One unfused gate, mirroring the interpreted arithmetic on planes."""
+    """One unfused gate, mirroring the interpreted arithmetic on planes.
+
+    Both directions allocate: the planned executor copies their results
+    into its arena (these steps are listed as ``fallback_steps``).
+    """
 
     def forward(self, re, im, resolve):
         s = self.seed
@@ -527,9 +300,10 @@ class _LoweredGate(_LoweredStep):
         return half if self.f64 else half.astype(self.rdtype)
 
     def adjoint(self, psi, mu, resolve, accumulate):
+        """Float32 un-apply (float64 sweeps run the seed steps directly)."""
         s = self.seed
         name = s._name
-        if self.f64 or name in ("h", "x", "y", "z", "cnot"):
+        if name in ("h", "x", "y", "z", "cnot"):
             # Constant gates invert dtype-preservingly in the seed code.
             return s.adjoint_step(psi, mu, resolve, accumulate)
         if name == "crz":
@@ -569,7 +343,7 @@ class _LoweredGate(_LoweredStep):
         p = np.stack(
             [psi_prev[s._idx0], psi_prev[s._idx1]], axis=1
         ).reshape(b, 2, -1)
-        # Batched matmul, not einsum — see the fused overlap above.
+        # Batched matmul rather than einsum, which runs without BLAS.
         e = np.matmul(np.conj(m), p.transpose(0, 2, 1)).astype(np.complex128)
         if du.ndim == 2:
             g = 2.0 * np.real(np.einsum("ij,bij->b", du, e))
@@ -587,136 +361,63 @@ _LOWERED_BY_KIND = {
 }
 
 
-def build_lowered_steps(plan, rdtype, cdtype) -> list[_LoweredStep]:
-    """The baseline ("numpy" backend) lowering of every plan step."""
-    return [
-        _LOWERED_BY_KIND[s.kind](s, rdtype, cdtype) for s in plan.steps
-    ]
-
-
 # ----------------------------------------------------------------------
 # The lowered plan
 # ----------------------------------------------------------------------
 
 class LoweredPlan:
-    """A pass-pipeline-lowered execution plan (numpy-native, tiered).
+    """A compiled plan lowered to one precision tier (numpy-native).
 
-    Produced by :func:`repro.lower.lower_plan`; holds the lowered steps,
-    the tier dtypes, which passes ran, and per-pass claim counts.  The
-    public surface mirrors what the measured quantum-layer path needs:
-    :meth:`run_planes` (forward), :meth:`z_expectations` (readout),
-    :meth:`adjoint_vjp` (all-parameter gradients), plus
-    :meth:`amplitudes` and :meth:`describe` for tests and inspection.
+    Produced by :func:`repro.lower.lower_plan`.  :meth:`run_planes`
+    (forward), :meth:`z_expectations` (readout) and :meth:`adjoint_vjp`
+    (all-parameter gradients) run through the
+    :class:`~repro.lower.inplace.PlannedExecution` bound to the batch
+    size.  A plan keeps one bound execution per batch size it has served,
+    for its lifetime, so a fixed set of batch sizes — a serving bucket
+    ladder, a training batch — binds each arena exactly once.
+    :meth:`amplitudes` and :meth:`memory_report` serve tests and
+    inspection.
     """
 
-    #: Planned executions kept alive per plan (arena reuse across batch
-    #: sizes actually seen; small — each entry owns one arena).
-    _PLANNED_CACHE_MAX = 2
-
-    def __init__(self, plan, config, steps):
+    def __init__(self, plan, precision: str = "float64"):
+        if precision not in PRECISION_TIERS:
+            raise ValueError(
+                f"unknown precision tier {precision!r}; "
+                f"available: {PRECISION_TIERS}"
+            )
+        rdtype, cdtype = _DTYPES[precision]
         self.plan = plan
-        self.config = config
-        self.steps = steps
+        self.precision = precision
+        self.rdtype = np.dtype(rdtype)
+        self.cdtype = np.dtype(cdtype)
         self.n_qubits = plan.n_qubits
-        self.rdtype = steps[0].rdtype if steps else np.dtype(config.rdtype)
-        self.cdtype = steps[0].cdtype if steps else np.dtype(config.cdtype)
-        self.passes_run: tuple[str, ...] = ()
-        self.claims: dict[str, int] = {}
-        self.fallbacks: dict[str, str] = {}
-        #: Set by the ``memplan`` / ``autotune`` passes.
-        self.memplan_enabled = False
-        self.autotune_enabled = False
-        #: Audit trail of per-shape kernel decisions (planned f32 runs).
-        self.autotune_decisions: dict[str, dict] = {}
-        self._planned: "OrderedDict[int, object]" = OrderedDict()
-
-    @property
-    def precision(self) -> str:
-        return "float32" if self.rdtype == np.float32 else "float64"
-
-    def describe(self) -> list[dict]:
-        """Per-step records: kind, member gates, backend, claiming passes."""
-        return [
-            {
-                "kind": s.kind,
-                "gates": list(s.gates),
-                "backend": s.backend,
-                "claimed_by": list(s.claimed_by),
-            }
-            for s in self.steps
+        self.steps = [
+            _LOWERED_BY_KIND[s.kind](s, rdtype, cdtype) for s in plan.steps
         ]
+        self._planned: dict[int, object] = {}
 
-    # -- planned (in-place) execution ---------------------------------
     def planned_execution(self, batch: int):
         """The :class:`~repro.lower.inplace.PlannedExecution` bound to
-        ``batch``, building (liveness plan + arena) on first use.
-
-        Only available when the ``memplan`` pass claimed this plan.
-        Bound executions are cached per batch size (small LRU — each
-        holds one arena), so repeated steps at a fixed batch reuse the
-        same memory with zero statevector-sized allocations.
-        """
-        if not self.memplan_enabled:
-            raise RuntimeError(
-                "planned execution requires plan_memory=True "
-                "(the 'memplan' lowering pass)"
-            )
+        ``batch``, created on first use (its arena binds on first run)."""
         pe = self._planned.get(batch)
         if pe is None:
+            # inplace imports this module's helpers at load time.
             from .inplace import PlannedExecution
 
-            pe = PlannedExecution(self, batch)
-            self._planned[batch] = pe
-            while len(self._planned) > self._PLANNED_CACHE_MAX:
-                self._planned.popitem(last=False)
-        else:
-            self._planned.move_to_end(batch)
+            pe = self._planned[batch] = PlannedExecution(self, batch)
         return pe
-
-    def _planned_owning(self, planes):
-        """The cached bound execution whose arena holds ``planes``
-        (None when the planes came from somewhere else)."""
-        if not self.memplan_enabled:
-            return None
-        batch = planes[0].shape[0]
-        pe = self._planned.get(batch)
-        if (
-            pe is not None
-            and pe._built
-            and planes[0] is pe.final_planes()[0]
-        ):
-            return pe
-        return None
 
     # -- execution ----------------------------------------------------
     def run_planes(self, batch: int, resolve):
-        """Forward statevector simulation from |0…0⟩ on raw planes.
+        """Forward statevector simulation from |0…0⟩, in place.
 
-        Returns ``(re, im)`` float arrays of shape ``(batch, 2, ..., 2)``
-        at the tier dtype.  ``resolve`` maps flat parameter indices to
+        Returns the final ``(re, im)`` planes at the tier dtype: views
+        into the arena of the execution bound to ``batch``, stamped with
+        the run that wrote them and valid until the next forward at the
+        same batch size.  ``resolve`` maps flat parameter indices to
         floats / ``(batch,)`` arrays (Tensors are unwrapped).
-
-        When the plan is memory-planned the sweep runs in place over the
-        bound arena and the returned planes are arena views — valid
-        until the next ``run_planes`` at the same batch size.
         """
-        if self.memplan_enabled:
-            return self.planned_execution(batch).run_forward(resolve)
-        base = zero_state(batch, self.n_qubits, dtype=self.rdtype)
-        re = base.tensor.re.data
-        im = base.tensor.im.data
-        if obs.is_profiling():
-            reg = obs.metrics()
-            reg.counter("lower.plan.replay", precision=self.precision).inc()
-            with reg.scope("lower.plan.run", n_qubits=self.n_qubits):
-                for step in self.steps:
-                    reg.counter("lower.steps", backend=step.backend).inc()
-                    with reg.timer("lower.apply", kind=step.kind).time():
-                        re, im = step.forward(re, im, resolve)
-        else:
-            for step in self.steps:
-                re, im = step.forward(re, im, resolve)
-        return re, im
+        return self.planned_execution(batch).run_forward(resolve)
 
     def amplitudes(self, planes) -> np.ndarray:
         """Flat complex amplitudes ``(batch, 2**n)`` at the tier dtype."""
@@ -728,25 +429,20 @@ class LoweredPlan:
         return out
 
     def z_expectations(self, planes) -> np.ndarray:
-        """Per-qubit ⟨Z⟩, shape ``(batch, n_qubits)``, tier dtype.
+        """Per-qubit ⟨Z⟩ of a forward's planes, ``(batch, n_qubits)``.
 
-        Mirrors :func:`repro.torq.measure.pauli_z_expectations` so the
-        float64 tier stays bitwise with the seed readout.
+        Reads out on layout-matched arena scratch, so the float64 tier is
+        bitwise equal to :func:`repro.torq.measure.pauli_z_expectations`.
+        Raises ``ValueError`` when ``planes`` are not the latest forward
+        of this plan at their batch size.
         """
-        pe = self._planned_owning(planes)
-        if pe is not None:
-            # Arena-resident planes: readout runs on layout-matched
-            # arena scratch (bitwise-equal reduction order, no allocs).
-            return pe.z_expectations()
-        re, im = planes
-        probs = re * re + im * im
-        n = self.n_qubits
-        outputs = []
-        for q in range(n):
-            axes = tuple(ax for ax in range(1, n + 1) if ax != q + 1)
-            marg = probs.sum(axis=axes) if axes else probs
-            outputs.append(marg[:, 0] - marg[:, 1])
-        return np.stack(outputs, axis=1)
+        pe = self._planned.get(planes[0].shape[0])
+        if pe is None or not pe.holds(planes):
+            raise ValueError(
+                "planes are not the latest forward of this plan at their "
+                "batch size; a later run_planes has overwritten them"
+            )
+        return pe.z_expectations()
 
     def adjoint_vjp(self, values, weights: np.ndarray, planes=None) -> list:
         """All-parameter adjoint gradients of ``Σ weights·⟨Z⟩``.
@@ -755,7 +451,11 @@ class LoweredPlan:
         :func:`repro.torq.adjoint.adjoint_state_vjp`: carriers run at
         the tier dtype; returned gradients are float64 (a float per
         shared parameter, ``(batch,)`` per per-batch parameter).
-        ``planes`` reuses an already-run forward state.
+        ``planes`` (from :meth:`run_planes` with the same ``values``)
+        skips the forward while the arena still holds it; once a later
+        forward at this batch size has overwritten the arena, the forward
+        for ``values`` is re-run in place first, so the gradient always
+        belongs to ``values``.
         """
         weights = np.asarray(weights, dtype=np.float64)
         if weights.ndim != 2 or weights.shape[1] != self.n_qubits:
@@ -763,17 +463,13 @@ class LoweredPlan:
                 f"weights must be (batch, {self.n_qubits}), got {weights.shape}"
             )
         batch = weights.shape[0]
+        if planes is not None and planes[0].shape[0] != batch:
+            raise ValueError(
+                f"final state batch {planes[0].shape[0]} != weights batch {batch}"
+            )
 
         def resolve(i: int):
             return values[i]
-
-        if planes is None:
-            planes = self.run_planes(batch, resolve)
-        re, im = planes
-        if re.shape[0] != batch:
-            raise ValueError(
-                f"final state batch {re.shape[0]} != weights batch {batch}"
-            )
 
         grads: dict[int, object] = {}
 
@@ -781,42 +477,37 @@ class LoweredPlan:
             prev = grads.get(ref)
             grads[ref] = g if prev is None else prev + g
 
-        pe = self._planned_owning(planes)
-        if pe is not None and self.rdtype == np.float32:
-            # In-place reverse sweep over the arena carriers (f32 tier;
-            # the f64 adjoint stays on the seed kernels below, whose
-            # exact allocation/ufunc sequence the bitwise contract pins).
-            if obs.is_profiling():
-                reg = obs.metrics()
-                reg.counter(
-                    "lower.adjoint.sweep", precision=self.precision
+        pe = self.planned_execution(batch)
+        profiling = obs.is_profiling()
+        if planes is None or not pe.holds(planes):
+            if planes is not None and profiling:
+                obs.metrics().counter(
+                    "lower.planned.rerun", precision=self.precision
                 ).inc()
-                with reg.scope("lower.adjoint.run", n_qubits=self.n_qubits):
-                    pe.adjoint_sweep(resolve, weights, accumulate)
-            else:
-                pe.adjoint_sweep(resolve, weights, accumulate)
-            return self._format_grads(values, grads, batch)
-
-        psi = np.empty(re.shape, dtype=self.cdtype)
-        psi.real = re
-        psi.imag = im
-        mask = _z_weight_mask(weights, self.n_qubits)
-        if self.rdtype != np.float64:
-            mask = mask.astype(self.rdtype)
-        mu = psi * mask
-
-        if obs.is_profiling():
+            pe.run_forward(resolve)
+        if profiling:
             reg = obs.metrics()
             reg.counter("lower.adjoint.sweep", precision=self.precision).inc()
             with reg.scope("lower.adjoint.run", n_qubits=self.n_qubits):
-                for step in reversed(self.steps):
-                    with reg.timer("lower.adjoint.step", kind=step.kind).time():
-                        psi, mu = step.adjoint(psi, mu, resolve, accumulate)
+                self._reverse_sweep(pe, resolve, weights, accumulate)
         else:
-            for step in reversed(self.steps):
-                psi, mu = step.adjoint(psi, mu, resolve, accumulate)
-
+            self._reverse_sweep(pe, resolve, weights, accumulate)
         return self._format_grads(values, grads, batch)
+
+    def _reverse_sweep(self, pe, resolve, weights, accumulate) -> None:
+        if self.precision == "float32":
+            pe.adjoint_sweep(resolve, weights, accumulate)
+            return
+        # float64: the seed adjoint_step kernels, whose exact allocation
+        # and ufunc sequence is the bitwise contract, from the arena's
+        # final planes.
+        re, im = pe.final_planes()
+        psi = np.empty(re.shape, dtype=np.complex128)
+        psi.real = re
+        psi.imag = im
+        mu = psi * _z_weight_mask(weights, self.n_qubits)
+        for step in reversed(self.plan.steps):
+            psi, mu = step.adjoint_step(psi, mu, resolve, accumulate)
 
     @staticmethod
     def _format_grads(values, grads: dict, batch: int) -> list:
@@ -834,12 +525,11 @@ class LoweredPlan:
         return out
 
     def memory_report(self) -> dict:
-        """Arena/autotune audit across the bound planned executions.
+        """Arena audit across the bound planned executions.
 
         Keys are the bound batch sizes; each value is the execution's
         :meth:`~repro.lower.inplace.PlannedExecution.describe` record
-        (memory plan, arena bytes, fallback steps, kernel decisions).
-        Empty when the plan is not memory-planned or nothing bound yet.
+        (memory plan, arena bytes, fallback steps).
         """
         return {
             batch: pe.describe() for batch, pe in self._planned.items()
@@ -848,6 +538,5 @@ class LoweredPlan:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"LoweredPlan(n_qubits={self.n_qubits}, "
-            f"precision={self.precision!r}, steps={len(self.steps)}, "
-            f"passes={list(self.passes_run)})"
+            f"precision={self.precision!r}, steps={len(self.steps)})"
         )

@@ -4,10 +4,9 @@ Benchmark JSON artifacts (``BENCH_torq.json``, ``BENCH_autodiff.json``,
 ``BENCH_dist.json``) are committed and compared across machines and PRs,
 so every report carries an ``environment`` block answering "what ran
 this": interpreter and NumPy versions, the physical CPU model, the BLAS
-NumPy was built against, and — since the lowering pipeline landed — the
-precision tier and active lowering passes the numbers were produced
-under.  A wall-clock regression that coincides with a different CPU or
-BLAS line is a machine change, not a code change.
+NumPy was built against, the usable core count and the peak RSS.  A
+wall-clock regression that coincides with a different CPU or BLAS line
+is a machine change, not a code change.
 
 Everything here degrades gracefully: unreadable ``/proc/cpuinfo`` or an
 unexpected ``np.__config__`` layout yields ``"unknown"`` fields, never
@@ -16,6 +15,7 @@ an exception — benchmarks must not fail because a fingerprint did.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import platform
 import sys
@@ -58,14 +58,15 @@ def blas_info() -> str:
     return "unknown"
 
 
+@functools.cache
 def env_fingerprint() -> str:
     """A short stable hash of the numeric environment.
 
-    Digest of the facts that change which kernels win a microbenchmark
-    or which lowered artifact is valid: interpreter version, NumPy
-    version, CPU model, BLAS backend, and machine architecture.  Used to
-    key the autotune decision cache and the lowered-plan LRU so a choice
-    (or artifact) recorded on one machine/BLAS never leaks to another.
+    Digest of the facts that change which kernels win a microbenchmark:
+    interpreter version, NumPy version, CPU model, BLAS backend, and
+    machine architecture.  Serve bundles record it at freeze time, and
+    benchmark reports carry it.  Memoised: it cannot change within a
+    process.
     """
     raw = "|".join(
         (
@@ -115,16 +116,9 @@ def _available_cpus() -> int:
         return os.cpu_count() or 0
 
 
-def environment_info(lowering=None) -> dict:
-    """The standard ``environment`` block for benchmark reports.
-
-    ``lowering`` (a :class:`repro.lower.LoweringConfig`) stamps the
-    precision tier, the active pass pipeline, and whether the numba
-    backend was requested *and* importable — the three knobs that change
-    which kernels actually executed.  Without it the block records the
-    default tier (plain float64, no lowering passes).
-    """
-    env = {
+def environment_info() -> dict:
+    """The standard ``environment`` block for benchmark reports."""
+    return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
@@ -135,19 +129,6 @@ def environment_info(lowering=None) -> dict:
         "fingerprint": env_fingerprint(),
         "peak_rss_bytes": peak_rss_bytes(),
     }
-    if lowering is not None:
-        from ..lower import LoweringConfig, numba_available
-
-        if not isinstance(lowering, LoweringConfig):
-            raise TypeError("lowering must be a LoweringConfig")
-        env["precision"] = lowering.precision
-        env["lowering_passes"] = list(lowering.passes)
-        env["numba"] = bool(lowering.numba_requested() and numba_available())
-    else:
-        env["precision"] = "float64"
-        env["lowering_passes"] = []
-        env["numba"] = False
-    return env
 
 
 if __name__ == "__main__":  # pragma: no cover - manual convenience

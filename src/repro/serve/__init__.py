@@ -19,9 +19,9 @@ closes that gap in three layers:
   the coalescing invisible: batched answers equal unbatched answers.
 
 :func:`stats` aggregates every cache the serving path leans on — TorQ
-plan cache (with pin counts), lowered-plan LRU, autotune decisions,
-zero-state bases, and each live FrozenModel's executors/arenas — which
-the load benchmark records in its environment block.
+plan cache (with pin counts), lowered-plan LRU, zero-state bases, and
+each live FrozenModel's executors/arenas — which the load benchmark
+records in its environment block.
 """
 
 from __future__ import annotations
@@ -74,14 +74,14 @@ __all__ = [
 def stats() -> dict:
     """One snapshot of every cache the serving path relies on.
 
-    ``{"plan_cache", "lowered_cache", "autotune_cache",
-    "zero_state_cache", "frozen_models", "arena_bytes"}`` —
+    ``{"plan_cache", "lowered_cache", "zero_state_cache",
+    "frozen_models", "arena_bytes"}`` —
     ``frozen_models`` carries per-model executor cache hit rates and
     buffer/arena footprints; ``arena_bytes`` totals them.  Safe to call
     concurrently with serving traffic (every underlying cache is
     locked).
     """
-    from ..lower import autotune_cache_info, lowered_cache_info
+    from ..lower import lowered_cache_info
     from ..torq.compile import plan_cache_info
     from ..torq.state import zero_cache_info
 
@@ -89,7 +89,6 @@ def stats() -> dict:
     return {
         "plan_cache": plan_cache_info(),
         "lowered_cache": lowered_cache_info(),
-        "autotune_cache": autotune_cache_info(),
         "zero_state_cache": zero_cache_info(),
         "frozen_models": models,
         "arena_bytes": sum(int(m.get("arena_bytes", 0)) for m in models),

@@ -328,7 +328,7 @@ def freeze_model(model_or_trainer, path, precision: str = "float64",
     archive carries a SHA-256 payload digest, so a torn or bit-flipped
     bundle is rejected at load time rather than served.
     """
-    from ..lower import env_fingerprint_cached
+    from ..obs.envinfo import env_fingerprint
 
     model = _unwrap(model_or_trainer)
     mtype = _resolve_type_for(model)
@@ -339,7 +339,7 @@ def freeze_model(model_or_trainer, path, precision: str = "float64",
         "model_type": mtype.name,
         "arch": spec,
         "precision": str(precision),
-        "env_fingerprint": env_fingerprint_cached(),
+        "env_fingerprint": env_fingerprint(),
         "created_unix": time.time(),
         "metadata": dict(metadata or {}),
     }
@@ -480,8 +480,7 @@ def _rebuild(path: Path, payload: dict, meta: dict):
 
 
 def load_bundle(path, precision: str | None = None, max_batch: int = 1024,
-                min_batch: int = 32, validate: bool = True,
-                lowering=None):
+                min_batch: int = 32, validate: bool = True):
     """Load a ``.rqb`` bundle into a ready-to-serve ``FrozenModel``.
 
     Verifies the checksum, rebuilds the architecture from the stored
@@ -507,5 +506,4 @@ def load_bundle(path, precision: str | None = None, max_batch: int = 1024,
         max_batch=max_batch,
         min_batch=min_batch,
         validate=validate,
-        lowering=lowering,
     )

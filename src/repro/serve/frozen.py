@@ -69,7 +69,7 @@ class FrozenModel:
 
     def __init__(self, model, model_type, spec: dict, meta: dict | None = None,
                  precision: str = "float64", max_batch: int = 1024,
-                 min_batch: int = 32, validate: bool = True, lowering=None):
+                 min_batch: int = 32, validate: bool = True):
         if max_batch < 1 or min_batch < 1 or min_batch > max_batch:
             raise ValueError(
                 f"need 1 <= min_batch <= max_batch, got "
@@ -108,28 +108,18 @@ class FrozenModel:
                 cache_size=len(buckets) + 2,
             )
         else:
-            self._configure_lowered(lowering)
+            from ..lower import PRECISION_TIERS
+
+            if self.precision not in PRECISION_TIERS:
+                raise ValueError(
+                    f"unknown precision tier {self.precision!r}; "
+                    f"available: {PRECISION_TIERS}"
+                )
+            # Route every quantum layer through the lowered planned tier.
+            for layer in self._quantum:
+                layer.grad_method = "adjoint"
+                layer.precision = self.precision
         _LIVE.add(self)
-
-    # ------------------------------------------------------------------
-    def _configure_lowered(self, lowering) -> None:
-        """Route every quantum layer through the lowered planned tier."""
-        from ..lower import LoweringConfig
-
-        if lowering is None:
-            lowering = LoweringConfig(
-                precision=self.precision, plan_memory=True
-            )
-        elif lowering.precision != self.precision:
-            raise ValueError(
-                f"lowering.precision {lowering.precision!r} disagrees with "
-                f"serving precision {self.precision!r}"
-            )
-        self.lowering = lowering
-        for layer in self._quantum:
-            layer.grad_method = "adjoint"
-            layer.lowering = lowering
-            layer.precision = lowering.precision
 
     def _bucket_ladder(self) -> tuple[int, ...]:
         sizes = []
@@ -277,7 +267,7 @@ class FrozenModel:
                 for i, layer in enumerate(self._quantum):
                     lowered = lower_plan(
                         layer.embedded_gate_sequence(), layer.n_qubits,
-                        layer.lowering,
+                        self.precision,
                     )
                     report = lowered.memory_report()
                     reports[f"quantum{i}"] = report

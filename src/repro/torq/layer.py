@@ -80,7 +80,6 @@ class QuantumLayer(Module):
         compiled: bool = True,
         grad_method: str = "backprop",
         precision: str = "float64",
-        lowering=None,
     ):
         super().__init__()
         if grad_method not in GRAD_METHODS:
@@ -88,27 +87,19 @@ class QuantumLayer(Module):
                 f"unknown grad_method {grad_method!r}; "
                 f"available: {GRAD_METHODS}"
             )
-        from ..lower import LoweringConfig
+        from ..lower import PRECISION_TIERS
 
-        if lowering is not None:
-            if not isinstance(lowering, LoweringConfig):
-                raise TypeError("lowering must be a LoweringConfig")
-            if precision != "float64" and precision != lowering.precision:
-                raise ValueError(
-                    "precision and lowering.precision disagree: "
-                    f"{precision!r} vs {lowering.precision!r}"
-                )
-        elif precision != "float64":
-            # Any non-default tier routes through the lowering pipeline.
-            lowering = LoweringConfig(precision=precision)
-        if lowering is not None and grad_method != "adjoint":
+        if precision not in PRECISION_TIERS:
             raise ValueError(
-                "lowered execution (precision='float32' or an explicit "
-                "LoweringConfig) is measured-path only; it requires "
-                "grad_method='adjoint' (got "
-                f"grad_method={grad_method!r})"
+                f"unknown precision tier {precision!r}; "
+                f"available: {PRECISION_TIERS}"
             )
-        self.lowering = lowering
+        if precision != "float64" and grad_method != "adjoint":
+            raise ValueError(
+                f"lowered execution (precision={precision!r}) is "
+                "measured-path only; it requires grad_method='adjoint' "
+                f"(got grad_method={grad_method!r})"
+            )
         self.ansatz = ansatz if isinstance(ansatz, Ansatz) else make_ansatz(
             ansatz, n_qubits=n_qubits, n_layers=n_layers
         )
@@ -118,9 +109,10 @@ class QuantumLayer(Module):
         self.init_strategy = str(init)
         self.compiled = bool(compiled)
         self.grad_method = str(grad_method)
-        self.precision = (
-            lowering.precision if lowering is not None else "float64"
-        )
+        #: ``"float32"`` runs the measured path through the lowered
+        #: planned executor (:mod:`repro.lower`); ``"float64"`` through
+        #: the seed plan.
+        self.precision = str(precision)
         self.params = Parameter(
             initial_circuit_params(init, self.ansatz.param_count, rng=rng),
             name="quantum_params",
@@ -189,10 +181,10 @@ class QuantumLayer(Module):
         gates = self.embedded_gate_sequence()
         plan = compile_gates(gates, n)
         lowered = None
-        if self.lowering is not None:
+        if self.precision != "float64":
             from ..lower import lower_plan
 
-            lowered = lower_plan(gates, n, self.lowering)
+            lowered = lower_plan(gates, n, self.precision)
         angles = scale_input(self.scaling, activations)  # graph-recorded
         method = self.grad_method
         with no_grad():

@@ -6,8 +6,8 @@ identical amplitudes and Z-expectations on three independent executors, to
 1e-10: the compiled plan (fused kernels), the interpreted per-gate batched
 backend, and the dense per-point ``torq.reference`` oracle.
 
-The same programs also exercise the :mod:`repro.lower` pass pipeline at
-both precision tiers: the float64 lowering (all passes) must be *bitwise*
+The same programs also run through :mod:`repro.lower`'s in-place planned
+executor at both precision tiers: the float64 lowering must be *bitwise*
 identical to the compiled seed, and the float32/complex64 tier must agree
 with the dense float64 oracle within the per-case error budgets from
 :mod:`repro.lower.budget`, which scale with qubit and gate counts.
@@ -19,7 +19,6 @@ import pytest
 from repro import autodiff as ad
 from repro.autodiff import Tensor, no_grad
 from repro.lower import (
-    LoweringConfig,
     amplitude_budget,
     expectation_budget,
     gradient_budget,
@@ -106,7 +105,7 @@ def test_random_circuit_equivalence(seed):
 def test_random_circuit_lowered_tiers(seed):
     """Lowered execution of the same random programs, both tiers.
 
-    float64 + all passes must reproduce the compiled seed *bitwise*;
+    float64 must reproduce the compiled seed *bitwise*;
     float32 must land within the size-scaled budgets against the dense
     float64 oracle (amplitudes, Z-expectations, and adjoint gradients).
     """
@@ -127,7 +126,7 @@ def test_random_circuit_lowered_tiers(seed):
     weights = np.random.default_rng(2000 + seed).standard_normal((batch, n))
     grads_seed = adjoint_state_vjp(gates, n, values, weights)
 
-    lowered64 = lower_plan(gates, n, LoweringConfig(precision="float64"))
+    lowered64 = lower_plan(gates, n, "float64")
     planes = lowered64.run_planes(batch, lambda i: values[i])
     assert np.array_equal(lowered64.amplitudes(planes), seed_amps)
     assert np.array_equal(lowered64.z_expectations(planes), seed_z)
@@ -135,7 +134,7 @@ def test_random_circuit_lowered_tiers(seed):
         assert np.array_equal(np.asarray(a, dtype=np.float64),
                               np.asarray(b, dtype=np.float64))
 
-    lowered32 = lower_plan(gates, n, LoweringConfig(precision="float32"))
+    lowered32 = lower_plan(gates, n, "float32")
     planes32 = lowered32.run_planes(batch, lambda i: values[i])
     amps32 = lowered32.amplitudes(planes32)
     assert amps32.dtype == np.complex64
@@ -194,13 +193,11 @@ def test_equivalence_with_shared_named_parameter():
     # float64, within the amplitude budget at float32.
     gates = qc.gate_sequence()
     values = qc.flat_parameter_values({"theta": theta})
-    lowered64 = lower_plan(gates, qc.n_qubits,
-                           LoweringConfig(precision="float64"))
+    lowered64 = lower_plan(gates, qc.n_qubits, "float64")
     amps64 = lowered64.amplitudes(
         lowered64.run_planes(batch, lambda i: values[i]))
     assert np.array_equal(amps64, fast)
-    lowered32 = lower_plan(gates, qc.n_qubits,
-                           LoweringConfig(precision="float32"))
+    lowered32 = lower_plan(gates, qc.n_qubits, "float32")
     amps32 = lowered32.amplitudes(
         lowered32.run_planes(batch, lambda i: values[i]))
     budget = amplitude_budget("float32", qc.n_qubits,

@@ -1,14 +1,13 @@
-"""Tests for the ``repro.lower`` pass pipeline and precision tiers.
+"""Tests for ``repro.lower`` precision tiers.
 
-Covers the lowering contract end to end: the float64 tier with every
-pass enabled is *bitwise* identical to the seed executors (amplitudes,
-Z-expectations, adjoint gradients — the default config must never drift);
-the float32 tier stays inside the documented budgets of
-:mod:`repro.lower.budget`; pass registration, unknown-pass errors, and
-cache-key separation between tiers; the numba feature flag degrading
-silently when the dependency is absent; the ``zero_state`` dtype cache
-key; the no-hidden-copy regression for compiled epochs; and the
-``QuantumLayer`` / tape ``precision`` integration surfaces.
+Covers the lowering contract end to end: the float64 tier is *bitwise*
+identical to the seed executors (amplitudes, Z-expectations, adjoint
+gradients — the seed ``ExecutionPlan`` and ``torq.adjoint`` are the
+oracle); the float32 tier stays inside the documented budgets of
+:mod:`repro.lower.budget`; unknown tiers raise and the lowered-plan
+cache keeps tiers apart; the ``zero_state`` dtype cache key; the
+no-hidden-copy regression for compiled epochs; and the ``QuantumLayer``
+/ tape ``precision`` integration surfaces.
 """
 
 import numpy as np
@@ -19,24 +18,18 @@ from repro import lower
 from repro.autodiff import Tensor, backward, no_grad
 from repro.autodiff.tape import compile_step
 from repro.lower import (
-    DEFAULT_PASSES,
-    NUMBA_ENV_VAR,
-    LoweringConfig,
-    LoweringPass,
     amplitude_budget,
-    available_passes,
     clear_lowered_cache,
     expectation_budget,
     gradient_budget,
     lower_plan,
     lowered_cache_info,
-    numba_available,
-    register_pass,
     tape_budget,
 )
-from repro.lower import passes as passes_mod
 from repro.torq import Circuit, QuantumLayer
 from repro.torq.adjoint import adjoint_state_vjp
+from repro.torq.embedding import scale_input
+from repro.torq.measure import pauli_z_expectations
 from repro.torq.state import zero_state
 
 
@@ -60,16 +53,16 @@ def _mixed_circuit(n_qubits=4, batch=6, seed=3):
     return qc, params, batch
 
 
-def _lowered_run(qc, params, batch, config):
+def _lowered_run(qc, params, batch, precision):
     gates = qc.gate_sequence()
     values = qc.flat_parameter_values(params)
-    lowered = lower_plan(gates, qc.n_qubits, config)
+    lowered = lower_plan(gates, qc.n_qubits, precision)
     planes = lowered.run_planes(batch, lambda i: values[i])
     return lowered, planes, values
 
 
 class TestBitwiseDefault:
-    """precision='float64' with all passes enabled == the seed, bitwise."""
+    """precision='float64' lowered execution == the seed, bitwise."""
 
     def test_forward_and_z_bitwise(self):
         qc, params, batch = _mixed_circuit()
@@ -78,9 +71,7 @@ class TestBitwiseDefault:
                                compiled=True).numpy()
             seed_z = qc.z_expectations(params=params, batch=batch,
                                        compiled=True).data
-        lowered, planes, _ = _lowered_run(
-            qc, params, batch, LoweringConfig(precision="float64"))
-        assert {"precision", "soa"} <= set(lowered.passes_run)
+        lowered, planes, _ = _lowered_run(qc, params, batch, "float64")
         assert np.array_equal(lowered.amplitudes(planes), seed_amps)
         assert np.array_equal(lowered.z_expectations(planes), seed_z)
 
@@ -91,51 +82,31 @@ class TestBitwiseDefault:
         weights = np.random.default_rng(11).standard_normal(
             (batch, qc.n_qubits))
         grads_seed = adjoint_state_vjp(gates, qc.n_qubits, values, weights)
-        lowered = lower_plan(gates, qc.n_qubits,
-                             LoweringConfig(precision="float64"))
+        lowered = lower_plan(gates, qc.n_qubits, "float64")
         for a, b in zip(grads_seed, lowered.adjoint_vjp(values, weights)):
             assert np.array_equal(np.asarray(a, dtype=np.float64),
                                   np.asarray(b, dtype=np.float64))
 
-    def test_f64_pass_claims_nothing_for_precision(self):
-        qc, params, batch = _mixed_circuit()
-        lowered, _, _ = _lowered_run(
-            qc, params, batch, LoweringConfig(precision="float64"))
-        assert lowered.claims["precision"] == 0
-        # SoA legitimately claims the fused steps even at float64 (same
-        # arithmetic, one packed GEMM) — the bitwise checks above prove it.
-        assert lowered.claims["soa"] >= 1
-
-    def test_default_config_keeps_memplan_and_autotune_dormant(self):
-        # The passes ship in DEFAULT_PASSES but are gated behind their
-        # config flags: the default artifact must stay the allocating
-        # bitwise path with the skips on the audit trail.
-        assert {"autotune", "memplan"} <= set(DEFAULT_PASSES)
-        qc, params, batch = _mixed_circuit()
-        lowered, _, _ = _lowered_run(qc, params, batch, LoweringConfig())
-        assert not lowered.memplan_enabled
-        assert not lowered.autotune_enabled
-        assert lowered.fallbacks.get("memplan") == "not requested"
-        assert lowered.fallbacks.get("autotune") == "not requested"
-
     def test_planned_f64_is_bitwise_through_the_layer_surface(self):
+        # The run_planes → z_expectations → adjoint_vjp(planes=) sequence
+        # QuantumLayer drives, against the seed plan and torq.adjoint.
         qc, params, batch = _mixed_circuit()
         values = qc.flat_parameter_values(params)
         gates = qc.gate_sequence()
         weights = np.random.default_rng(17).standard_normal(
             (batch, qc.n_qubits))
-        plain = lower_plan(gates, qc.n_qubits,
-                           LoweringConfig(precision="float64"))
-        planned = lower_plan(
-            gates, qc.n_qubits,
-            LoweringConfig(precision="float64", plan_memory=True))
+        seed_plan = qc.execution_plan()
+        lowered = lower_plan(gates, qc.n_qubits, "float64")
         with no_grad():
-            pu = plain.run_planes(batch, lambda i: values[i])
-            pp = planned.run_planes(batch, lambda i: values[i])
-            assert np.array_equal(plain.z_expectations(pu),
-                                  planned.z_expectations(pp))
-        for a, b in zip(plain.adjoint_vjp(values, weights),
-                        planned.adjoint_vjp(values, weights)):
+            final = seed_plan.run(zero_state(batch, qc.n_qubits),
+                                  lambda i: values[i])
+            planes = lowered.run_planes(batch, lambda i: values[i])
+            assert np.array_equal(pauli_z_expectations(final).data,
+                                  lowered.z_expectations(planes))
+        seed_grads = adjoint_state_vjp(gates, qc.n_qubits, values, weights,
+                                       plan=seed_plan, final_state=final)
+        for a, b in zip(seed_grads,
+                        lowered.adjoint_vjp(values, weights, planes=planes)):
             assert np.array_equal(np.asarray(a), np.asarray(b))
 
 
@@ -148,8 +119,7 @@ class TestFloat32Budgets:
                                compiled=True).numpy()
             seed_z = qc.z_expectations(params=params, batch=batch,
                                        compiled=True).data
-        lowered, planes, values = _lowered_run(
-            qc, params, batch, LoweringConfig(precision="float32"))
+        lowered, planes, values = _lowered_run(qc, params, batch, "float32")
         amps = lowered.amplitudes(planes)
         assert amps.dtype == np.complex64
         err = float(np.max(np.abs(amps.astype(np.complex128) - seed_amps)))
@@ -166,8 +136,7 @@ class TestFloat32Budgets:
         weights = np.random.default_rng(12).standard_normal(
             (batch, qc.n_qubits))
         grads_seed = adjoint_state_vjp(gates, qc.n_qubits, values, weights)
-        lowered = lower_plan(gates, qc.n_qubits,
-                             LoweringConfig(precision="float32"))
+        lowered = lower_plan(gates, qc.n_qubits, "float32")
         err = max(
             float(np.max(np.abs(np.asarray(a, dtype=np.float64)
                                 - np.asarray(b, dtype=np.float64))))
@@ -180,117 +149,41 @@ class TestFloat32Budgets:
         qc, params, batch = _mixed_circuit()
         gates = qc.gate_sequence()
         values = qc.flat_parameter_values(params)
-        lowered = lower_plan(gates, qc.n_qubits,
-                             LoweringConfig(precision="float32"))
+        lowered = lower_plan(gates, qc.n_qubits, "float32")
         records = lower.audit_plan(lowered, values, batch=batch)
-        assert len(records) == len(lowered.steps)
+        assert [r["kind"] for r in records] == [s.kind for s in lowered.steps]
         budget = amplitude_budget("float32", qc.n_qubits,
                                   qc.execution_plan().n_gates)
         for rec in records:
             assert rec["max_abs_err"] <= budget
-            assert rec["backend"] in ("numpy", "soa", "numba")
+        f64 = lower.audit_plan(lower_plan(gates, qc.n_qubits, "float64"),
+                               values, batch=batch)
+        assert all(r["max_abs_err"] == 0.0 for r in f64)
 
 
 class TestRegistryAndCache:
-    def test_builtin_passes_registered(self):
-        assert set(DEFAULT_PASSES) <= set(available_passes())
-
-    def test_unknown_pass_raises(self):
-        qc, params, batch = _mixed_circuit()
-        cfg = LoweringConfig(passes=("precision", "vectorize-harder"))
-        with pytest.raises(ValueError, match="unknown lowering pass"):
-            _lowered_run(qc, params, batch, cfg)
+    """The lowered-plan cache: one artifact per (structure, tier)."""
 
     def test_unknown_precision_raises(self):
+        qc, _, _ = _mixed_circuit()
         with pytest.raises(ValueError, match="precision tier"):
-            LoweringConfig(precision="bfloat16")
+            lower_plan(qc.gate_sequence(), qc.n_qubits, "bfloat16")
+        with pytest.raises(ValueError, match="precision tier"):
+            QuantumLayer(n_qubits=3, n_layers=1, grad_method="adjoint",
+                         precision="bfloat16")
 
-    def test_register_custom_pass(self):
-        class NullPass(LoweringPass):
-            name = "test-null"
-
-            def run(self, plan):
-                return 0
-
-        register_pass(NullPass)
-        try:
-            qc, params, batch = _mixed_circuit()
-            cfg = LoweringConfig(passes=("precision", "test-null"))
-            lowered, planes, _ = _lowered_run(qc, params, batch, cfg)
-            assert "test-null" in lowered.passes_run
-            assert lowered.claims["test-null"] == 0
-        finally:
-            passes_mod._REGISTRY.pop("test-null", None)
-
-    def test_nameless_pass_rejected(self):
-        class Anon(LoweringPass):
-            pass
-
-        with pytest.raises(ValueError, match="non-empty 'name'"):
-            register_pass(Anon)
-
-    def test_cache_keys_separate_tiers_and_pass_sets(self):
+    def test_cache_keys_separate_tiers(self):
         clear_lowered_cache()
-        qc, params, batch = _mixed_circuit()
+        qc, _, _ = _mixed_circuit()
         gates = qc.gate_sequence()
-        configs = [
-            LoweringConfig(precision="float64"),
-            LoweringConfig(precision="float32"),
-            LoweringConfig(precision="float32", passes=("precision",)),
-        ]
-        plans = [lower_plan(gates, qc.n_qubits, c) for c in configs]
-        assert len({id(p) for p in plans}) == 3
-        assert lowered_cache_info()["size"] == 3
-        # A repeated request under the same config hits the cache.
-        assert lower_plan(gates, qc.n_qubits, configs[1]) is plans[1]
-
-    def test_config_key_incorporates_tier_and_passes(self):
-        k64 = LoweringConfig(precision="float64").key()
-        k32 = LoweringConfig(precision="float32").key()
-        k32p = LoweringConfig(precision="float32",
-                              passes=("precision",)).key()
-        assert len({k64, k32, k32p}) == 3
-
-
-class TestNumbaFallback:
-    """The numba backend is opt-in and degrades silently when absent."""
-
-    @pytest.fixture(autouse=True)
-    def _require_absent(self):
-        if numba_available():  # pragma: no cover - env without numba
-            pytest.skip("numba installed; fallback path not exercisable")
-
-    def test_env_var_opts_in(self, monkeypatch):
-        monkeypatch.setenv(NUMBA_ENV_VAR, "1")
-        assert LoweringConfig().numba_requested()
-        monkeypatch.delenv(NUMBA_ENV_VAR)
-        assert not LoweringConfig().numba_requested()
-        assert LoweringConfig(use_numba=True).numba_requested()
-        monkeypatch.setenv(NUMBA_ENV_VAR, "1")
-        assert not LoweringConfig(use_numba=False).numba_requested()
-
-    def test_requested_but_missing_degrades_bitwise(self, monkeypatch):
-        monkeypatch.setenv(NUMBA_ENV_VAR, "1")
-        qc, params, batch = _mixed_circuit()
-        with no_grad():
-            seed_amps = qc.run(params=params, batch=batch,
-                               compiled=True).numpy()
-        gates = qc.gate_sequence()
-        values = qc.flat_parameter_values(params)
-        lowered = lower_plan(gates, qc.n_qubits,
-                             LoweringConfig(precision="float64"),
-                             cache=False)
-        assert lowered.config.numba_requested()
-        assert lowered.claims.get("numba", 0) == 0
-        assert lowered.fallbacks.get("numba") == "numba unavailable"
-        planes = lowered.run_planes(batch, lambda i: values[i])
-        assert np.array_equal(lowered.amplitudes(planes), seed_amps)
-
-    def test_cache_key_ignores_inactive_numba(self):
-        # Requested-but-unimportable numba runs the same kernels as
-        # not-requested; the cache key must agree so artifacts are shared.
-        assert (LoweringConfig(use_numba=True).key()
-                == LoweringConfig(use_numba=False).key())
+        p64 = lower_plan(gates, qc.n_qubits, "float64")
+        p32 = lower_plan(gates, qc.n_qubits, "float32")
+        assert p64 is not p32
+        assert (p64.precision, p32.precision) == ("float64", "float32")
+        assert lowered_cache_info()["size"] == 2
+        # A repeated request at the same tier hits the cache.
+        assert lower_plan(gates, qc.n_qubits, "float32") is p32
+        assert lower_plan(gates, qc.n_qubits) is p64  # float64 default
 
 
 class TestZeroStateDtypeKey:
@@ -372,36 +265,33 @@ class TestQuantumLayerPrecision:
         assert float(np.max(np.abs(gx32 - gx64))) <= gb
 
     def test_explicit_f64_lowering_is_bitwise(self):
-        z, gp, gx = self._pair("float64")
+        # The layer's own circuit, lowered at float64 and driven with the
+        # layer's angles and parameters: ⟨Z⟩ equals the seed adjoint
+        # layer's output and the gradients equal torq.adjoint's, bitwise.
+        z, _, _ = self._pair("float64")
         layer = QuantumLayer(
             n_qubits=4, n_layers=2, ansatz="basic_entangling",
             scaling="acos", rng=np.random.default_rng(5),
             compiled=True, grad_method="adjoint",
-            lowering=LoweringConfig(precision="float64"),
         )
-        acts = Tensor(
-            np.random.default_rng(6).uniform(-0.9, 0.9, (6, 4)),
-            requires_grad=True,
-        )
-        params = layer.parameters() + [acts]
-        out = layer(acts)
-        backward((out * out).mean(), params)
-        assert np.array_equal(out.data, z)
-        assert np.array_equal(layer.params.grad, gp)
-        assert np.array_equal(acts.grad, gx)
+        acts = np.random.default_rng(6).uniform(-0.9, 0.9, (6, 4))
+        angles = scale_input(layer.scaling, acts).data
+        values = [angles[:, q] for q in range(4)]
+        values += [float(v) for v in layer.params.data]
+        gates = layer.embedded_gate_sequence()
+        lowered = lower_plan(gates, 4, "float64")
+        planes = lowered.run_planes(6, lambda i: values[i])
+        assert np.array_equal(lowered.z_expectations(planes), z)
+        weights = np.random.default_rng(7).standard_normal((6, 4))
+        for a, b in zip(adjoint_state_vjp(gates, 4, values, weights),
+                        lowered.adjoint_vjp(values, weights, planes=planes)):
+            assert np.array_equal(np.asarray(a), np.asarray(b))
 
     def test_precision_requires_adjoint(self):
         with pytest.raises(ValueError, match="adjoint"):
             QuantumLayer(n_qubits=3, n_layers=1, ansatz="basic_entangling",
                          scaling="acos", rng=np.random.default_rng(0),
                          precision="float32", grad_method="backprop")
-
-    def test_precision_lowering_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="disagree"):
-            QuantumLayer(n_qubits=3, n_layers=1, ansatz="basic_entangling",
-                         scaling="acos", rng=np.random.default_rng(0),
-                         precision="float32", grad_method="adjoint",
-                         lowering=LoweringConfig(precision="float64"))
 
     def test_repr_reports_tier(self):
         layer = QuantumLayer(n_qubits=3, n_layers=1,

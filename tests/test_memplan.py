@@ -1,44 +1,39 @@
-"""Tests for in-place planned execution, the memory planner, and the
-per-shape kernel autotuner.
+"""Tests for in-place planned execution and the memory planner.
 
 The contract under test:
 
 * the liveness planner packs disjoint-interval buffers into shared arena
   slots (footprint strictly below naive per-buffer allocation);
-* the planned float64 path is **bitwise** identical to the unplanned
-  lowered executor — planes, ⟨Z⟩ readout (probed reduction layout), and
-  adjoint gradients;
-* the planned float32 path stays inside the documented budgets and its
-  warm loop performs **zero statevector-sized allocations** (forward +
-  readout + adjoint, measured with tracemalloc);
-* the autotuner persists winners to a disk cache keyed by the
-  environment fingerprint and records decisions in the plan's audit
-  trail, and autotuned kernels produce the same values as the heuristic;
-* the ``memplan`` / ``autotune`` passes gate on their config flags and
-  report fallback reasons when not requested.
+* the planned float64 path is **bitwise** identical to the seed
+  ``ExecutionPlan`` and ``torq.adjoint`` — planes, ⟨Z⟩ readout (probed
+  reduction layout), and adjoint gradients;
+* the planned float32 path stays inside the documented budgets against
+  that float64 oracle and its warm loop performs **zero
+  statevector-sized allocations** (forward + readout + adjoint, measured
+  with tracemalloc);
+* a plan keeps one bound execution per batch size, and a backward after
+  a second forward at the same batch size still differentiates the
+  first forward (the stale-arena regression), at both tiers.
 """
 
-import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from repro.autodiff import no_grad
+from repro.autodiff import Tensor, backward, no_grad
 from repro.lower import (
     Arena,
     BufferSpec,
-    LoweringConfig,
     amplitude_budget,
-    autotune_cache_info,
-    clear_autotune_cache,
-    clear_lowered_cache,
     gradient_budget,
     lower_plan,
     plan_buffers,
 )
-from repro.lower.autotune import AUTOTUNE_CACHE_ENV_VAR
-from repro.torq import Circuit
+from repro.torq import Circuit, QuantumLayer
+from repro.torq.adjoint import adjoint_state_vjp
+from repro.torq.measure import pauli_z_expectations
+from repro.torq.state import zero_state
 
 
 def _mixed_circuit(n_qubits=4, batch=6, seed=3):
@@ -78,14 +73,15 @@ def _trailing_perm_circuit(n_qubits=4, batch=5, seed=9):
     return qc, params, batch
 
 
-def _pair(qc, precision, **planned_kw):
-    gates = qc.gate_sequence()
-    unplanned = lower_plan(gates, qc.n_qubits,
-                           LoweringConfig(precision=precision))
-    planned = lower_plan(
-        gates, qc.n_qubits,
-        LoweringConfig(precision=precision, plan_memory=True, **planned_kw))
-    return gates, unplanned, planned
+def _seed_oracle(qc, values, batch, weights):
+    """The float64 seed plan: final planes, ⟨Z⟩, and adjoint gradients."""
+    plan = qc.execution_plan()
+    with no_grad():
+        final = plan.run(zero_state(batch, qc.n_qubits), lambda i: values[i])
+    grads = adjoint_state_vjp(qc.gate_sequence(), qc.n_qubits, values,
+                              weights, plan=plan, final_state=final)
+    planes = (final.tensor.re.data, final.tensor.im.data)
+    return planes, pauli_z_expectations(final).data, grads
 
 
 class TestBufferPlanner:
@@ -140,28 +136,26 @@ class TestPlannedBitwiseF64:
     @pytest.mark.parametrize("make", [_mixed_circuit, _trailing_perm_circuit])
     def test_planes_z_and_adjoint_bitwise(self, make):
         qc, params, batch = make()
-        gates = qc.gate_sequence()
         values = qc.flat_parameter_values(params)
-        _, unplanned, planned = _pair(qc, "float64")
+        planned = lower_plan(qc.gate_sequence(), qc.n_qubits, "float64")
         weights = np.random.default_rng(11).standard_normal(
             (batch, qc.n_qubits))
+        (sre, sim), seed_z, seed_grads = _seed_oracle(
+            qc, values, batch, weights)
         with no_grad():
-            pu = unplanned.run_planes(batch, lambda i: values[i])
             pp = planned.run_planes(batch, lambda i: values[i])
-            assert np.array_equal(pu[0], pp[0])
-            assert np.array_equal(pu[1], pp[1])
+            assert np.array_equal(sre, pp[0])
+            assert np.array_equal(sim, pp[1])
             # Readout reduction order is layout-probed: must be bitwise.
-            assert np.array_equal(unplanned.z_expectations(pu),
-                                  planned.z_expectations(pp))
-            gu = unplanned.adjoint_vjp(values, weights)
+            assert np.array_equal(seed_z, planned.z_expectations(pp))
             gp = planned.adjoint_vjp(values, weights, planes=pp)
-            for a, b in zip(gu, gp):
+            for a, b in zip(seed_grads, gp):
                 assert np.array_equal(np.asarray(a), np.asarray(b))
 
     def test_repeated_runs_are_stable(self):
         qc, params, batch = _mixed_circuit()
         values = qc.flat_parameter_values(params)
-        _, _, planned = _pair(qc, "float64")
+        planned = lower_plan(qc.gate_sequence(), qc.n_qubits, "float64")
         with no_grad():
             first = [np.array(p, copy=True)
                      for p in planned.run_planes(batch, lambda i: values[i])]
@@ -173,7 +167,7 @@ class TestPlannedBitwiseF64:
     def test_returned_planes_alias_the_arena(self):
         qc, params, batch = _mixed_circuit()
         values = qc.flat_parameter_values(params)
-        _, _, planned = _pair(qc, "float64")
+        planned = lower_plan(qc.gate_sequence(), qc.n_qubits, "float64")
         with no_grad():
             a = planned.run_planes(batch, lambda i: values[i])
             b = planned.run_planes(batch, lambda i: values[i])
@@ -185,30 +179,27 @@ class TestPlannedFloat32:
         qc, params, batch = _mixed_circuit()
         gates = qc.gate_sequence()
         values = qc.flat_parameter_values(params)
-        _, _, planned = _pair(qc, "float32")
-        oracle = lower_plan(gates, qc.n_qubits,
-                            LoweringConfig(precision="float64"))
+        planned = lower_plan(gates, qc.n_qubits, "float32")
         weights = np.ones((batch, qc.n_qubits))
+        po, _, go = _seed_oracle(qc, values, batch, weights)
         amp_tol = amplitude_budget("float32", qc.n_qubits, len(gates))
         grad_tol = gradient_budget("float32", qc.n_qubits, len(gates))
         with no_grad():
             pf = planned.run_planes(batch, lambda i: values[i])
-            po = oracle.run_planes(batch, lambda i: values[i])
             assert np.max(np.abs(pf[0].astype(np.float64) - po[0])) <= amp_tol
             assert np.max(np.abs(pf[1].astype(np.float64) - po[1])) <= amp_tol
             gp = planned.adjoint_vjp(values, weights, planes=pf)
-            go = oracle.adjoint_vjp(values, weights)
             for a, b in zip(gp, go):
                 assert np.max(np.abs(np.asarray(a) - np.asarray(b))) <= grad_tol
 
     def test_warm_loop_makes_no_statevector_allocations(self):
         qc, params, batch = _mixed_circuit(n_qubits=6, batch=8, seed=5)
         values = qc.flat_parameter_values(params)
-        _, _, planned = _pair(qc, "float32")
+        planned = lower_plan(qc.gate_sequence(), qc.n_qubits, "float32")
         weights = np.ones((batch, qc.n_qubits))
         plane_bytes = batch * 2 ** qc.n_qubits * np.dtype(np.float32).itemsize
         with no_grad():
-            # Warmup binds the arena and the per-step kernel choices.
+            # Warmup binds the arena.
             pp = planned.run_planes(batch, lambda i: values[i])
             planned.z_expectations(pp)
             planned.adjoint_vjp(values, weights, planes=pp)
@@ -225,7 +216,7 @@ class TestPlannedFloat32:
     def test_arena_is_smaller_than_naive_allocation(self):
         qc, params, batch = _mixed_circuit()
         values = qc.flat_parameter_values(params)
-        _, _, planned = _pair(qc, "float32")
+        planned = lower_plan(qc.gate_sequence(), qc.n_qubits, "float32")
         with no_grad():
             planned.run_planes(batch, lambda i: values[i])
         report = planned.memory_report()[batch]
@@ -235,96 +226,86 @@ class TestPlannedFloat32:
         assert report["fallback_steps"] == []
 
 
-class TestAutotuner:
-    def test_disk_cache_and_decisions(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(AUTOTUNE_CACHE_ENV_VAR, str(tmp_path))
-        clear_lowered_cache()
-        qc, params, batch = _mixed_circuit(n_qubits=5, batch=8, seed=2)
-        values = qc.flat_parameter_values(params)
-        _, _, planned = _pair(qc, "float32", autotune=True)
-        with no_grad():
-            planned.run_planes(batch, lambda i: values[i])
-        assert planned.autotune_decisions  # audit trail populated
-        for rec in planned.autotune_decisions.values():
-            assert rec["source"] in ("autotune", "heuristic")
-            assert rec["winner"]
-        info = autotune_cache_info()
-        assert info["entries"] > 0
-        assert info["fingerprint"] in info["path"]
-        payload = json.loads(
-            (tmp_path / f"autotune-{info['fingerprint']}.json").read_text())
-        assert payload["fingerprint"] == info["fingerprint"]
-        assert payload["decisions"]
-        clear_autotune_cache()
-        assert autotune_cache_info()["entries"] == 0
-
-    def test_autotuned_matches_heuristic_values(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(AUTOTUNE_CACHE_ENV_VAR, str(tmp_path))
-        clear_lowered_cache()
-        qc, params, batch = _mixed_circuit(n_qubits=5, batch=8, seed=2)
-        values = qc.flat_parameter_values(params)
-        gates = qc.gate_sequence()
-        tuned = lower_plan(gates, qc.n_qubits, LoweringConfig(
-            precision="float32", plan_memory=True, autotune=True))
-        plain = lower_plan(gates, qc.n_qubits, LoweringConfig(
-            precision="float32", plan_memory=True, autotune=False))
-        amp_tol = amplitude_budget("float32", qc.n_qubits, len(gates))
-        with no_grad():
-            pt = tuned.run_planes(batch, lambda i: values[i])
-            pp = plain.run_planes(batch, lambda i: values[i])
-            assert np.max(np.abs(pt[0].astype(np.float64)
-                                 - pp[0].astype(np.float64))) <= amp_tol
-            assert np.max(np.abs(pt[1].astype(np.float64)
-                                 - pp[1].astype(np.float64))) <= amp_tol
-
-    def test_f64_never_tunes(self):
-        qc, params, batch = _mixed_circuit()
-        values = qc.flat_parameter_values(params)
-        gates = qc.gate_sequence()
-        plan = lower_plan(gates, qc.n_qubits, LoweringConfig(
-            precision="float64", plan_memory=True, autotune=True))
-        assert plan.fallbacks.get("autotune") is not None
-        assert not plan.autotune_enabled
-        with no_grad():
-            plan.run_planes(batch, lambda i: values[i])
-        assert all(rec["source"] == "pinned"
-                   for rec in plan.autotune_decisions.values()) or \
-            not plan.autotune_decisions
-
-
 class TestPassGating:
-    def test_memplan_not_requested_reports_fallback(self):
-        qc, _, _ = _mixed_circuit()
-        plan = lower_plan(qc.gate_sequence(), qc.n_qubits, LoweringConfig())
-        assert not plan.memplan_enabled
-        assert plan.fallbacks.get("memplan") == "not requested"
-        with pytest.raises(RuntimeError, match="plan_memory"):
-            plan.planned_execution(4)
+    """What the planned executor runs in place, and how it binds."""
 
     def test_memplan_claims_inplace_steps(self):
-        qc, _, _ = _mixed_circuit()
-        plan = lower_plan(qc.gate_sequence(), qc.n_qubits,
-                          LoweringConfig(plan_memory=True))
-        assert plan.memplan_enabled
-        kinds = {s.kind for s in plan.steps if "memplan" in s.claimed_by}
-        assert kinds <= {"fused_1q", "phase_mask", "permutation"}
-        assert plan.claims["memplan"] > 0
-
-    def test_config_key_separates_planned_and_autotuned(self):
-        base = LoweringConfig()
-        planned = LoweringConfig(plan_memory=True)
-        tuned = LoweringConfig(plan_memory=True, autotune=True)
-        keys = {base.key(), planned.key(), tuned.key()}
-        assert len(keys) == 3
+        # Fused runs, phase masks and permutations run in place; only
+        # unfused gate steps take the allocating fallback.
+        qc = Circuit(3).h(0).rx(0, "a").cnot(0, 1).crz(1, 2, "w").ry(2, "b")
+        kinds = [s["kind"] for s in qc.execution_plan().describe()]
+        assert "gate" in kinds and "fused_1q" in kinds
+        values = qc.flat_parameter_values(
+            {"a": np.array([0.1, 0.2]), "w": 0.3, "b": np.array([0.4, 0.5])})
+        for precision in ("float64", "float32"):
+            plan = lower_plan(qc.gate_sequence(), 3, precision)
+            with no_grad():
+                plan.run_planes(2, lambda i: values[i])
+            fallback = plan.memory_report()[2]["fallback_steps"]
+            assert fallback == [i for i, k in enumerate(kinds) if k == "gate"]
 
     def test_planned_cache_is_lru_per_batch(self):
-        qc, params, batch = _mixed_circuit()
-        values = qc.flat_parameter_values(params)
-        _, _, planned = _pair(qc, "float64")
+        # One bound execution per batch size served, kept for the plan's
+        # lifetime: revisiting a size reuses its execution and arena.
+        qc, params, _ = _mixed_circuit()
+        planned = lower_plan(qc.gate_sequence(), qc.n_qubits, "float64",
+                             cache=False)
+        seen = {}
         with no_grad():
-            for b in (2, 3, 4):
+            for b in (2, 3, 4, 2, 3, 4, 5):
                 vals = {k: np.asarray(v)[:b] for k, v in params.items()}
                 flat = qc.flat_parameter_values(vals)
                 planned.run_planes(b, lambda i: flat[i])
-        # LRU keeps at most _PLANNED_CACHE_MAX bound executions.
-        assert len(planned._planned) <= planned._PLANNED_CACHE_MAX
+                pe = planned.planned_execution(b)
+                assert seen.setdefault(b, pe) is pe
+        assert set(planned.memory_report()) == {2, 3, 4, 5}
+
+
+class TestStaleArena:
+    """Two forwards at one batch size, then a backward for the first."""
+
+    def _two_circuits(self):
+        qc, params, batch = _mixed_circuit()
+        other = {k: v[::-1] + 0.5 for k, v in params.items()}
+        return (qc, qc.flat_parameter_values(params),
+                qc.flat_parameter_values(other), batch)
+
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    def test_adjoint_vjp_differentiates_the_stamped_forward(self, precision):
+        qc, first, second, batch = self._two_circuits()
+        gates = qc.gate_sequence()
+        weights = np.random.default_rng(3).standard_normal(
+            (batch, qc.n_qubits))
+        lowered = lower_plan(gates, qc.n_qubits, precision)
+        fresh = lowered.adjoint_vjp(first, weights)
+        with no_grad():
+            planes = lowered.run_planes(batch, lambda i: first[i])
+            lowered.run_planes(batch, lambda i: second[i])
+        stale = lowered.adjoint_vjp(first, weights, planes=planes)
+        for a, b in zip(fresh, stale):
+            assert np.array_equal(np.asarray(a), np.asarray(b))
+        oracle = adjoint_state_vjp(gates, qc.n_qubits, first, weights)
+        tol = gradient_budget(precision, qc.n_qubits, len(gates))
+        for a, b in zip(oracle, stale):
+            err = np.max(np.abs(np.asarray(a) - np.asarray(b)))
+            assert err <= tol  # 0.0 at float64: bitwise
+        with pytest.raises(ValueError, match="latest forward"):
+            lowered.z_expectations(planes)
+
+    def test_quantum_layer_two_forwards_one_backward(self):
+        def grads(twice):
+            layer = QuantumLayer(
+                n_qubits=4, n_layers=2, rng=np.random.default_rng(0),
+                grad_method="adjoint", precision="float32")
+            x1 = Tensor(np.random.default_rng(1).uniform(-0.9, 0.9, (8, 4)),
+                        requires_grad=True)
+            out = layer(x1)
+            if twice:
+                layer(Tensor(np.random.default_rng(2).uniform(
+                    -0.9, 0.9, (8, 4))))
+            backward((out * out).sum(), [layer.params, x1])
+            return layer.params.grad, x1.grad
+
+        once, twice = grads(False), grads(True)
+        assert np.array_equal(once[0], twice[0])
+        assert np.array_equal(once[1], twice[1])

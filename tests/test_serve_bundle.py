@@ -125,6 +125,34 @@ def test_float32_tier_roundtrip(tmp_path, rng):
     f64.unpin()
 
 
+def test_float32_predict_never_rebinds_after_warmup(tmp_path, rng,
+                                                   monkeypatch):
+    """Warmup binds one planned execution per bucket of the default
+    ladder (32…1024, six buckets); mixed-size predicts afterwards must
+    reuse them — zero ``PlannedExecution`` constructions."""
+    from repro.lower.inplace import PlannedExecution
+
+    layer = QuantumLayer(n_qubits=3, n_layers=1,
+                         rng=np.random.default_rng(2))
+    path = serve.freeze_model(layer, tmp_path / "q32.rqb",
+                              precision="float32")
+    frozen = serve.load_bundle(path)
+    frozen.warmup()
+    built = []
+    original = PlannedExecution.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(PlannedExecution, "__init__", counting)
+    for n in (1, 700, 40, 300, 1024, 90, 2000, 33):
+        out = frozen.predict(rng.uniform(-1, 1, size=(n, 3)))
+        assert out.shape == (n, 3)
+    assert built == []
+    frozen.unpin()
+
+
 # ----------------------------------------------------------------------
 # Corruption and bad inputs
 # ----------------------------------------------------------------------

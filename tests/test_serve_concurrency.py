@@ -1,8 +1,8 @@
 """Thread-safety regression tests for the caches the serving path shares.
 
 Every cache a concurrent server leans on — the TorQ plan cache (with
-pinning), the lowered-plan LRU, the autotuner, the zero-state basis
-cache, and compiled tape executors — is hammered from many threads.
+pinning), the lowered-plan LRU, the zero-state basis cache, and compiled
+tape executors — is hammered from many threads.
 The contract under contention: no exceptions, no torn state, identical
 results from every thread, and pinned plans surviving eviction
 pressure.
@@ -16,13 +16,7 @@ import pytest
 from repro import autodiff as ad
 from repro.autodiff import Tensor
 from repro.autodiff.tape import compile_forward, compile_step
-from repro.lower import (
-    LoweringConfig,
-    clear_lowered_cache,
-    lower_plan,
-    lowered_cache_info,
-)
-from repro.lower.autotune import Autotuner
+from repro.lower import clear_lowered_cache, lower_plan, lowered_cache_info
 from repro.torq import clear_plan_cache, compile_gates, make_ansatz
 from repro.torq.compile import pin_plan, plan_cache_info, unpin_plan
 from repro.torq.state import zero_cache_info, zero_state
@@ -96,12 +90,11 @@ def test_plan_cache_pins_survive_eviction_pressure():
 def test_lowered_cache_concurrent():
     clear_plan_cache()
     clear_lowered_cache()
-    cfg = LoweringConfig(precision="float32")
     lowered = [[None] * 3 for _ in range(N_THREADS)]
 
     def work(t, r):
         q = 2 + (r % 3)
-        lowered[t][r % 3] = lower_plan(_any_gates(q), q, cfg)
+        lowered[t][r % 3] = lower_plan(_any_gates(q), q, "float32")
 
     _hammer(work)
     for i in range(3):
@@ -109,22 +102,6 @@ def test_lowered_cache_concurrent():
         assert all(lp is first for lp in (row[i] for row in lowered))
     assert lowered_cache_info()["size"] == 3
     clear_lowered_cache()
-
-
-def test_autotuner_concurrent_decide(tmp_path):
-    tuner = Autotuner(str(tmp_path / "autotune.json"))
-    winners = set()
-
-    def work(t, r):
-        key = ("k", r % 5)
-        winners.add(tuner.decide(
-            key, {"a": lambda: None, "b": lambda: sum(range(200))},
-            reps=1, warmup=0,
-        ))
-
-    _hammer(work, reps=10)
-    assert winners <= {"a", "b"}
-    assert len(tuner.entries()) == 5
 
 
 def test_zero_state_cache_concurrent():
