@@ -2,7 +2,8 @@
 
 Walks every ``repro`` sub-package, lists the names in ``__all__`` with the
 first line of each docstring, and writes a flat Markdown reference.
-Re-run after API changes: ``python scripts/generate_api_docs.py``.
+Re-run after API changes: ``python scripts/generate_api_docs.py``;
+``tests/test_api_docs.py`` fails while the committed file is stale.
 """
 
 import importlib
@@ -68,7 +69,8 @@ def first_line(obj) -> str:
     return line
 
 
-def main() -> None:
+def render() -> str:
+    """The full text of ``docs/API.md``."""
     out = ["# API reference", "",
            "Generated by `scripts/generate_api_docs.py`; one row per name in",
            "each sub-package's `__all__`.", ""]
@@ -113,10 +115,15 @@ def main() -> None:
             out.append("")
             out.append(inspect.getdoc(submodule) or "")
             out.append("")
+    return "\n".join(out) + "\n"
+
+
+def main() -> None:
+    text = render()
     path = pathlib.Path(__file__).parent.parent / "docs" / "API.md"
     path.parent.mkdir(exist_ok=True)
-    path.write_text("\n".join(out) + "\n")
-    print(f"wrote {path} ({len(out)} lines)")
+    path.write_text(text)
+    print(f"wrote {path} ({len(text.splitlines())} lines)")
 
 
 if __name__ == "__main__":

@@ -40,6 +40,8 @@ def _inverse_softplus(value: float) -> float:
 
 @dataclass
 class InverseResult:
+    """Per-step permittivity estimates and losses of an inverse fit."""
+
     eps_history: list[float] = field(default_factory=list)
     loss_history: list[float] = field(default_factory=list)
 

@@ -181,6 +181,8 @@ class Maxwell3DLoss:
 
 @dataclass
 class Maxwell3DResult:
+    """Trained model, loss history and final L2 of a 3-D Maxwell run."""
+
     model: object
     loss: list = field(default_factory=list)
     final_l2: float | None = None

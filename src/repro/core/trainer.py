@@ -1,57 +1,46 @@
-"""Training loop with the paper's diagnostics.
+"""The Maxwell PINN/QPINN trainer with the paper's diagnostics.
 
-Tracks, per epoch: total loss and its components, global gradient norm and
-variance (Fig. 10c–d), learning rate; optionally (sparsely) the L2 error
-against a reference solution (Fig. 10a) and — for QPINNs — the
-Meyer–Wallach entanglement of the circuit state on a probe batch
-(Fig. 10e).  After training it computes the black-hole indicator I_BH.
+Runs on the shared :class:`repro.core.loop.TrainLoop`.  Tracks, per
+epoch: total loss and its components, global gradient norm and variance
+(Fig. 10c–d), learning rate; optionally (sparsely) the L2 error against
+a reference solution (Fig. 10a) and — for QPINNs — the Meyer–Wallach
+entanglement of the circuit state on a probe batch (Fig. 10e).  After
+training it computes the black-hole indicator I_BH.
 """
 
 from __future__ import annotations
 
-import gc
-import time
 from dataclasses import dataclass, field
-from pathlib import Path
+from functools import partial
 
 import numpy as np
 
-from .. import obs
 from ..autodiff import Tensor, backward, no_grad
-from ..autodiff.tape import compile_step
-from ..dist.bucket import ParamBucket, shard_slice
-from ..dist.shm import DistInterrupt
-from ..optim import Adam, StepDecay
-from ..resilience import (
-    CheckpointManager,
-    DivergenceSentinel,
-    GracefulShutdown,
-    SimulatedPreemption,
-)
+from ..dist.bucket import shard_slice
+from ..optim import LBFGS, StepDecay
 from ..solvers.maxwell_ref import ReferenceSolution
 from ..torq.entanglement import meyer_wallach
 from .blackhole import is_collapsed, model_bh_indicator
 from .collocation import CollocationGrid
 from .losses import MaxwellLoss
+from .loop import LoopConfig, TrainLoop, phase
 from .metrics import l2_relative_error
 
 __all__ = ["TrainerConfig", "TrainingHistory", "TrainingResult", "Trainer"]
 
+#: probe points of the Meyer–Wallach entanglement diagnostic
+_ENTANGLEMENT_PROBE = 64
+
 
 @dataclass
-class TrainerConfig:
+class TrainerConfig(LoopConfig):
     """Hyperparameters (defaults follow the paper where known)."""
 
-    epochs: int = 200
-    lr: float = 1e-3
     lr_step: int = 2000
     lr_gamma: float = 0.85
-    eval_every: int = 25
     track_entanglement: bool = True
-    entanglement_probe: int = 64
     bh_n_space: int = 16
     bh_n_times: int = 10
-    log_every: int = 0  # 0 silences console output
     #: extra quasi-Newton epochs after Adam (ref. [21]'s Adam→L-BFGS recipe)
     lbfgs_epochs: int = 0
     #: clip the global gradient norm (0 disables)
@@ -61,51 +50,6 @@ class TrainerConfig:
     #: citing Hao et al. [34] that it degrades PINNs — this knob exists to
     #: test that claim (see benchmarks/test_minibatch_ablation.py).
     batch_points: int = 0
-    #: capture the (curriculum/RBA/mini-batch-free) training step with
-    #: :mod:`repro.autodiff.tape` on the first epoch and replay it
-    #: thereafter; bitwise identical to define-by-run, with automatic
-    #: fallback on unsupported ops.
-    compile_step: bool = True
-    #: tape-replay precision tier: ``"float64"`` (default, bitwise) or
-    #: ``"float32"`` (kernels run in float32, outputs promoted back to
-    #: float64, validated to :func:`repro.lower.budget.tape_budget`).
-    #: Ignored when ``compile_step`` is off or the step falls back to
-    #: define-by-run, which always runs float64.
-    precision: str = "float64"
-    #: per-step divergence sentinel (:class:`repro.resilience.SentinelConfig`);
-    #: ``None`` keeps the hot loop entirely check-free.
-    sentinel: "object | None" = None
-    #: directory for periodic/best checkpoints (``None`` disables).
-    checkpoint_dir: "str | Path | None" = None
-    #: write a periodic checkpoint every N epochs (0 = only best/final).
-    checkpoint_every: int = 0
-    #: retention: number of periodic checkpoints kept on disk.
-    checkpoint_keep: int = 3
-    #: additionally refresh ``ckpt-best.npz`` whenever the loss improves.
-    checkpoint_best: bool = True
-    #: resume source: a checkpoint path, or ``"auto"`` for the newest
-    #: valid archive in ``checkpoint_dir``.  Restores model, optimiser,
-    #: scheduler, and RNG state bitwise, so the resumed run reproduces
-    #: the uninterrupted one exactly.
-    resume_from: "str | Path | None" = None
-    #: trap SIGINT/SIGTERM while checkpointing is active: finish the
-    #: current step, write a final checkpoint, and return cleanly.
-    handle_signals: bool = True
-    #: test-only fault injection (:class:`repro.resilience.ChaosInjector`).
-    chaos: "object | None" = None
-    #: data-parallel sharding (:class:`repro.dist.DistConfig`).  ``None``
-    #: or ``workers=1`` is the unchanged single-process path;
-    #: ``backend="serial"`` runs all shards in-process (the bitwise
-    #: reference); ``backend="shm"`` must be launched through
-    #: :func:`repro.dist.train_distributed`.
-    dist: "object | None" = None
-    #: per-epoch observer ``hook(epoch, loss, grad_norm, grad_variance)``
-    #: called at the end of every (non-distributed) epoch; a truthy
-    #: return stops training cleanly after the epoch's checkpoint
-    #: cadence (a returned string is recorded as the stop reason).  Used
-    #: by :class:`repro.campaign.CampaignMonitor` for online
-    #: black-hole/barren-plateau detection.
-    epoch_hook: "object | None" = None
 
 
 @dataclass
@@ -151,8 +95,10 @@ class TrainingResult:
     interrupted: bool = False
 
 
-class Trainer:
+class Trainer(TrainLoop):
     """Orchestrates one training run of a PINN/QPINN on one test case."""
+
+    _name = "maxwell"
 
     def __init__(
         self,
@@ -162,56 +108,33 @@ class Trainer:
         config: TrainerConfig | None = None,
         reference: ReferenceSolution | None = None,
     ):
-        self.model = model
+        config = config if config is not None else TrainerConfig()
+        if config.batch_points and loss.rba is not None:
+            # RBA weights are indexed by fixed collocation ids; resampled
+            # mini-batches would scramble the mapping.
+            raise ValueError("batch_points cannot be combined with RBA weights")
         self.loss = loss
         self.grid = grid
-        self.config = config if config is not None else TrainerConfig()
         self.reference = reference
-        self.params = model.parameters()
-        self.optimizer = Adam(self.params, lr=self.config.lr)
-        self.scheduler = StepDecay(
-            self.optimizer, step_size=self.config.lr_step, gamma=self.config.lr_gamma
+        super().__init__(
+            model, config, rng=np.random.default_rng(424242),
+            scheduler=partial(StepDecay, step_size=config.lr_step,
+                              gamma=config.lr_gamma),
+            curriculum=loss.curriculum,
         )
         self._probe = self._make_probe()
         self._theta0 = np.concatenate([p.data.ravel().copy() for p in self.params])
         self._theta0_norm = float(np.linalg.norm(self._theta0)) or 1.0
-        self._batch_rng = np.random.default_rng(424242)
-        self._compiled = None  # CompiledStep, or False when ineligible
-        self._chaos = self.config.chaos
-        self._sentinel = None
-        if self.config.sentinel is not None:
-            self._sentinel = DivergenceSentinel(
-                self.config.sentinel, self.params, self.optimizer,
-                self.scheduler,
-            )
-        self._ckpt = None
-        self._start_epoch = 0
-        self._dist_ctx = None
-        self._dist_bucket = None
-        self._dist_grids = {}
-        self._dist_compiled = {}
-        self._dist_comp_keys = None
-        if self.config.batch_points and loss.rba is not None:
-            # RBA weights are indexed by fixed collocation ids; resampled
-            # mini-batches would scramble the mapping.
-            raise ValueError("batch_points cannot be combined with RBA weights")
 
     # ------------------------------------------------------------------
     def _make_probe(self):
         """Fixed random probe points for the entanglement diagnostic."""
         rng = np.random.default_rng(12345)
-        k = self.config.entanglement_probe
+        k = _ENTANGLEMENT_PROBE
         x = rng.uniform(-1, 1, (k, 1))
         y = rng.uniform(-1, 1, (k, 1))
         t = rng.uniform(0, self.grid.t_max, (k, 1))
         return Tensor(x), Tensor(y), Tensor(t)
-
-    def _grad_stats(self) -> tuple[float, float]:
-        flat = [p.grad.ravel() for p in self.params if p.grad is not None]
-        if not flat:
-            return 0.0, 0.0
-        g = np.concatenate(flat)
-        return float(np.linalg.norm(g)), float(g.var())
 
     def _entanglement(self) -> float | None:
         if not hasattr(self.model, "quantum_state"):
@@ -247,140 +170,101 @@ class Trainer:
         if self.loss.rba is not None and "rba/values" in arrays:
             self.loss.rba.values = arrays["rba/values"].copy()
 
-    def save_checkpoint(self, path, epochs_done: int = 0) -> Path:
-        """Write a full resumable checkpoint of this trainer's state."""
-        from .checkpoint import save_checkpoint
-
-        return save_checkpoint(
-            path, self.model, self.optimizer, epoch=epochs_done,
-            scheduler=self.scheduler, rng=self._batch_rng,
-            extra_arrays=self._checkpoint_arrays(),
-        )
-
-    def _setup_resilience(self) -> None:
-        """Build the checkpoint manager and apply ``resume_from``."""
-        cfg = self.config
-        self._ckpt = None
-        self._start_epoch = 0
-        if cfg.checkpoint_dir is not None:
-            self._ckpt = CheckpointManager(
-                cfg.checkpoint_dir, self.model, self.optimizer,
-                scheduler=self.scheduler, rng=self._batch_rng,
-                every=cfg.checkpoint_every, keep=cfg.checkpoint_keep,
-                track_best=cfg.checkpoint_best, chaos=self._chaos,
-            )
-        if not cfg.resume_from:
-            return
-        if self._ckpt is not None:
-            pin = (None if str(cfg.resume_from) in ("auto", "latest")
-                   else cfg.resume_from)
-            info = self._ckpt.resume(pin)
-        else:
-            from .checkpoint import load_checkpoint
-
-            info = load_checkpoint(
-                cfg.resume_from, self.model, self.optimizer,
-                scheduler=self.scheduler, rng=self._batch_rng,
-            )
-        if info is None:
-            return  # nothing on disk yet: a fresh run with checkpointing
-        self._restore_arrays(info["arrays"])
-        self._start_epoch = int(info["epoch"])
-        # A restore swaps parameter/buffer arrays behind any compiled
-        # step and any sentinel snapshot: both must drop cached state.
-        if self._compiled:
-            self._compiled.invalidate()
-        for step in self._dist_compiled.values():
-            if step:
-                step.invalidate()
-        if self._sentinel is not None:
-            self._sentinel.refresh()
-
     # ------------------------------------------------------------------
-    def train(self) -> TrainingResult:
-        """Run the training loop and return the result record."""
-        cfg = self.config
-        hist = TrainingHistory()
-        dist_ctx = self._resolve_dist()
-        ckpt_write = dist_ctx is None or dist_ctx.writes_checkpoints
-        self._setup_resilience()
-        start = time.perf_counter()
-        # Autodiff graphs are acyclic and freed by reference counting; the
-        # cyclic collector only adds multi-second pauses scanning the live
-        # graph, so it is paused for the duration of the loop.
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        # Observability is opt-in: outside obs.observe()/obs.profile() the
-        # epoch loop takes the plain path and performs no obs work at all.
-        recorder = obs.get_recorder()
-        run_ctx = obs.scope("train") if recorder is not None else None
-        shutdown = None
-        if self._ckpt is not None and cfg.handle_signals:
-            shutdown = GracefulShutdown()
-        interrupted = False
-        epochs_run = 0
-        try:
-            if run_ctx is not None:
-                run_ctx.__enter__()
-            if shutdown is not None:
-                shutdown.__enter__()
-            try:
-                for epoch in range(self._start_epoch, cfg.epochs):
-                    if dist_ctx is not None:
-                        stop = self._dist_epoch(epoch, hist)
-                    else:
-                        stop = self._train_epoch(epoch, hist, recorder)
-                    epochs_run += 1
-                    if self._ckpt is not None and ckpt_write:
-                        self._ckpt.step(epoch + 1, hist.loss[-1],
-                                        arrays=self._checkpoint_arrays)
-                    if shutdown is not None and shutdown.requested:
-                        interrupted = True
-                        if self._ckpt is not None and ckpt_write:
-                            self._ckpt.save(epoch + 1, loss=hist.loss[-1],
-                                            arrays=self._checkpoint_arrays)
-                        if dist_ctx is not None:
-                            dist_ctx.announce_interrupt()
-                        break
-                    if stop:
-                        break
-            except SimulatedPreemption:
-                # The chaos injector preempts at a step boundary: the
-                # epoch's state is consistent, so a final checkpoint makes
-                # the run resumable exactly where it died.
-                interrupted = True
-                epochs_run += 1
-                if self._ckpt is not None and ckpt_write:
-                    self._ckpt.save(epoch + 1, loss=hist.loss[-1],
-                                    arrays=self._checkpoint_arrays)
-                if dist_ctx is not None:
-                    dist_ctx.announce_interrupt()
-            except DistInterrupt:
-                # A peer rank shut down cleanly while this rank was
-                # already mid-epoch: its RNG/schedule advanced past the
-                # last consistent boundary, so it must NOT checkpoint —
-                # resume rewinds to rank 0's newest boundary archive.
-                interrupted = True
-            if cfg.lbfgs_epochs > 0 and not interrupted and (
-                hist.stop_reason is None and hist.early_stop_epoch is None
-            ):
-                self._finetune_lbfgs(hist)
-        finally:
-            if shutdown is not None:
-                shutdown.__exit__(None, None, None)
-            if run_ctx is not None:
-                run_ctx.__exit__(None, None, None)
-            if gc_was_enabled:
-                gc.enable()
-        elapsed = time.perf_counter() - start
-        hist.seconds_per_epoch = elapsed / max(1, epochs_run + cfg.lbfgs_epochs)
-        return self._finalize(hist, interrupted)
+    # The step and its per-epoch record
+    # ------------------------------------------------------------------
+    def _traceable(self, rank):
+        """The pure fixed-grid step, or ``None`` when it is stateful.
 
-    def _finetune_lbfgs(self, hist: TrainingHistory) -> None:
+        Stateful weighting (curriculum, RBA) and per-epoch mini-batching
+        change the computation between epochs, so only the plain
+        fixed-grid step is captured; everything else stays define-by-run.
+        The tape folds the grid at trace time, so each shard needs its
+        own capture.
+        """
+        if self.config.batch_points or (
+            self.loss.curriculum is not None or self.loss.rba is not None
+        ):
+            return None
+        loss_fn, model, grid = self.loss, self.model, self._grid_for(rank)
+
+        def step_fn():
+            return loss_fn.loss_tensors(model, grid)
+
+        return step_fn
+
+    def _step(self, epoch: int, recorder=None, rank=None):
+        """The Maxwell loss and its gradients on the grid or a shard."""
+        step = self._compiled_step(rank) if recorder is None else None
+        if step is not None:
+            return self._replay(step)
+        grid = self._grid_for(rank)
+        with phase(recorder, "forward"):
+            total, comps = self.loss(self.model, grid, epoch)
+        with phase(recorder, "backward"):
+            backward(total, self.params)
+        return float(total.data), comps
+
+    def _grid_for(self, rank) -> CollocationGrid:
+        """This epoch's (mini-batch) grid, or ``rank``'s fixed shard."""
+        if rank is not None:
+            sl = shard_slice(self.grid.n_points, rank, self._dist_ctx.world,
+                             "CollocationGrid.n_points")
+            return self.grid.subsample(np.arange(sl.start, sl.stop))
+        points = self.config.batch_points
+        if points and points < self.grid.n_points:
+            indices = self.rng.choice(self.grid.n_points, size=points,
+                                      replace=False)
+            return self.grid.subsample(indices)
+        return self.grid
+
+    def _clip_gradients(self) -> None:
+        limit = self.config.clip_grad_norm
+        if limit <= 0:
+            return
+        total = np.sqrt(sum(
+            float((p.grad ** 2).sum()) for p in self.params if p.grad is not None
+        ))
+        if total > limit:
+            scale = limit / total
+            for p in self.params:
+                if p.grad is not None:
+                    p.grad *= scale
+
+    def _param_drift(self) -> float:
+        theta = np.concatenate([p.data.ravel() for p in self.params])
+        return float(np.linalg.norm(theta - self._theta0)) / self._theta0_norm
+
+    def _new_record(self) -> TrainingHistory:
+        return TrainingHistory()
+
+    def _record(self, hist: TrainingHistory, comps: dict, stats: tuple) -> dict:
+        hist.param_drift.append(self._param_drift())
+        for key, value in comps.items():
+            hist.components.setdefault(key, []).append(value)
+        hist.grad_norm.append(stats[0])
+        hist.grad_variance.append(stats[1])
+        hist.learning_rate.append(self.scheduler.current_lr())
+        return {"param_drift": hist.param_drift[-1],
+                "learning_rate": hist.learning_rate[-1]}
+
+    def _evaluate_epoch(self, epoch: int, hist: TrainingHistory):
+        """L2 against the reference (returned) and MW entanglement."""
+        l2 = None
+        if self.reference is not None:
+            l2 = l2_relative_error(self.model, self.reference)
+        if self.config.track_entanglement:
+            mw = self._entanglement()
+            if mw is not None:
+                hist.mw_epochs.append(epoch)
+                hist.mw_entropy.append(mw)
+        return l2
+
+    def _finetune(self, hist: TrainingHistory) -> None:
         """Quasi-Newton fine-tuning phase after the Adam epochs."""
-        from ..optim import LBFGS
-
         cfg = self.config
+        if not cfg.lbfgs_epochs:
+            return
         optimizer = LBFGS(self.params)
         epoch_offset = cfg.epochs
 
@@ -402,61 +286,6 @@ class Trainer:
             ):
                 hist.l2_epochs.append(epoch_offset + k)
                 hist.l2_error.append(l2_relative_error(self.model, self.reference))
-
-    def _param_drift(self) -> float:
-        theta = np.concatenate([p.data.ravel() for p in self.params])
-        return float(np.linalg.norm(theta - self._theta0)) / self._theta0_norm
-
-    def _epoch_grid(self) -> CollocationGrid:
-        cfg = self.config
-        if cfg.batch_points and cfg.batch_points < self.grid.n_points:
-            indices = self._batch_rng.choice(
-                self.grid.n_points, size=cfg.batch_points, replace=False
-            )
-            return self.grid.subsample(indices)
-        return self.grid
-
-    def _clip_gradients(self) -> None:
-        limit = self.config.clip_grad_norm
-        if limit <= 0:
-            return
-        total = np.sqrt(sum(
-            float((p.grad ** 2).sum()) for p in self.params if p.grad is not None
-        ))
-        if total > limit:
-            scale = limit / total
-            for p in self.params:
-                if p.grad is not None:
-                    p.grad *= scale
-
-    def _maybe_compile(self):
-        """Return the tape-compiled step, or ``None`` when ineligible.
-
-        Stateful weighting (curriculum, RBA) and per-epoch mini-batching
-        change the computation between epochs, so only the plain
-        fixed-grid step is captured; everything else stays define-by-run.
-        """
-        if self._compiled is None:
-            cfg = self.config
-            eligible = (
-                cfg.compile_step
-                and self.loss.curriculum is None
-                and self.loss.rba is None
-                and not cfg.batch_points
-            )
-            if not eligible:
-                self._compiled = False
-            else:
-                loss_fn, model, grid = self.loss, self.model, self.grid
-
-                def step_fn():
-                    return loss_fn.loss_tensors(model, grid)
-
-                self._compiled = compile_step(
-                    step_fn, self.params, name="maxwell",
-                    precision=cfg.precision,
-                )
-        return self._compiled or None
 
     # ------------------------------------------------------------------
     # Data-parallel sharding (repro.dist)
@@ -483,251 +312,10 @@ class Trainer:
         shard_slice(self.grid.n_points, 0, world,
                     "CollocationGrid.n_points")
 
-    def attach_dist(self, ctx) -> None:
-        """Attach a distribution context (worker entrypoint / serial)."""
-        self._dist_validate(ctx.world)
-        self._dist_ctx = ctx
-
-    def _resolve_dist(self):
-        if self._dist_ctx is not None:
-            return self._dist_ctx
-        dist = self.config.dist
-        if dist is None or int(dist.workers) <= 1:
-            return None
-        if dist.backend == "serial":
-            from ..dist import SerialDistContext
-
-            self.attach_dist(SerialDistContext(dist.workers))
-            return self._dist_ctx
-        if dist.backend == "shm":
-            raise RuntimeError(
-                "backend='shm' needs worker processes and shared memory: "
-                "launch through repro.dist.train_distributed(factory, "
-                "dist); call trainer.train() directly only with "
-                "backend='serial' or workers=1"
-            )
-        raise ValueError(f"unknown dist backend {dist.backend!r}")
-
-    def _dist_grid(self, rank: int, world: int) -> CollocationGrid:
-        grid = self._dist_grids.get(rank)
-        if grid is None:
-            sl = shard_slice(self.grid.n_points, rank, world,
-                             "CollocationGrid.n_points")
-            grid = self.grid.subsample(np.arange(sl.start, sl.stop))
-            self._dist_grids[rank] = grid
-        return grid
-
-    def _dist_step(self, rank: int, grid: CollocationGrid):
-        """Per-rank compiled step: the tape folds the shard grid at
-        trace time, so each shard needs its own capture."""
-        step = self._dist_compiled.get(rank)
-        if step is None:
-            if self.config.compile_step:
-                loss_fn, model = self.loss, self.model
-
-                def step_fn():
-                    return loss_fn.loss_tensors(model, grid)
-
-                step = compile_step(step_fn, self.params,
-                                    name=f"maxwell-r{rank}",
-                                    precision=self.config.precision)
-            else:
-                step = False
-            self._dist_compiled[rank] = step
-        return step or None
-
-    def _dist_shard(self, epoch: int, rank: int, ctx) -> None:
-        """Compute one rank's shard loss/gradients and ship them."""
-        grid = self._dist_grid(rank, ctx.world)
-        step = self._dist_step(rank, grid)
-        self.optimizer.zero_grad()
-        if step is not None:
-            loss_value, grads, aux = step()
-            comps = {k: float(v) for k, v in aux.items()}
-            ctx.put_shard(rank, self._dist_bucket, loss_value, grads=grads,
-                          aux_vals=list(comps.values()))
-        else:
-            total, comps_t = self.loss.loss_tensors(self.model, grid)
-            backward(total, self.params)
-            loss_value = float(total.data)
-            comps = {k: float(v.data) for k, v in comps_t.items()}
-            ctx.put_shard(rank, self._dist_bucket, loss_value,
-                          aux_vals=list(comps.values()))
-        self._dist_comp_keys = list(comps)
-
-    def _dist_epoch(self, epoch: int, hist: TrainingHistory) -> bool:
-        """One sharded epoch; bitwise-identical across dist backends."""
+    def _finalize(self, hist: TrainingHistory, interrupted: bool,
+                  seconds_per_epoch: float) -> TrainingResult:
         cfg = self.config
-        ctx = self._dist_ctx
-        if self._dist_bucket is None:
-            self._dist_bucket = ParamBucket(self.params)
-        self.optimizer.zero_grad()
-        for rank in ctx.local_ranks:
-            self._dist_shard(epoch, rank, ctx)
-        if self._chaos is not None:
-            ctx.shard_chaos(self._chaos, epoch)
-        ctx.gather(epoch)
-        n_aux = len(self._dist_comp_keys)
-        if ctx.is_root:
-            loss_value, aux = ctx.reduce(self._dist_bucket, n_aux)
-            if self._chaos is not None:
-                self._chaos.grads(epoch, self.params)
-            self._clip_gradients()
-            norm, var = self._grad_stats()
-            apply_update = True
-            if self._sentinel is not None:
-                apply_update = self._sentinel.observe(epoch, loss_value)
-            elif not np.isfinite(loss_value):
-                hist.stop_epoch = epoch
-                hist.stop_reason = (
-                    f"loss went non-finite ({loss_value!r}) at epoch "
-                    f"{epoch} (grad_norm={norm!r}); configure "
-                    f"TrainerConfig.sentinel for skip/rollback recovery, "
-                    f"or lower the learning rate"
-                )
-            if apply_update and hist.stop_reason is None:
-                self.optimizer.step()
-            self.scheduler.step()
-            if self._chaos is not None:
-                self._chaos.params(epoch, self.params)
-            ctx.publish(self._dist_bucket, loss_value, aux, epoch,
-                        stop=hist.stop_reason is not None)
-        else:
-            loss_value, aux, stopped = ctx.read_update(
-                self._dist_bucket, epoch, n_aux
-            )
-            self.scheduler.step()
-            norm, var = self._grad_stats()  # rank-local shard gradients
-            if stopped and hist.stop_reason is None:
-                hist.stop_epoch = epoch
-                hist.stop_reason = (
-                    f"rank 0 stopped training at epoch {epoch} "
-                    f"(non-finite loss; see the rank-0 result for details)"
-                )
-        comps = dict(zip(self._dist_comp_keys, (float(v) for v in aux)))
-
-        hist.param_drift.append(self._param_drift())
-        hist.loss.append(loss_value)
-        for key, value in comps.items():
-            hist.components.setdefault(key, []).append(value)
-        hist.grad_norm.append(norm)
-        hist.grad_variance.append(var)
-        hist.learning_rate.append(self.scheduler.current_lr())
-
-        last = epoch == cfg.epochs - 1
-        if cfg.eval_every and (epoch % cfg.eval_every == 0 or last):
-            if self.reference is not None:
-                hist.l2_epochs.append(epoch)
-                hist.l2_error.append(
-                    l2_relative_error(self.model, self.reference)
-                )
-            if cfg.track_entanglement:
-                mw = self._entanglement()
-                if mw is not None:
-                    hist.mw_epochs.append(epoch)
-                    hist.mw_entropy.append(mw)
-        if self._chaos is not None:
-            self._chaos.end_step(epoch)
-        return hist.stop_reason is not None
-
-    def _train_epoch(self, epoch: int, hist: TrainingHistory,
-                     recorder=None) -> None:
-        cfg = self.config
-        self.optimizer.zero_grad()
-        step = self._maybe_compile() if recorder is None else None
-        if step is not None:
-            loss_value, grads, aux = step()
-            # Replay buffers are executor-owned: copy before Adam mutates.
-            for p, g in zip(self.params, grads):
-                p.grad = g.copy()
-            comps = {k: float(v) for k, v in aux.items()}
-        elif recorder is None:
-            total, comps = self.loss(self.model, self._epoch_grid(), epoch)
-            backward(total, self.params)
-        else:
-            with obs.scope("forward"):
-                total, comps = self.loss(self.model, self._epoch_grid(), epoch)
-            with obs.scope("backward"):
-                backward(total, self.params)
-        if step is None:
-            loss_value = float(total.data)
-            del total  # release the graph before the diagnostics run
-        if self._chaos is not None:
-            self._chaos.grads(epoch, self.params)
-        self._clip_gradients()
-        norm, var = self._grad_stats()
-        apply_update = True
-        if self._sentinel is not None:
-            apply_update = self._sentinel.observe(epoch, loss_value)
-        elif not np.isfinite(loss_value):
-            # No sentinel: stop immediately instead of silently training
-            # on garbage for the remaining epochs.
-            hist.stop_epoch = epoch
-            hist.stop_reason = (
-                f"loss went non-finite ({loss_value!r}) at epoch {epoch} "
-                f"(grad_norm={norm!r}); configure TrainerConfig.sentinel "
-                f"for skip/rollback recovery, or lower the learning rate"
-            )
-        if apply_update and hist.stop_reason is None:
-            self.optimizer.step()
-            if self.loss.curriculum is not None:
-                self.loss.curriculum.update(loss_value)
-        self.scheduler.step()
-        if self._chaos is not None:
-            self._chaos.params(epoch, self.params)
-
-        hist.param_drift.append(self._param_drift())
-        hist.loss.append(loss_value)
-        for key, value in comps.items():
-            hist.components.setdefault(key, []).append(value)
-        hist.grad_norm.append(norm)
-        hist.grad_variance.append(var)
-        hist.learning_rate.append(self.scheduler.current_lr())
-
-        last = epoch == cfg.epochs - 1
-        if cfg.eval_every and (epoch % cfg.eval_every == 0 or last):
-            if self.reference is not None:
-                hist.l2_epochs.append(epoch)
-                hist.l2_error.append(
-                    l2_relative_error(self.model, self.reference)
-                )
-            if cfg.track_entanglement:
-                mw = self._entanglement()
-                if mw is not None:
-                    hist.mw_epochs.append(epoch)
-                    hist.mw_entropy.append(mw)
-        if recorder is not None:
-            recorder.emit(
-                "epoch",
-                epoch=epoch,
-                loss=loss_value,
-                components=comps,
-                grad_norm=norm,
-                grad_variance=var,
-                param_drift=hist.param_drift[-1],
-                learning_rate=hist.learning_rate[-1],
-                l2_error=hist.l2_error[-1] if (
-                    hist.l2_epochs and hist.l2_epochs[-1] == epoch
-                ) else None,
-            )
-        if cfg.log_every and epoch % cfg.log_every == 0:  # pragma: no cover
-            print(f"epoch {epoch:5d}  loss {hist.loss[-1]:.4e}")
-        early = False
-        if cfg.epoch_hook is not None:
-            verdict = cfg.epoch_hook(epoch, loss_value, norm, var)
-            if verdict:
-                hist.early_stop_epoch = epoch
-                hist.early_stop_reason = (
-                    verdict if isinstance(verdict, str) else "epoch_hook"
-                )
-                early = True
-        if self._chaos is not None:
-            self._chaos.end_step(epoch)
-        return hist.stop_reason is not None or early
-
-    def _finalize(self, hist: TrainingHistory,
-                  interrupted: bool = False) -> TrainingResult:
-        cfg = self.config
+        hist.seconds_per_epoch = seconds_per_epoch
         eps_fn = self.grid.medium.permittivity
         i_bh = model_bh_indicator(
             self.model,

@@ -1,8 +1,9 @@
 """Compact trainer for the generic PDE problems.
 
-A slimmed-down counterpart of :class:`repro.core.trainer.Trainer` for the
-Schrödinger/Burgers/Poisson extensions: random collocation resampling,
-Adam, residual + data losses, and relative-L2 tracking.
+A counterpart of :class:`repro.core.trainer.Trainer` for the
+Schrödinger/Burgers/Poisson extensions on the same
+:class:`repro.core.loop.TrainLoop`: random collocation resampling, Adam,
+residual + data losses, and relative-L2 tracking.
 
 When an :func:`repro.obs.observe` recorder is active the epoch loop emits
 per-epoch telemetry (loss components, gradient norm, and the
@@ -12,38 +13,27 @@ obs scopes; otherwise it runs the plain, uninstrumented path.
 
 from __future__ import annotations
 
-import gc
-import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .. import obs
 from ..autodiff import backward
-from ..autodiff.tape import compile_step
-from ..dist.bucket import ParamBucket, shard_slice
-from ..dist.shm import DistInterrupt
-from ..optim import Adam
-from ..resilience import (
-    CheckpointManager,
-    DivergenceSentinel,
-    GracefulShutdown,
-    SimulatedPreemption,
-)
+from ..core.loop import LoopConfig, TrainLoop, phase
+from ..dist.bucket import shard_slice
 
 __all__ = ["PDETrainerConfig", "PDETrainingResult", "PDETrainer"]
 
 
 @dataclass
-class PDETrainerConfig:
-    epochs: int = 200
+class PDETrainerConfig(LoopConfig):
+    """Hyperparameters of a generic-PDE training run."""
+
     lr: float = 2e-3
+    eval_every: int = 50
     n_collocation: int = 256
     n_data: int = 64
     data_weight: float = 10.0
     resample_every: int = 10
-    eval_every: int = 50
     seed: int = 0
     #: Gradient backend for a model's quantum layer ("backprop", "adjoint",
     #: or "parameter_shift").  Backprop is required when the problem's
@@ -51,57 +41,12 @@ class PDETrainerConfig:
     #: inputs (create_graph) *through the quantum layer*; the analytic
     #: backends suit data-loss-only training and fully classical residuals.
     quantum_grad_method: str = "backprop"
-    #: Capture the training step with :mod:`repro.autodiff.tape` on the
-    #: first epoch and replay it thereafter (re-tracing on shape changes,
-    #: reverting permanently to define-by-run on unsupported ops).  The
-    #: replayed step is validated against — and bitwise identical to — the
-    #: uncompiled path.
-    compile_step: bool = True
-    #: tape-replay precision tier: ``"float64"`` (default, bitwise) or
-    #: ``"float32"`` (kernels run in float32, outputs promoted back to
-    #: float64, validated to :func:`repro.lower.budget.tape_budget`).
-    #: Ignored when ``compile_step`` is off or the step falls back to
-    #: define-by-run, which always runs float64.
-    precision: str = "float64"
-    #: per-step divergence sentinel (:class:`repro.resilience.SentinelConfig`);
-    #: ``None`` keeps the hot loop entirely check-free.
-    sentinel: "object | None" = None
-    #: directory for periodic/best checkpoints (``None`` disables).
-    checkpoint_dir: "str | Path | None" = None
-    #: write a periodic checkpoint every N epochs (0 = only best/final).
-    checkpoint_every: int = 0
-    #: retention: number of periodic checkpoints kept on disk.
-    checkpoint_keep: int = 3
-    #: additionally refresh ``ckpt-best.npz`` whenever the loss improves.
-    checkpoint_best: bool = True
-    #: resume source: a checkpoint path, or ``"auto"`` for the newest
-    #: valid archive in ``checkpoint_dir``.  Restores model, optimiser,
-    #: RNG bit-state, and the current collocation sample, so the resumed
-    #: run reproduces the uninterrupted one bitwise.
-    resume_from: "str | Path | None" = None
-    #: trap SIGINT/SIGTERM while checkpointing is active: finish the
-    #: current step, write a final checkpoint, and return cleanly.
-    handle_signals: bool = True
-    #: test-only fault injection (:class:`repro.resilience.ChaosInjector`).
-    chaos: "object | None" = None
-    #: data-parallel sharding (:class:`repro.dist.DistConfig`).  ``None``
-    #: or ``workers=1`` is the unchanged single-process path;
-    #: ``backend="serial"`` runs all shards in-process (the bitwise
-    #: reference); ``backend="shm"`` must be launched through
-    #: :func:`repro.dist.train_distributed`.
-    dist: "object | None" = None
-    #: per-epoch observer ``hook(epoch, loss, grad_norm, grad_variance)``
-    #: called at the end of every (non-distributed) epoch; a truthy
-    #: return stops training cleanly after the epoch's checkpoint
-    #: cadence (a returned string is recorded as the stop reason).  Used
-    #: by :class:`repro.campaign.CampaignMonitor` for online
-    #: black-hole/barren-plateau detection.  Gradient statistics are
-    #: only computed when a hook is attached.
-    epoch_hook: "object | None" = None
 
 
 @dataclass
 class PDETrainingResult:
+    """Loss and L2 history of one generic-PDE training run."""
+
     model: object
     loss: list[float] = field(default_factory=list)
     l2_epochs: list[int] = field(default_factory=list)
@@ -124,121 +69,113 @@ class PDETrainingResult:
         return self.l2_error[-1] if self.l2_error else None
 
 
-class PDETrainer:
+class PDETrainer(TrainLoop):
     """Train a :class:`GenericPINN` on one :mod:`repro.pde.problems` task."""
 
     def __init__(self, model, problem, config: PDETrainerConfig | None = None):
-        self.model = model
-        self.problem = problem
-        self.config = config if config is not None else PDETrainerConfig()
+        config = config if config is not None else PDETrainerConfig()
+        self._name = getattr(problem, "name", "pde")
+        if not (hasattr(problem, "data_arrays")
+                and hasattr(problem, "data_terms")):
+            raise ValueError(
+                f"problem {self._name!r} provides no data_arrays/data_terms: "
+                f"PDETrainer builds its step from explicit arrays, so add "
+                f"data_arrays(n, rng) -> tuple of arrays and "
+                f"data_terms(model, *arrays) -> Tensor"
+            )
         quantum = getattr(model, "quantum", None)
         if quantum is not None and hasattr(quantum, "grad_method"):
             from ..torq.layer import GRAD_METHODS
 
-            method = self.config.quantum_grad_method
+            method = config.quantum_grad_method
             if method not in GRAD_METHODS:
                 raise ValueError(
                     f"unknown quantum_grad_method {method!r}; "
                     f"available: {GRAD_METHODS}"
                 )
             quantum.grad_method = method
-        self.rng = np.random.default_rng(self.config.seed)
-        self.params = model.parameters()
-        self.optimizer = Adam(self.params, lr=self.config.lr)
+        self.problem = problem
+        super().__init__(model, config, rng=np.random.default_rng(config.seed))
         self._points = None
+        self._data = None
+        self._step_fn = None
         self._reference = None
-        self._compiled = None  # CompiledStep, or False when ineligible
-        self._chaos = self.config.chaos
-        self._sentinel = None
-        if self.config.sentinel is not None:
-            self._sentinel = DivergenceSentinel(
-                self.config.sentinel, self.params, self.optimizer
-            )
-        self._ckpt = None
-        self._start_epoch = 0
-        self._dist_ctx = None
-        self._dist_bucket = None
-        self._dist_data = None
-
-    def _reference_solution(self):
-        if self._reference is None and hasattr(self.problem, "reference"):
-            self._reference = self.problem.reference()
-        return self._reference
 
     def _evaluate(self) -> float:
-        if hasattr(self.problem, "reference"):
-            return self.problem.l2_error(self.model, self._reference_solution())
-        return self.problem.l2_error(self.model)
+        if not hasattr(self.problem, "reference"):
+            return self.problem.l2_error(self.model)
+        if self._reference is None:
+            self._reference = self.problem.reference()
+        return self.problem.l2_error(self.model, self._reference)
 
-    def _grad_stats(self) -> tuple[float, float]:
-        flat = [p.grad.ravel() for p in self.params if p.grad is not None]
-        if not flat:
-            return 0.0, 0.0
-        g = np.concatenate(flat)
-        return float(np.linalg.norm(g)), float(g.var())
+    # ------------------------------------------------------------------
+    # The step and its per-epoch record
+    # ------------------------------------------------------------------
+    def _sample(self, epoch: int) -> None:
+        """Draw the collocation (every ``resample_every``) and data arrays.
 
-    def _build_compiled(self):
-        """Lazily build the tape-compiled step (or mark it ineligible)."""
+        Lockstep sampling: every rank draws the *full* batch with its own
+        (identically seeded) generator and computes only its shard, so the
+        RNG streams stay bit-identical across ranks and epochs.
+        """
         cfg = self.config
-        problem = self.problem
-        if not cfg.compile_step or not (
-            hasattr(problem, "data_arrays") and hasattr(problem, "data_terms")
-        ):
-            self._compiled = False
-            return False
+        if self._points is None or epoch % cfg.resample_every == 0:
+            self._points = self.problem.sample(cfg.n_collocation, self.rng)
+        self._data = self.problem.data_arrays(cfg.n_data, self.rng)
+
+    def _traceable(self, rank):
+        return self._step_fn
+
+    def _make_step_fn(self, n_res: int):
+        """``step_fn(*residual_arrays, *data_arrays) -> (loss, terms)``."""
+        problem, model = self.problem, self.model
+        weight = self.config.data_weight
         res_terms = getattr(problem, "residual_terms", problem.residual_loss)
-        expand = getattr(problem, "residual_arrays", None)
-        split = len(self._points) if expand is None else len(expand(*self._points))
-        model, weight = self.model, cfg.data_weight
 
         def step_fn(*arrays):
-            res = res_terms(model, *arrays[:split])
-            dat = problem.data_terms(model, *arrays[split:])
-            return res + weight * dat
+            res = res_terms(model, *arrays[:n_res])
+            dat = problem.data_terms(model, *arrays[n_res:])
+            return res + weight * dat, {"residual": res, "data": dat}
 
-        self._compiled = compile_step(
-            step_fn, self.params, name=getattr(problem, "name", "pde"),
-            precision=cfg.precision,
-        )
-        return self._compiled
+        return step_fn
+
+    def _step(self, epoch: int, recorder=None, rank=None):
+        """Residual + weighted data loss and gradients, on a shard or all."""
+        points, data = self._points, self._data
+        if rank is not None:
+            cfg, world = self.config, self._dist_ctx.world
+            csl = shard_slice(cfg.n_collocation, rank, world, "n_collocation")
+            dsl = shard_slice(cfg.n_data, rank, world, "n_data")
+            points = tuple(a[csl] for a in points)
+            data = tuple(a[dsl] for a in data)
+        expand = getattr(self.problem, "residual_arrays", None)
+        arrays = (*(points if expand is None else expand(*points)), *data)
+        if self._step_fn is None:
+            self._step_fn = self._make_step_fn(len(arrays) - len(data))
+        # Arrays are step inputs, so one compiled step serves every shard.
+        step = self._compiled_step() if recorder is None else None
+        if step is not None:
+            return self._replay(step, *arrays)
+        with phase(recorder, "forward"):
+            total, terms = self._step_fn(*arrays)
+        with phase(recorder, "backward"):
+            backward(total, self.params)
+        return float(total.data), {k: float(v.data) for k, v in terms.items()}
+
+    def _new_record(self) -> PDETrainingResult:
+        return PDETrainingResult(model=self.model)
+
+    def _evaluate_epoch(self, epoch: int, result: PDETrainingResult) -> float:
+        return self._evaluate()
+
+    def _finalize(self, result: PDETrainingResult, interrupted: bool,
+                  seconds_per_epoch: float) -> PDETrainingResult:
+        result.interrupted = interrupted
+        return result
 
     # ------------------------------------------------------------------
-    # Resilience wiring
+    # Resilience and sharding
     # ------------------------------------------------------------------
-    def _guard(self, epoch: int, loss_value: float,
-               result: PDETrainingResult) -> bool:
-        """Sentinel / finiteness guard; says whether to apply the update."""
-        if self._sentinel is not None:
-            return self._sentinel.observe(epoch, loss_value)
-        if not math.isfinite(loss_value):
-            # No sentinel: stop immediately instead of silently training
-            # on garbage for the remaining epochs.
-            result.stop_epoch = epoch
-            result.stop_reason = (
-                f"loss went non-finite ({loss_value!r}) at epoch {epoch}; "
-                f"configure PDETrainerConfig.sentinel for skip/rollback "
-                f"recovery, or lower the learning rate"
-            )
-            return False
-        return True
-
-    def _run_epoch_hook(self, epoch: int, loss_value: float,
-                        result: PDETrainingResult,
-                        stats: tuple | None = None) -> bool:
-        """Invoke ``config.epoch_hook``; truthy return = clean early stop."""
-        hook = self.config.epoch_hook
-        if hook is None:
-            return False
-        norm, var = self._grad_stats() if stats is None else stats
-        verdict = hook(epoch, loss_value, norm, var)
-        if not verdict:
-            return False
-        result.early_stop_epoch = epoch
-        result.early_stop_reason = (
-            verdict if isinstance(verdict, str) else "epoch_hook"
-        )
-        return True
-
     def _checkpoint_arrays(self) -> dict:
         """The live collocation sample (resampled only every N epochs)."""
         if self._points is None:
@@ -253,323 +190,6 @@ class PDETrainer:
         if keys:
             self._points = tuple(arrays[k] for k in keys)
 
-    def save_checkpoint(self, path, epochs_done: int = 0) -> Path:
-        """Write a full resumable checkpoint of this trainer's state."""
-        from ..core.checkpoint import save_checkpoint
-
-        return save_checkpoint(
-            path, self.model, self.optimizer, epoch=epochs_done,
-            rng=self.rng, extra_arrays=self._checkpoint_arrays(),
-        )
-
-    def _setup_resilience(self) -> None:
-        """Build the checkpoint manager and apply ``resume_from``."""
-        cfg = self.config
-        self._ckpt = None
-        self._start_epoch = 0
-        if cfg.checkpoint_dir is not None:
-            self._ckpt = CheckpointManager(
-                cfg.checkpoint_dir, self.model, self.optimizer,
-                rng=self.rng, every=cfg.checkpoint_every,
-                keep=cfg.checkpoint_keep, track_best=cfg.checkpoint_best,
-                chaos=self._chaos,
-            )
-        if not cfg.resume_from:
-            return
-        if self._ckpt is not None:
-            pin = (None if str(cfg.resume_from) in ("auto", "latest")
-                   else cfg.resume_from)
-            info = self._ckpt.resume(pin)
-        else:
-            from ..core.checkpoint import load_checkpoint
-
-            info = load_checkpoint(
-                cfg.resume_from, self.model, self.optimizer, rng=self.rng
-            )
-        if info is None:
-            return  # nothing on disk yet: a fresh run with checkpointing
-        self._restore_arrays(info["arrays"])
-        self._start_epoch = int(info["epoch"])
-        # A restore swaps parameter/buffer arrays behind any compiled
-        # step and any sentinel snapshot: both must drop cached state.
-        if self._compiled:
-            self._compiled.invalidate()
-        if self._sentinel is not None:
-            self._sentinel.refresh()
-
-    # ------------------------------------------------------------------
-    # Data-parallel sharding (repro.dist)
-    # ------------------------------------------------------------------
     def _dist_validate(self, world: int) -> None:
-        cfg = self.config
-        if not (hasattr(self.problem, "data_arrays")
-                and hasattr(self.problem, "data_terms")):
-            raise ValueError(
-                f"distributed training shards explicit data arrays, but "
-                f"problem {getattr(self.problem, 'name', self.problem)!r} "
-                f"provides no data_arrays/data_terms"
-            )
-        shard_slice(cfg.n_collocation, 0, world, "n_collocation")
-        shard_slice(cfg.n_data, 0, world, "n_data")
-
-    def attach_dist(self, ctx) -> None:
-        """Attach a distribution context (worker entrypoint / serial)."""
-        self._dist_validate(ctx.world)
-        self._dist_ctx = ctx
-
-    def _resolve_dist(self):
-        if self._dist_ctx is not None:
-            return self._dist_ctx
-        dist = self.config.dist
-        if dist is None or int(dist.workers) <= 1:
-            return None
-        if dist.backend == "serial":
-            from ..dist import SerialDistContext
-
-            self.attach_dist(SerialDistContext(dist.workers))
-            return self._dist_ctx
-        if dist.backend == "shm":
-            raise RuntimeError(
-                "backend='shm' needs worker processes and shared memory: "
-                "launch through repro.dist.train_distributed(factory, "
-                "dist); call trainer.train() directly only with "
-                "backend='serial' or workers=1"
-            )
-        raise ValueError(f"unknown dist backend {dist.backend!r}")
-
-    def _dist_shard(self, epoch: int, rank: int, ctx) -> None:
-        """Compute one rank's shard loss/gradients and ship them."""
-        cfg = self.config
-        csl = shard_slice(cfg.n_collocation, rank, ctx.world,
-                          "n_collocation")
-        dsl = shard_slice(cfg.n_data, rank, ctx.world, "n_data")
-        pts = tuple(a[csl] for a in self._points)
-        dat = tuple(a[dsl] for a in self._dist_data)
-        step = self._compiled
-        if step is None:
-            step = self._build_compiled()
-        expand = getattr(self.problem, "residual_arrays", None)
-        res_arrays = pts if expand is None else expand(*pts)
-        self.optimizer.zero_grad()
-        if step is not False:
-            loss_value, grads, _aux = step(*res_arrays, *dat)
-            ctx.put_shard(rank, self._dist_bucket, loss_value, grads=grads)
-        else:
-            res_terms = getattr(self.problem, "residual_terms",
-                                self.problem.residual_loss)
-            loss = res_terms(self.model, *res_arrays)
-            loss = loss + cfg.data_weight * self.problem.data_terms(
-                self.model, *dat
-            )
-            backward(loss, self.params)
-            ctx.put_shard(rank, self._dist_bucket, float(loss.data))
-
-    def _dist_epoch(self, epoch: int, result: PDETrainingResult) -> bool:
-        """One sharded epoch; bitwise-identical across dist backends."""
-        cfg = self.config
-        ctx = self._dist_ctx
-        if self._dist_bucket is None:
-            self._dist_bucket = ParamBucket(self.params)
-        # Lockstep sampling: every rank draws the *full* batch with its
-        # own (identically seeded) generator and computes only its shard,
-        # so the RNG streams stay bit-identical across ranks and epochs.
-        if self._points is None or epoch % cfg.resample_every == 0:
-            self._points = self.problem.sample(cfg.n_collocation, self.rng)
-        self._dist_data = self.problem.data_arrays(cfg.n_data, self.rng)
-        for rank in ctx.local_ranks:
-            self._dist_shard(epoch, rank, ctx)
-        if self._chaos is not None:
-            ctx.shard_chaos(self._chaos, epoch)
-        ctx.gather(epoch)
-        if ctx.is_root:
-            loss_value, _aux = ctx.reduce(self._dist_bucket)
-            if self._chaos is not None:
-                self._chaos.grads(epoch, self.params)
-            if self._guard(epoch, loss_value, result):
-                self.optimizer.step()
-            if self._chaos is not None:
-                self._chaos.params(epoch, self.params)
-            ctx.publish(self._dist_bucket, loss_value, (), epoch,
-                        stop=result.stop_reason is not None)
-        else:
-            loss_value, _aux, stopped = ctx.read_update(
-                self._dist_bucket, epoch
-            )
-            if stopped and result.stop_reason is None:
-                result.stop_epoch = epoch
-                result.stop_reason = (
-                    f"rank 0 stopped training at epoch {epoch} "
-                    f"(non-finite loss; see the rank-0 result for details)"
-                )
-        result.loss.append(loss_value)
-        if cfg.eval_every and (
-            epoch % cfg.eval_every == 0 or epoch == cfg.epochs - 1
-        ):
-            result.l2_epochs.append(epoch)
-            result.l2_error.append(self._evaluate())
-        if self._chaos is not None:
-            self._chaos.end_step(epoch)
-        return result.stop_reason is not None
-
-    def _epoch(self, epoch: int, result: PDETrainingResult) -> bool:
-        """One uninstrumented training epoch (the default fast path)."""
-        cfg = self.config
-        if self._points is None or epoch % cfg.resample_every == 0:
-            self._points = self.problem.sample(cfg.n_collocation, self.rng)
-        step = self._compiled
-        if step is None:
-            step = self._build_compiled()
-        self.optimizer.zero_grad()
-        if step is not False:
-            expand = getattr(self.problem, "residual_arrays", None)
-            res_arrays = self._points if expand is None else expand(*self._points)
-            data_arrays = self.problem.data_arrays(cfg.n_data, self.rng)
-            loss_value, grads, _aux = step(*res_arrays, *data_arrays)
-            # Replay buffers are executor-owned: copy before Adam mutates.
-            for p, g in zip(self.params, grads):
-                p.grad = g.copy()
-        else:
-            loss = self.problem.residual_loss(self.model, *self._points)
-            loss = loss + cfg.data_weight * self.problem.data_loss(
-                self.model, cfg.n_data, self.rng
-            )
-            backward(loss, self.params)
-            loss_value = float(loss.data)
-            loss = None
-        if self._chaos is not None:
-            self._chaos.grads(epoch, self.params)
-        if self._guard(epoch, loss_value, result):
-            self.optimizer.step()
-        if self._chaos is not None:
-            self._chaos.params(epoch, self.params)
-        result.loss.append(loss_value)
-        if cfg.eval_every and (
-            epoch % cfg.eval_every == 0 or epoch == cfg.epochs - 1
-        ):
-            result.l2_epochs.append(epoch)
-            result.l2_error.append(self._evaluate())
-        early = self._run_epoch_hook(epoch, loss_value, result)
-        if self._chaos is not None:
-            self._chaos.end_step(epoch)
-        return result.stop_reason is not None or early
-
-    def _epoch_observed(self, epoch: int, result: PDETrainingResult,
-                        recorder) -> bool:
-        """One instrumented epoch: identical math, plus scopes/telemetry.
-
-        Always runs define-by-run (never the tape) so per-op profiling
-        and backward attribution see every operation.
-        """
-        cfg = self.config
-        if self._points is None or epoch % cfg.resample_every == 0:
-            self._points = self.problem.sample(cfg.n_collocation, self.rng)
-        self.optimizer.zero_grad()
-        with obs.scope("forward"):
-            residual = self.problem.residual_loss(self.model, *self._points)
-            data = self.problem.data_loss(self.model, cfg.n_data, self.rng)
-            loss = residual + cfg.data_weight * data
-        with obs.scope("backward"):
-            backward(loss, self.params)
-        loss_value = float(loss.data)
-        if self._chaos is not None:
-            self._chaos.grads(epoch, self.params)
-        if self._guard(epoch, loss_value, result):
-            self.optimizer.step()
-        if self._chaos is not None:
-            self._chaos.params(epoch, self.params)
-        result.loss.append(loss_value)
-        loss = None
-        norm, var = self._grad_stats()
-        l2 = None
-        if cfg.eval_every and (
-            epoch % cfg.eval_every == 0 or epoch == cfg.epochs - 1
-        ):
-            with obs.scope("evaluate"):
-                l2 = self._evaluate()
-            result.l2_epochs.append(epoch)
-            result.l2_error.append(l2)
-        recorder.emit(
-            "epoch",
-            epoch=epoch,
-            loss=result.loss[-1],
-            components={
-                "residual": float(residual.data),
-                "data": float(data.data),
-            },
-            grad_norm=norm,
-            grad_variance=var,
-            l2_error=l2,
-        )
-        early = self._run_epoch_hook(epoch, result.loss[-1], result,
-                                     stats=(norm, var))
-        if self._chaos is not None:
-            self._chaos.end_step(epoch)
-        return result.stop_reason is not None or early
-
-    def train(self) -> PDETrainingResult:
-        """Run the training loop and return the result record."""
-        cfg = self.config
-        result = PDETrainingResult(model=self.model)
-        dist_ctx = self._resolve_dist()
-        ckpt_write = dist_ctx is None or dist_ctx.writes_checkpoints
-        self._setup_resilience()
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        recorder = obs.get_recorder()
-        epoch_fn = self._epoch if recorder is None else (
-            lambda e, r: self._epoch_observed(e, r, recorder)
-        )
-        if dist_ctx is not None:
-            epoch_fn = self._dist_epoch
-        run_ctx = (
-            obs.scope("train", problem=getattr(self.problem, "name", "?"))
-            if recorder is not None else None
-        )
-        shutdown = None
-        if self._ckpt is not None and cfg.handle_signals:
-            shutdown = GracefulShutdown()
-        try:
-            if run_ctx is not None:
-                run_ctx.__enter__()
-            if shutdown is not None:
-                shutdown.__enter__()
-            try:
-                for epoch in range(self._start_epoch, cfg.epochs):
-                    stop = epoch_fn(epoch, result)
-                    if self._ckpt is not None and ckpt_write:
-                        self._ckpt.step(epoch + 1, result.loss[-1],
-                                        arrays=self._checkpoint_arrays)
-                    if shutdown is not None and shutdown.requested:
-                        result.interrupted = True
-                        if self._ckpt is not None and ckpt_write:
-                            self._ckpt.save(epoch + 1, loss=result.loss[-1],
-                                            arrays=self._checkpoint_arrays)
-                        if dist_ctx is not None:
-                            dist_ctx.announce_interrupt()
-                        break
-                    if stop:
-                        break
-            except SimulatedPreemption:
-                # The chaos injector preempts at a step boundary: the
-                # epoch's state is consistent, so a final checkpoint makes
-                # the run resumable exactly where it died.
-                result.interrupted = True
-                if self._ckpt is not None and ckpt_write:
-                    self._ckpt.save(epoch + 1, loss=result.loss[-1],
-                                    arrays=self._checkpoint_arrays)
-                if dist_ctx is not None:
-                    dist_ctx.announce_interrupt()
-            except DistInterrupt:
-                # A peer rank shut down cleanly while this rank was
-                # already mid-epoch: its RNG has advanced past the last
-                # consistent boundary, so it must NOT checkpoint — resume
-                # rewinds to rank 0's newest boundary archive instead.
-                result.interrupted = True
-        finally:
-            if shutdown is not None:
-                shutdown.__exit__(None, None, None)
-            if run_ctx is not None:
-                run_ctx.__exit__(None, None, None)
-            if gc_was_enabled:
-                gc.enable()
-        return result
+        shard_slice(self.config.n_collocation, 0, world, "n_collocation")
+        shard_slice(self.config.n_data, 0, world, "n_data")

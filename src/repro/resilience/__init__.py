@@ -22,11 +22,12 @@ This package makes all three survivable:
   that finishes the current step, writes a final checkpoint, and exits
   cleanly.
 
-Both :class:`repro.core.Trainer` and :class:`repro.pde.PDETrainer`
-consume these through their configs (``sentinel=``, ``checkpoint_dir=``,
-``resume_from=``, ``chaos=``); with everything off, the trainer hot
-loops are unchanged.  Every recovery event increments a ``resilience.*``
-counter in the :mod:`repro.obs` metrics registry.
+The one training loop, :class:`repro.core.loop.TrainLoop`, behind
+:class:`repro.core.Trainer` and :class:`repro.pde.PDETrainer`, wires
+these in from the shared config fields (``sentinel=``,
+``checkpoint_dir=``, ``resume_from=``, ``chaos=``); with everything off,
+its hot loop is unchanged.  Every recovery event increments a
+``resilience.*`` counter in the :mod:`repro.obs` metrics registry.
 """
 
 from .chaos import (
