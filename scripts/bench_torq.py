@@ -27,8 +27,16 @@ Usage::
     PYTHONPATH=src python scripts/bench_torq.py --check-structure
     PYTHONPATH=src python scripts/bench_torq.py --toy --check-adjoint
 
+The ``paper_residual_step`` row times the second-order path the paper's
+training epoch runs: a ``MaxwellQPINN``'s fields plus the three
+``create_graph`` derivative passes of ``forward_with_derivatives``, and
+the parameter backward through them.
+
 ``--check-structure`` exits non-zero unless every fusing ansatz's compiled
-plan executes fewer kernel steps than gates; ``--check-adjoint`` exits
+plan executes fewer kernel steps than gates and the residual step's graph
+at 64 points holds no more traced bytes than its budget (a deterministic
+size: it catches a return to gate-by-gate RX embedding or a per-qubit
+|ψ|² readout); ``--check-adjoint`` exits
 non-zero unless an adjoint gradient performs exactly 2 plan sweeps
 (forward + reverse) where parameter-shift needs 2P+1 circuit columns;
 ``--check-lowering`` exits non-zero unless float64 lowered execution is
@@ -54,6 +62,8 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro import autodiff as ad  # noqa: E402
 from repro import obs  # noqa: E402
 from repro.autodiff import backward  # noqa: E402
+from repro.core.losses import forward_with_derivatives  # noqa: E402
+from repro.core.models import MaxwellQPINN  # noqa: E402
 from repro.lower import (  # noqa: E402
     amplitude_budget,
     expectation_budget,
@@ -80,6 +90,11 @@ from repro.torq.state import zero_state  # noqa: E402
 N_QUBITS = 7
 N_LAYERS = 4
 ANSATZ = "basic_entangling"
+#: Points of the residual graph ``--check-structure`` sizes, and the
+#: budget it must stay under: it holds 91.2 MB; gate-by-gate RX embedding
+#: (118.7 MB) or a per-qubit |ψ|² readout (100.8 MB) exceeds the budget.
+GRAPH_BATCH = 64
+GRAPH_BUDGET_BYTES = 96_000_000
 
 
 def _median_time(fn, reps: int) -> float:
@@ -145,6 +160,62 @@ def bench_table2_step(
               f"compiled {compiled*1e3:.1f} ms "
               f"({row['speedup_compiled_vs_uncompiled']:.2f}x)")
     return rows
+
+
+def _paper_residual_step(batch: int, seed: int = 0):
+    """The paper epoch's second-order path on a paper ``MaxwellQPINN``.
+
+    ``forward_with_derivatives`` (the fields plus three ``create_graph``
+    passes) at ``batch`` points, a squared-residual loss, and the
+    parameter backward through it.  Returns ``(run, graph)``: ``run``
+    performs one full step; ``graph`` builds the loss and returns it, so
+    the caller can measure what the graph holds.
+    """
+    model = MaxwellQPINN(rng=np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 1)
+    x, y = rng.uniform(-1.0, 1.0, (2, batch, 1))
+    t = rng.uniform(0.0, 1.5, (batch, 1))
+    params = model.parameters()
+
+    def graph():
+        bundle = forward_with_derivatives(
+            model, *(ad.Tensor(a, requires_grad=True) for a in (x, y, t))
+        )
+        terms = [bundle.ez, bundle.hx, bundle.hy, *vars(bundle.derivs).values()]
+        return sum((v * v).mean() for v in terms)
+
+    def run() -> None:
+        model.zero_grad()
+        backward(graph(), params)
+
+    return run, graph
+
+
+def residual_graph_bytes(batch: int, seed: int = 0) -> int:
+    """Traced bytes the residual step's graph holds before its backward."""
+    run, graph = _paper_residual_step(batch, seed)
+    run()  # warm: plan compilation and caches stay outside the window
+    tracemalloc.start()
+    loss = graph()
+    held, _ = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    del loss
+    return int(held)
+
+
+def bench_paper_residual_step(batch: int, reps: int, seed: int = 0) -> dict:
+    """Time the paper QPINN's residual step (see :func:`_paper_residual_step`)."""
+    run, _ = _paper_residual_step(batch, seed)
+    step_s = _median_time(run, reps)
+    row = {
+        "batch": batch,
+        "step_s": step_s,
+        "graph_batch": GRAPH_BATCH,
+        "graph_bytes": residual_graph_bytes(GRAPH_BATCH, seed),
+    }
+    print(f"  batch {batch}: {step_s*1e3:.0f} ms; graph at {GRAPH_BATCH} "
+          f"points holds {row['graph_bytes']/1e6:.1f} MB")
+    return row
 
 
 def bench_parameter_shift(
@@ -558,6 +629,11 @@ def main(argv=None) -> int:
     step_rows = bench_table2_step(
         batches, n_qubits, n_layers, reps, naive_cap, seed=args.seed
     )
+    print("paper residual step (fields + create_graph derivatives + "
+          "backward, MaxwellQPINN):")
+    residual_row = bench_paper_residual_step(
+        16 if args.toy else 512, reps, seed=args.seed
+    )
     print("parameter-shift gradient:")
     shift = bench_parameter_shift(
         n_qubits, max(1, n_layers // 2) if not args.toy else n_layers, reps,
@@ -605,6 +681,7 @@ def main(argv=None) -> int:
         # "planned_execution" sections carry per-row precision tiers.
         "environment": obs.environment_info(),
         "table2_step": step_rows,
+        "paper_residual_step": residual_row,
         "parameter_shift": shift,
         "adjoint": adjoint,
         "plan_structure": structure,
@@ -622,6 +699,14 @@ def main(argv=None) -> int:
             print(f"STRUCTURE CHECK FAILED: {failures}")
             return 1
         print("structure check passed: compiled plans execute fewer kernels")
+        held = residual_row["graph_bytes"]
+        if held > GRAPH_BUDGET_BYTES:
+            print(f"GRAPH CHECK FAILED: residual graph at {GRAPH_BATCH} "
+                  f"points holds {held/1e6:.1f} MB > "
+                  f"{GRAPH_BUDGET_BYTES/1e6:.0f} MB budget")
+            return 1
+        print(f"graph check passed: residual graph at {GRAPH_BATCH} points "
+              f"holds {held/1e6:.1f} MB <= {GRAPH_BUDGET_BYTES/1e6:.0f} MB")
     if args.check_adjoint:
         if check_adjoint_sweeps(adjoint) != 0:
             return 1

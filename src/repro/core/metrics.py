@@ -15,6 +15,13 @@ from ..solvers.maxwell_ref import ReferenceSolution
 
 __all__ = ["evaluate_fields", "l2_relative_error", "l2_relative_error_fields"]
 
+#: Rows per forward of the L2 evaluation.  The per-epoch L2 runs between
+#: training steps; a 10,240-point batch of the classical PINN peaks at
+#: about 51 MB of transients, which land in whatever holes the training
+#: graph left on the heap, so the process peak depended on allocator luck.
+#: 2,048-row chunks peak near 10 MB and keep it flat.
+_L2_BATCH = 2048
+
 
 def evaluate_fields(
     model, x: np.ndarray, y: np.ndarray, t: np.ndarray, batch_size: int = 16384
@@ -75,5 +82,7 @@ def l2_relative_error(
     ref_vals = np.moveaxis(ref_vals, 0, -1)  # (nx, ny, nt) to match meshgrid
 
     pred = {"ez": 0, "hx": 1, "hy": 2}[field]
-    fields = evaluate_fields(model, xg.ravel(), yg.ravel(), tg.ravel())
+    fields = evaluate_fields(
+        model, xg.ravel(), yg.ravel(), tg.ravel(), batch_size=_L2_BATCH
+    )
     return l2_relative_error_fields(fields[pred], ref_vals.ravel())

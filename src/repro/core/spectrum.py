@@ -90,23 +90,22 @@ def pqc_output_spectrum(
 
     # sweep == "angle": rebuild the circuit with explicit angles.
     from ..torq.ansatz import apply_ansatz
-    from ..torq.embedding import angle_embedding
+    from ..torq.embedding import angle_embedding, rx_product_state
     from ..torq.measure import pauli_z_expectations
-    from ..torq.state import zero_state
 
     base = np.zeros(n_in) if base_activation is None else np.asarray(base_activation)
     angles = np.tile(base, (n_samples, 1))
     angles[:, channel] = phi
     with no_grad():
+        state = rx_product_state(Tensor(angles))
         # QuantumLayer exposes one (ansatz, params); the re-uploading
         # layer owns several blocks — handle both.
         if hasattr(layer, "ansatze"):
-            state = zero_state(n_samples, layer.n_qubits)
             for cycle, ansatz in enumerate(layer.ansatze):
-                state = angle_embedding(state, Tensor(angles))
+                if cycle:
+                    state = angle_embedding(state, Tensor(angles))
                 state = apply_ansatz(state, ansatz, getattr(layer, f"params{cycle}"))
         else:
-            state = angle_embedding(zero_state(n_samples, layer.n_qubits), Tensor(angles))
             state = apply_ansatz(state, layer.ansatz, layer.params)
         out = pauli_z_expectations(state).data
     return np.abs(np.fft.rfft(out, axis=0)) / n_samples

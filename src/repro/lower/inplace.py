@@ -31,15 +31,17 @@ Correctness contract (mirrors :mod:`repro.lower.plan_exec`):
   allocation/ufunc sequence is the bitwise contract), so the in-place
   adjoint applies to the float32 tier only — where the speed and the
   memory ceiling live.
-* **float32** — each fused run packs the planes into SoA form and runs
-  one real 4×4 GEMM: broadcast over ``(batch, pre, 4, post)``
-  (``bcast``), or — for a batch-independent matrix over a short ``post``
-  extent, where the broadcast form degenerates into many tiny GEMMs — a
-  single ``(4, batch·pre·post)`` column GEMM (``cols``).  The readout
-  scratch is C-ordered.  The adjoint packs the complex carriers into
-  real ``(batch, 4, pre·post)`` buffers so un-apply is one real GEMM and
-  the overlap matrix one batched GEMM.  Deviation stays within the
-  documented float32 budgets.
+* **Fused runs** pack the planes into SoA form and run one real 4×4
+  GEMM: broadcast over ``(batch, pre, 4, post)`` (``bcast``), or — for a
+  batch-independent matrix over a short ``post`` extent, where the
+  broadcast form degenerates into many tiny GEMMs
+  (:func:`repro.torq.compile._row_gemm`) — one GEMM over every row:
+  ``(batch·pre·post, 4) @ mᵀ`` at float64, the seed's own product
+  (``rows``), and ``m @ (4, batch·pre·post)`` at float32 (``cols``).
+* **float32** — the readout scratch is C-ordered.  The adjoint packs
+  the complex carriers into real ``(batch, 4, pre·post)`` buffers so
+  un-apply is one real GEMM and the overlap matrix one batched GEMM.
+  Deviation stays within the documented float32 budgets.
 
 Steps the planner cannot execute in place (unfused ``gate`` steps — rare
 leftovers the compiler could not fuse) fall back to the allocating
@@ -237,6 +239,10 @@ class PlannedExecution:
                     q_cols=ar.view(f"s{i}.b", (4, b, pre, post), rd),
                     p_cols2=ar.view(f"s{i}.a", (4, b * R), rd),
                     q_cols2=ar.view(f"s{i}.b", (4, b * R), rd),
+                    p_rows=ar.view(f"s{i}.a", (b, pre, post, 4), rd),
+                    q_rows=ar.view(f"s{i}.b", (b, pre, post, 4), rd),
+                    p_rows2=ar.view(f"s{i}.a", (b * R, 4), rd),
+                    q_rows2=ar.view(f"s{i}.b", (b * R, 4), rd),
                 )
             elif step.kind == "phase_mask":
                 if step._coeffs:
@@ -355,12 +361,15 @@ class PlannedExecution:
     # -- fused single-qubit runs --------------------------------------
     def _fwd_fused(self, i, step, resolve):
         m = step._matrix(resolve)
-        # float64 always takes the broadcast GEMM: the seed's exact
-        # pack → GEMM → slice sequence, with out= destinations (bitwise).
-        if not self.f64 and m.ndim == 2 and self._ctx[i]["post"] < 8:
-            self._fused_cols(i, m)
-        else:
+        # float64 performs the seed's exact GEMM (row or broadcast, by the
+        # seed's own predicate) with out= destinations (bitwise); float32
+        # runs the row case as one column GEMM.
+        if not torq_compile._row_gemm(m, self._ctx[i]["post"]):
             self._fused_bcast(i, m)
+        elif self.f64:
+            self._fused_rows(i, m)
+        else:
+            self._fused_cols(i, m)
 
     def _fused_bcast(self, i, m) -> None:
         ctx = self._ctx[i]
@@ -370,6 +379,15 @@ class PlannedExecution:
         np.matmul(m, P, out=Q)
         ctx["dst_re"][...] = Q[:, :, 0:2]
         ctx["dst_im"][...] = Q[:, :, 2:4]
+
+    def _fused_rows(self, i, m) -> None:
+        ctx = self._ctx[i]
+        P, Q = ctx["p_rows"], ctx["q_rows"]
+        P[..., 0:2] = ctx["src_re"].transpose(0, 1, 3, 2)
+        P[..., 2:4] = ctx["src_im"].transpose(0, 1, 3, 2)
+        np.matmul(ctx["p_rows2"], m.T, out=ctx["q_rows2"])
+        ctx["dst_re"][...] = Q[..., 0:2].transpose(0, 1, 3, 2)
+        ctx["dst_im"][...] = Q[..., 2:4].transpose(0, 1, 3, 2)
 
     def _fused_cols(self, i, m) -> None:
         ctx = self._ctx[i]

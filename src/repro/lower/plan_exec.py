@@ -164,10 +164,18 @@ class _LoweredFused(_LoweredStep):
         return m.data if isinstance(m, Tensor) else m
 
     def forward(self, re, im, resolve):
-        """The seed's pack → broadcast GEMM → slice sequence (float64)."""
+        """The seed's pack → GEMM → slice sequence (float64): one row GEMM
+        where :func:`~repro.torq.compile._row_gemm` says so, the
+        broadcast GEMM otherwise."""
         s = self.seed
-        out = np.matmul(self._matrix(resolve),
-                        _pack_planes(re, im, s._pack_shape))
+        m = self._matrix(resolve)
+        packed = _pack_planes(re, im, s._pack_shape)
+        if torq_compile._row_gemm(m, s._post):
+            rows = packed.transpose(0, 1, 3, 2)
+            out = np.matmul(rows.reshape(-1, 4), m.T)
+            out = out.reshape(rows.shape).transpose(0, 1, 3, 2)
+        else:
+            out = np.matmul(m, packed)
         return (
             out[:, :, 0:2].reshape(s._full_shape),
             out[:, :, 2:4].reshape(s._full_shape),

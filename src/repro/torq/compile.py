@@ -397,13 +397,31 @@ def _block_matrix(u):
     return mat
 
 
+def _row_gemm(m, post: int) -> bool:
+    """Whether a fused run applies its block ``m`` as one row GEMM.
+
+    The broadcast product ``m @ (batch, pre, 4, post)`` is ``batch·pre``
+    separate GEMMs of width ``post``; when ``post`` is short (below 8)
+    that is tens of thousands of tiny kernels per call (and as many outer
+    products in the VJP with respect to ``m``).  A batch-independent
+    ``(4, 4)`` block then runs instead as ONE ``(batch·pre·post, 4) @ mᵀ``
+    GEMM whose rows are the batch.  Every executor of a fused run — the
+    plan step here, the lowered probe and the in-place executor — decides
+    with this one predicate, so the float64 tiers perform the same
+    products.
+    """
+    return m.ndim == 2 and post < 8
+
+
 class _FusedSingleQubitStep:
     """A run of same-qubit single-qubit gates as one block-matrix product.
 
     The composed 2×2 complex unitary is applied through its real 4×4 block
     form with a single :func:`~repro.autodiff.ops.matmul` over the packed
     ``(batch, pre, 4, post)`` state — one BLAS kernel (and one backward
-    node) instead of a dozen elementwise operations.
+    node) instead of a dozen elementwise operations: broadcast over the
+    packed state, or, for a batch-independent block over a short ``post``
+    stride, as one row GEMM (:func:`_row_gemm`).
     """
 
     kind = "fused_1q"
@@ -414,6 +432,7 @@ class _FusedSingleQubitStep:
         pre = 2 ** qubit
         post = 2 ** (n_qubits - 1 - qubit)
         self._pack_shape = (-1, pre, 2, post)
+        self._post = post
         self._full_shape = (-1,) + (2,) * n_qubits
         # Consecutive constant gates fold numerically at compile time;
         # parameterized gates contribute call-time symbolic builders.  The
@@ -465,11 +484,26 @@ class _FusedSingleQubitStep:
             ],
             axis=2,
         )
-        out = ad.matmul(m, packed)
+        if _row_gemm(m, self._post):
+            out = self._row_product(packed, m)
+        else:
+            out = ad.matmul(m, packed)
         return ComplexTensor(
             ad.reshape(out[:, :, 0:2], self._full_shape),
             ad.reshape(out[:, :, 2:4], self._full_shape),
         )
+
+    @staticmethod
+    def _row_product(packed: Tensor, m) -> Tensor:
+        """``m @ packed`` as one ``(batch·pre·post, 4) @ mᵀ`` GEMM.
+
+        At ``post == 1`` the packed state already is the row layout; a
+        longer ``post`` costs one transposed copy in and a transposed
+        view out.
+        """
+        rows = ad.transpose(packed, (0, 1, 3, 2))
+        out = ad.matmul(ad.reshape(rows, (-1, 4)), ad.transpose(m))
+        return ad.transpose(ad.reshape(out, rows.shape), (0, 1, 3, 2))
 
     def __call__(self, tensor: ComplexTensor, resolve) -> ComplexTensor:
         if self._const_m is not None:

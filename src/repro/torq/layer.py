@@ -4,7 +4,7 @@ Pipeline per forward pass, batched over all collocation points:
 
     tanh activations (batch, n_qubits)
       → input scaling (Eq. 29)          → rotation angles
-      → |0…0⟩ + RX angle embedding      → data-encoded state
+      → RX(θ)|0…0⟩ product state        → data-encoded state
       → ansatz layers (Fig. 4)          → variational state
       → per-qubit ⟨Z⟩ readout           → (batch, n_qubits) outputs
 
@@ -21,7 +21,7 @@ from ..autodiff import Tensor, make_node, no_grad
 from ..nn.module import Module, Parameter
 from .ansatz import Ansatz, GateSpec, apply_ansatz, make_ansatz
 from .compile import compile_gates
-from .embedding import angle_embedding, scale_input
+from .embedding import rx_product_state, scale_input
 from .measure import pauli_z_expectations
 from .state import QuantumState, zero_state
 
@@ -136,9 +136,7 @@ class QuantumLayer(Module):
                 f"expected activations of shape (batch, {self.n_qubits}), "
                 f"got {activations.shape}"
             )
-        angles = scale_input(self.scaling, activations)
-        state = zero_state(activations.shape[0], self.n_qubits)
-        state = angle_embedding(state, angles)
+        state = rx_product_state(scale_input(self.scaling, activations))
         return apply_ansatz(state, self.ansatz, self.params, compiled=self.compiled)
 
     def embedded_gate_sequence(self) -> tuple[GateSpec, ...]:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .. import autodiff as ad
 from ..autodiff import Tensor
-from .state import QuantumState
+from .state import QuantumState, _axis
 
 __all__ = [
     "pauli_z_expectations",
@@ -22,26 +22,32 @@ __all__ = [
 ]
 
 
+def _marginal(probs: Tensor, n_qubits: int, qubit: int) -> Tensor:
+    """``(batch, 2)`` marginal of ``qubit`` from Born probabilities
+    shaped ``(batch, 2, ..., 2)``."""
+    axes = tuple(ax for ax in range(1, n_qubits + 1) if ax != qubit + 1)
+    return ad.tensor_sum(probs, axis=axes) if axes else probs
+
+
 def marginal_probability(state: QuantumState, qubit: int) -> Tensor:
     """Marginal distribution of one qubit, shape ``(batch, 2)``."""
-    probs = state.tensor.abs2()  # (batch, 2, ..., 2)
-    axes = tuple(
-        ax for ax in range(1, state.n_qubits + 1) if ax != qubit + 1
-    )
-    if axes:
-        probs = ad.tensor_sum(probs, axis=axes)
-    return probs
+    _axis(state, qubit)  # raises on an out-of-range qubit
+    return _marginal(state.tensor.abs2(), state.n_qubits, qubit)
 
 
 def pauli_z_expectations(state: QuantumState) -> Tensor:
     """Analytic ⟨Z_q⟩ for every qubit, shape ``(batch, n_qubits)``.
 
     ⟨Z⟩ = P(qubit = 0) − P(qubit = 1); local observables, as emphasised in
-    the paper's barren-plateau discussion.
+    the paper's barren-plateau discussion.  The state is squared once and
+    every qubit's marginal is reduced from that one |ψ|² array (the same
+    reduction :func:`marginal_probability` performs, so the values match
+    it bit for bit).
     """
+    probs = state.tensor.abs2()
     outputs = []
     for q in range(state.n_qubits):
-        marg = marginal_probability(state, q)
+        marg = _marginal(probs, state.n_qubits, q)
         outputs.append(marg[:, 0] - marg[:, 1])
     return ad.stack(outputs, axis=1)
 

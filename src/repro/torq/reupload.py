@@ -20,10 +20,10 @@ import numpy as np
 from ..autodiff import Tensor
 from ..nn.module import Module, Parameter
 from .ansatz import Ansatz, apply_ansatz, make_ansatz
-from .embedding import angle_embedding, scale_input
+from .embedding import angle_embedding, rx_product_state, scale_input
 from .layer import initial_circuit_params
 from .measure import pauli_z_expectations
-from .state import QuantumState, zero_state
+from .state import QuantumState
 
 __all__ = ["ReuploadingQuantumLayer"]
 
@@ -88,9 +88,10 @@ class ReuploadingQuantumLayer(Module):
                 f"expected (batch, {self.n_qubits}) activations, got {activations.shape}"
             )
         angles = scale_input(self.scaling, activations)
-        state = zero_state(activations.shape[0], self.n_qubits)
+        state = rx_product_state(angles)
         for cycle, ansatz in enumerate(self.ansatze):
-            state = angle_embedding(state, angles)
+            if cycle:
+                state = angle_embedding(state, angles)
             state = apply_ansatz(state, ansatz, getattr(self, f"params{cycle}"))
         return state
 

@@ -85,6 +85,43 @@ class TestL2Metric:
             assert err < 1e-6
 
 
+class TestL2Chunking:
+    """The per-epoch L2 evaluates in small chunks, so its transient is a
+    bounded, layout-independent heap demand."""
+
+    @staticmethod
+    def _reference():
+        # 32² space points × 10 times = the default 10,240-point L2 grid.
+        return SpectralVacuumSolver(n=32).solve(1.0, n_snapshots=12)
+
+    def test_chunk_size_does_not_change_values(self):
+        from repro.core.models import build_model
+
+        model = build_model("strongly_entangling", rng=np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        x, y, t = rng.uniform(-1, 1, (3, 4096))
+        small = evaluate_fields(model, x, y, t, batch_size=2048)
+        large = evaluate_fields(model, x, y, t, batch_size=16384)
+        for a, b in zip(small, large):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    def test_pinn_l2_eval_peak_memory_is_bounded(self):
+        import tracemalloc
+
+        from repro.core.models import build_model
+
+        model = build_model("regular", rng=np.random.default_rng(0))
+        ref = self._reference()
+        tracemalloc.start()
+        try:
+            l2_relative_error(model, ref)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 2,048-row chunks peak near 11 MB; one 10,240-row batch ~54 MB.
+        assert peak < 20e6
+
+
 class TestEvaluateFields:
     def test_shapes(self):
         model = FieldModel(lambda x, y, t: x * 2.0)

@@ -50,6 +50,13 @@ class TestPauliZ:
         m = marginal_probability(state, 0)
         np.testing.assert_allclose(m.data.sum(axis=1), 1.0)
 
+    @pytest.mark.parametrize("qubit", [4, -1, 9])
+    def test_marginal_probability_rejects_out_of_range_qubit(self, qubit):
+        # An unchecked index summed every axis and returned the (batch,)
+        # total probability instead of a marginal.
+        with pytest.raises(ValueError, match="out of range"):
+            marginal_probability(zero_state(2, 4), qubit)
+
 
 class TestSampledZ:
     def test_matches_analytic_in_expectation(self, rng):
