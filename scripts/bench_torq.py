@@ -33,10 +33,13 @@ training epoch runs: a ``MaxwellQPINN``'s fields plus the three
 the parameter backward through them.
 
 ``--check-structure`` exits non-zero unless every fusing ansatz's compiled
-plan executes fewer kernel steps than gates and the residual step's graph
-at 64 points holds no more traced bytes than its budget (a deterministic
-size: it catches a return to gate-by-gate RX embedding or a per-qubit
-|ψ|² readout); ``--check-adjoint`` exits
+plan executes fewer kernel steps than gates, the residual step's graph at
+64 points holds no more traced bytes than its budget, and its three
+``create_graph`` passes record no more graph nodes than theirs (both
+deterministic sizes: they catch a return to per-gate re/im concatenate
+and slice copies in the fused steps, to a ``grad()`` that differentiates
+every parameter on each pass, to gate-by-gate RX embedding or to a
+per-qubit |ψ|² readout); ``--check-adjoint`` exits
 non-zero unless an adjoint gradient performs exactly 2 plan sweeps
 (forward + reverse) where parameter-shift needs 2P+1 circuit columns;
 ``--check-lowering`` exits non-zero unless float64 lowered execution is
@@ -91,10 +94,13 @@ N_QUBITS = 7
 N_LAYERS = 4
 ANSATZ = "basic_entangling"
 #: Points of the residual graph ``--check-structure`` sizes, and the
-#: budget it must stay under: it holds 91.2 MB; gate-by-gate RX embedding
-#: (118.7 MB) or a per-qubit |ψ|² readout (100.8 MB) exceeds the budget.
+#: budgets it must stay under.  The graph holds 46.7 MB and the three
+#: ``create_graph`` passes record 1,057 nodes; per-gate re/im concatenate
+#: and slice copies in the fused steps held 91.2 MB, and a ``grad()``
+#: without pruning recorded 9,867 nodes.
 GRAPH_BATCH = 64
-GRAPH_BUDGET_BYTES = 96_000_000
+GRAPH_BUDGET_BYTES = 52_000_000
+GRAPH_NODE_BUDGET = 1_200
 
 
 def _median_time(fn, reps: int) -> float:
@@ -162,6 +168,16 @@ def bench_table2_step(
     return rows
 
 
+def _paper_model(batch: int, seed: int = 0):
+    """A paper ``MaxwellQPINN`` and a maker of fresh ``(x, y, t)`` leaf
+    tensors at ``batch`` points."""
+    model = MaxwellQPINN(rng=np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 1)
+    x, y = rng.uniform(-1.0, 1.0, (2, batch, 1))
+    t = rng.uniform(0.0, 1.5, (batch, 1))
+    return model, lambda: [ad.Tensor(a, requires_grad=True) for a in (x, y, t)]
+
+
 def _paper_residual_step(batch: int, seed: int = 0):
     """The paper epoch's second-order path on a paper ``MaxwellQPINN``.
 
@@ -171,16 +187,11 @@ def _paper_residual_step(batch: int, seed: int = 0):
     performs one full step; ``graph`` builds the loss and returns it, so
     the caller can measure what the graph holds.
     """
-    model = MaxwellQPINN(rng=np.random.default_rng(seed))
-    rng = np.random.default_rng(seed + 1)
-    x, y = rng.uniform(-1.0, 1.0, (2, batch, 1))
-    t = rng.uniform(0.0, 1.5, (batch, 1))
+    model, coords = _paper_model(batch, seed)
     params = model.parameters()
 
     def graph():
-        bundle = forward_with_derivatives(
-            model, *(ad.Tensor(a, requires_grad=True) for a in (x, y, t))
-        )
+        bundle = forward_with_derivatives(model, *coords())
         terms = [bundle.ez, bundle.hx, bundle.hy, *vars(bundle.derivs).values()]
         return sum((v * v).mean() for v in terms)
 
@@ -203,6 +214,41 @@ def residual_graph_bytes(batch: int, seed: int = 0) -> int:
     return int(held)
 
 
+def residual_pass_nodes(batch: int, seed: int = 0) -> int:
+    """Graph nodes the residual step's three ``create_graph`` passes record.
+
+    Nodes made during ``forward_with_derivatives`` minus those of the
+    fields alone, counted where every op records its node
+    (``repro.autodiff.ops.make_node``), so a cotangent a pass computes
+    and then drops counts too.
+    """
+    from repro.autodiff import ops
+
+    model, coords = _paper_model(batch, seed)
+    make_node = ops.make_node
+    made = 0
+
+    def counting(data, parents):
+        nonlocal made
+        node = make_node(data, parents)
+        made += node.requires_grad
+        return node
+
+    def count(fn) -> int:
+        nonlocal made
+        made = 0
+        ops.make_node = counting
+        try:
+            fn(model, *coords())
+        finally:
+            ops.make_node = make_node
+        return made
+
+    return count(forward_with_derivatives) - count(
+        lambda m, x, y, t: m.fields(x, y, t)
+    )
+
+
 def bench_paper_residual_step(batch: int, reps: int, seed: int = 0) -> dict:
     """Time the paper QPINN's residual step (see :func:`_paper_residual_step`)."""
     run, _ = _paper_residual_step(batch, seed)
@@ -212,9 +258,11 @@ def bench_paper_residual_step(batch: int, reps: int, seed: int = 0) -> dict:
         "step_s": step_s,
         "graph_batch": GRAPH_BATCH,
         "graph_bytes": residual_graph_bytes(GRAPH_BATCH, seed),
+        "graph_pass_nodes": residual_pass_nodes(GRAPH_BATCH, seed),
     }
     print(f"  batch {batch}: {step_s*1e3:.0f} ms; graph at {GRAPH_BATCH} "
-          f"points holds {row['graph_bytes']/1e6:.1f} MB")
+          f"points holds {row['graph_bytes']/1e6:.1f} MB, its create_graph "
+          f"passes record {row['graph_pass_nodes']} nodes")
     return row
 
 
@@ -707,6 +755,15 @@ def main(argv=None) -> int:
             return 1
         print(f"graph check passed: residual graph at {GRAPH_BATCH} points "
               f"holds {held/1e6:.1f} MB <= {GRAPH_BUDGET_BYTES/1e6:.0f} MB")
+        nodes = residual_row["graph_pass_nodes"]
+        if nodes > GRAPH_NODE_BUDGET:
+            print(f"GRAPH CHECK FAILED: the create_graph passes at "
+                  f"{GRAPH_BATCH} points record {nodes} nodes > "
+                  f"{GRAPH_NODE_BUDGET}")
+            return 1
+        print(f"graph check passed: the create_graph passes at "
+              f"{GRAPH_BATCH} points record {nodes} nodes <= "
+              f"{GRAPH_NODE_BUDGET}")
     if args.check_adjoint:
         if check_adjoint_sweeps(adjoint) != 0:
             return 1

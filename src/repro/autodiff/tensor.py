@@ -257,6 +257,10 @@ def grad(
 ) -> list[Tensor]:
     """Compute d(output)/d(input) for every tensor in ``inputs``.
 
+    Only VJPs whose parent can reach a requested input run: a residual's
+    ``create_graph`` pass with respect to the coordinates computes (and
+    records) no cotangent for the parameters.
+
     Parameters
     ----------
     output:
@@ -305,6 +309,16 @@ def grad(
     cotangents: dict[int, Tensor] = {id(output): seed}
     order = _topo_order(output)
     input_ids = _ids(input_list)
+    # Only a parent that reaches a requested input needs a cotangent.  The
+    # post-order lists parents before children, so one pass marks every
+    # such node; a kept cotangent still receives every contribution it
+    # would without the pruning, in the same order.
+    reaches = set(input_ids)
+    for node in order:
+        for parent, _ in node._parents:
+            if id(parent) in reaches:
+                reaches.add(id(node))
+                break
 
     hook = getattr(_state, "backward_hook", None)
     ctx = enable_grad() if create_graph else no_grad()
@@ -314,8 +328,10 @@ def grad(
             if ct is None:
                 continue
             for parent, vjp in node._parents:
-                contribution = vjp(ct) if hook is None else hook(node, vjp, ct)
                 pid = id(parent)
+                if pid not in reaches:
+                    continue
+                contribution = vjp(ct) if hook is None else hook(node, vjp, ct)
                 existing = cotangents.get(pid)
                 if existing is None:
                     cotangents[pid] = contribution

@@ -181,14 +181,13 @@ def audit_plan(lowered: LoweredPlan, values, batch: int | None = None) -> list[d
     def resolve(i: int):
         return values[i]
 
-    tensor = zero_state(batch, lowered.n_qubits).tensor
     planned = lowered.planned_execution(batch).forward_steps(resolve)
     records = []
     with no_grad():
-        for seed_step, step, (re, im) in zip(
-            lowered.plan.steps, lowered.steps, planned
-        ):
-            tensor = seed_step(tensor, resolve)
+        seed = lowered.plan.step_states(
+            zero_state(batch, lowered.n_qubits), resolve
+        )
+        for tensor, step, (re, im) in zip(seed, lowered.steps, planned):
             err = max(
                 float(np.max(np.abs(re.astype(np.float64) - tensor.re.data))),
                 float(np.max(np.abs(im.astype(np.float64) - tensor.im.data))),

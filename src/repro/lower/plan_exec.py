@@ -104,8 +104,9 @@ def _block44(u: np.ndarray) -> np.ndarray:
 
 def _pack_planes(re: np.ndarray, im: np.ndarray, pack_shape: tuple) -> np.ndarray:
     """One contiguous ``(batch, pre, 4, post)`` buffer with the real rows
-    stacked above the imaginary rows (exactly the seed's ``concatenate``
-    layout — copying values verbatim keeps the float64 tier bitwise).
+    stacked above the imaginary rows: the values of the GEMM operand the
+    seed's fused step reshapes its packed state into, copied verbatim so
+    the float64 tier stays bitwise.
     Explicit allocate-and-assign rather than ``np.concatenate``:
     concatenate layout-matches its inputs, so a strided carrier would
     propagate a non-contiguous pack straight into the GEMM."""
@@ -164,9 +165,10 @@ class _LoweredFused(_LoweredStep):
         return m.data if isinstance(m, Tensor) else m
 
     def forward(self, re, im, resolve):
-        """The seed's pack → GEMM → slice sequence (float64): one row GEMM
-        where :func:`~repro.torq.compile._row_gemm` says so, the
-        broadcast GEMM otherwise."""
+        """The seed step's product on planes (bitwise at float64): the
+        same GEMM on the same operand values — one row GEMM where
+        :func:`~repro.torq.compile._row_gemm` says so, the broadcast GEMM
+        otherwise — whose real and imaginary rows are the new planes."""
         s = self.seed
         m = self._matrix(resolve)
         packed = _pack_planes(re, im, s._pack_shape)

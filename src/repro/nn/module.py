@@ -24,7 +24,10 @@ class Parameter(Tensor):
     __slots__ = ()
 
     def __init__(self, data, name: str | None = None):
-        super().__init__(np.asarray(data, dtype=np.float64), requires_grad=True, name=name)
+        super().__init__(np.asarray(data, dtype=np.float64), name=name)
+        # Set after construction: ``Tensor`` ANDs the flag with the grad
+        # mode, and a parameter built under ``no_grad()`` must still train.
+        self.requires_grad = True
 
 
 class Module:

@@ -330,8 +330,96 @@ def _np_apply_packed(packed: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Plan steps.  Each step maps ``(state_tensor, resolve) -> state_tensor``
-# on the raw ComplexTensor with every index precomputed at compile time.
+# The packed state.  Between fused and permutation steps a plan carries
+# the statevector as ONE real tensor of shape ``(batch, 2, ..., 2)``: a
+# re/im axis plus one axis per qubit.  Its axis *order* is fixed per step
+# when the plan compiles.  An order lists logical axes in physical order
+# — 0 is the batch, 1 re/im and ``2 + q`` qubit ``q`` — and the canonical
+# order ``(0, 1, ..., n + 1)`` is ``stack([re, im], axis=1)``.  A fused
+# step transposes/reshapes the state straight into its GEMM layout and
+# leaves the product in that order; a permutation step's gather reads one
+# order and writes the next.  Every layout change is thus a transpose, a
+# reshape or a gather, whose VJP is the inverse transpose, reshape or
+# gather.  Phase-mask and lone-gate steps keep the ComplexTensor planes;
+# the plan unpacks and repacks at their boundary.
+# ----------------------------------------------------------------------
+
+def _gemm_order(n_qubits: int, qubit: int, rows: bool) -> tuple:
+    """Axis order of a fused step's GEMM layout on ``qubit``:
+    ``(batch, pre, re/im, qubit, post)`` reshapes to the broadcast
+    product's ``(batch, pre, 4, post)``, ``(batch, pre, post, re/im,
+    qubit)`` to the row GEMM's ``(batch·pre·post, 4)``."""
+    pre = tuple(range(2, qubit + 2))
+    post = tuple(range(qubit + 3, n_qubits + 2))
+    if rows:
+        return (0, *pre, *post, 1, qubit + 2)
+    return (0, *pre, 1, qubit + 2, *post)
+
+
+def _axes(src: tuple, dst: tuple):
+    """``transpose`` axes viewing order ``src`` in order ``dst`` (None
+    when they are the same order)."""
+    return None if src == dst else tuple(src.index(a) for a in dst)
+
+
+def _relayout(t: Tensor, axes) -> Tensor:
+    return t if axes is None else ad.transpose(t, axes)
+
+
+def _canonical_at(order: tuple) -> np.ndarray:
+    """Canonical flat ``(re/im, basis)`` index at each flat position of
+    the non-batch axes of a state in ``order``."""
+    k = len(order) - 1
+    canon = np.arange(2 ** k).reshape((2,) * k)
+    return canon.transpose([a - 1 for a in order[1:]]).reshape(-1)
+
+
+def _pack(state: ComplexTensor) -> Tensor:
+    """ComplexTensor planes → the packed state in canonical order."""
+    return ad.stack([state.re, state.im], axis=1)
+
+
+class _Unpack:
+    """The packed state in a fixed order → ComplexTensor planes."""
+
+    def __init__(self, order: tuple):
+        self._axes = _axes(order, tuple(range(len(order))))
+
+    def __call__(self, packed: Tensor) -> ComplexTensor:
+        t = _relayout(packed, self._axes)
+        return ComplexTensor(t[:, 0], t[:, 1])
+
+
+def _bind_layouts(steps: tuple, n_qubits: int):
+    """Fix the axis order every packed step receives and emits.
+
+    Returns the boundary conversion to run before each step (``None``,
+    :func:`_pack` or an :class:`_Unpack`) and the one after the last.  A
+    packed step emits its ``order``: a fused step its GEMM layout, a
+    permutation step whatever the next step reads — a fused step's GEMM
+    layout, else the canonical order.
+    """
+    canonical = tuple(range(n_qubits + 2))
+    converts = []
+    order = None  # None: the state is ComplexTensor planes
+    for step, nxt in zip(steps, steps[1:] + (None,)):
+        convert = None
+        if step.packed:
+            if order is None:
+                convert, order = _pack, canonical
+            wanted = (nxt.order if isinstance(nxt, _FusedSingleQubitStep)
+                      else canonical)
+            order = step.bind(order, wanted)
+        elif order is not None:
+            convert, order = _Unpack(order), None
+        converts.append(convert)
+    return tuple(converts), (None if order is None else _Unpack(order))
+
+
+# ----------------------------------------------------------------------
+# Plan steps.  Each step maps ``(state, resolve) -> state`` with every
+# index precomputed at compile time: packed steps (``packed = True``) on
+# the packed real tensor, the others on ComplexTensor planes.
 # ----------------------------------------------------------------------
 
 def _c_contig(arr: np.ndarray) -> np.ndarray:
@@ -418,22 +506,34 @@ class _FusedSingleQubitStep:
 
     The composed 2×2 complex unitary is applied through its real 4×4 block
     form with a single :func:`~repro.autodiff.ops.matmul` over the packed
-    ``(batch, pre, 4, post)`` state — one BLAS kernel (and one backward
-    node) instead of a dozen elementwise operations: broadcast over the
-    packed state, or, for a batch-independent block over a short ``post``
-    stride, as one row GEMM (:func:`_row_gemm`).
+    state — one BLAS kernel (and one backward node) instead of a dozen
+    elementwise operations: broadcast over the ``(batch, pre, 4, post)``
+    layout, or, for a batch-independent block over a short ``post``
+    stride, as one ``(batch·pre·post, 4)`` row GEMM (:func:`_row_gemm`).
+    The step transposes/reshapes the state it receives into that layout
+    and emits the product in the layout the shared-parameter (training)
+    path runs, ``order``.
     """
 
     kind = "fused_1q"
+    packed = True
 
     def __init__(self, gates, qubit: int, n_qubits: int):
         self.gates = tuple(g.name for g in gates)
         self.n_gates = len(gates)
         pre = 2 ** qubit
         post = 2 ** (n_qubits - 1 - qubit)
+        # ``_pack_shape``/``_full_shape`` size the lowered tiers' planes.
         self._pack_shape = (-1, pre, 2, post)
         self._post = post
         self._full_shape = (-1,) + (2,) * n_qubits
+        self._gemm_shape = (-1, pre, 4, post)
+        self._state_shape = (-1,) + (2,) * (n_qubits + 1)
+        self._orders = {
+            rows: _gemm_order(n_qubits, qubit, rows) for rows in (False, True)
+        }
+        self.order = self._orders[_row_gemm(np.eye(4), post)]
+        self._to = self._back = None
         # Consecutive constant gates fold numerically at compile time;
         # parameterized gates contribute call-time symbolic builders.  The
         # parallel ``factors`` list carries the same composition at
@@ -476,36 +576,17 @@ class _FusedSingleQubitStep:
             else None
         )
 
-    def _apply_block(self, tensor: ComplexTensor, m) -> ComplexTensor:
-        packed = ad.concatenate(
-            [
-                ad.reshape(tensor.re, self._pack_shape),
-                ad.reshape(tensor.im, self._pack_shape),
-            ],
-            axis=2,
-        )
-        if _row_gemm(m, self._post):
-            out = self._row_product(packed, m)
-        else:
-            out = ad.matmul(m, packed)
-        return ComplexTensor(
-            ad.reshape(out[:, :, 0:2], self._full_shape),
-            ad.reshape(out[:, :, 2:4], self._full_shape),
-        )
+    def bind(self, order_in: tuple, order_next: tuple) -> tuple:
+        """Fix the order this step receives; returns the order it emits.
 
-    @staticmethod
-    def _row_product(packed: Tensor, m) -> Tensor:
-        """``m @ packed`` as one ``(batch·pre·post, 4) @ mᵀ`` GEMM.
-
-        At ``post == 1`` the packed state already is the row layout; a
-        longer ``post`` costs one transposed copy in and a transposed
-        view out.
+        Per-batch angles (batched parameter shift) run the broadcast
+        product on a short stride too, and view its output in ``order``.
         """
-        rows = ad.transpose(packed, (0, 1, 3, 2))
-        out = ad.matmul(ad.reshape(rows, (-1, 4)), ad.transpose(m))
-        return ad.transpose(ad.reshape(out, rows.shape), (0, 1, 3, 2))
+        self._to = {r: _axes(order_in, o) for r, o in self._orders.items()}
+        self._back = {r: _axes(o, self.order) for r, o in self._orders.items()}
+        return self.order
 
-    def __call__(self, tensor: ComplexTensor, resolve) -> ComplexTensor:
+    def __call__(self, state: Tensor, resolve) -> Tensor:
         if self._const_m is not None:
             m = self._const_m
         else:
@@ -514,7 +595,13 @@ class _FusedSingleQubitStep:
             for um in mats[1:]:
                 u = _mat_mul(um, u)
             m = _block_matrix(u)
-        return self._apply_block(tensor, m)
+        rows = _row_gemm(m, self._post)
+        x = _relayout(state, self._to[rows])
+        if rows:
+            out = ad.matmul(ad.reshape(x, (-1, 4)), ad.transpose(m))
+        else:
+            out = ad.matmul(m, ad.reshape(x, self._gemm_shape))
+        return _relayout(ad.reshape(out, self._state_shape), self._back[rows])
 
     def adjoint_step(self, psi, mu, resolve, accumulate):
         """Un-apply the step from ψ and μ, accumulating per-angle grads.
@@ -568,6 +655,7 @@ class _PhaseMaskStep:
     """A run of diagonal gates (Z/RZ/CRZ) as one phase-mask multiply."""
 
     kind = "phase_mask"
+    packed = False
 
     def __init__(self, gates, n_qubits: int):
         self.gates = tuple(g.name for g in gates)
@@ -670,9 +758,15 @@ class _PhaseMaskStep:
 
 
 class _PermutationStep:
-    """A run of X/CNOT gates as one relabeling of the basis axis."""
+    """A run of X/CNOT gates as one relabeling of the basis axis.
+
+    One :func:`~repro.autodiff.ops.permute_last` over both planes of the
+    packed state; its index, fixed when the plan compiles, composes the
+    relabeling with the order the step reads and the order it writes.
+    """
 
     kind = "permutation"
+    packed = True
 
     def __init__(self, gates, n_qubits: int):
         self.gates = tuple(g.name for g in gates)
@@ -681,6 +775,8 @@ class _PermutationStep:
         dim = 2 ** n
         self._flat_shape = (-1, dim)
         self._full_shape = (-1,) + (2,) * n
+        self._packed_shape = (-1, 2 * dim)
+        self._state_shape = (-1,) + (2,) * (n + 1)
         idx = np.arange(dim)
         src = idx
         for g in gates:
@@ -694,6 +790,7 @@ class _PermutationStep:
             src = src[gmap]
         self._src = _c_contig(src)
         self._inv = None
+        self.order = self._index = None
 
     @property
     def _inv_src(self) -> np.ndarray:
@@ -703,16 +800,18 @@ class _PermutationStep:
             self._inv = _c_contig(np.argsort(self._src))
         return self._inv
 
-    def _gather(self, tensor: ComplexTensor, idx: np.ndarray) -> ComplexTensor:
-        flat = tensor.reshape(self._flat_shape)
-        out = ComplexTensor(
-            ad.permute_last(flat.re, idx),
-            ad.permute_last(flat.im, idx),
-        )
-        return out.reshape(self._full_shape)
+    def bind(self, order_in: tuple, order_next: tuple) -> tuple:
+        """Read ``order_in`` and write ``order_next``; returns it."""
+        dim = self._src.size
+        plane, basis = np.divmod(_canonical_at(order_next), dim)
+        where_in = np.argsort(_canonical_at(order_in))
+        self._index = _c_contig(where_in[plane * dim + self._src[basis]])
+        self.order = order_next
+        return order_next
 
-    def __call__(self, tensor: ComplexTensor, resolve) -> ComplexTensor:
-        return self._gather(tensor, self._src)
+    def __call__(self, state: Tensor, resolve) -> Tensor:
+        flat = ad.reshape(state, self._packed_shape)
+        return ad.reshape(ad.permute_last(flat, self._index), self._state_shape)
 
     def adjoint_step(self, psi, mu, resolve, accumulate):
         """Parameter-free: un-relabel both states with the inverse gather.
@@ -737,6 +836,7 @@ class _SingleGateStep:
     precomputed indices (bit-compatible with the uncompiled path)."""
 
     kind = "gate"
+    packed = False
 
     def __init__(self, gate, n_qubits: int):
         self.gates = (gate.name,)
@@ -971,12 +1071,17 @@ def _segment(gates) -> list[_Group]:
 # ----------------------------------------------------------------------
 
 class ExecutionPlan:
-    """A compiled gate sequence: prepared steps replayed per execution."""
+    """A compiled gate sequence: prepared steps replayed per execution.
+
+    Compiling fixes the packed-state axis order at every step boundary
+    (:func:`_bind_layouts`), so a run is a plain loop over prepared steps.
+    """
 
     def __init__(self, steps: tuple, n_qubits: int, n_gates: int):
         self.steps = steps
         self.n_qubits = n_qubits
         self.n_gates = n_gates
+        self._converts, self._exit = _bind_layouts(steps, n_qubits)
 
     @property
     def num_steps(self) -> int:
@@ -1000,29 +1105,51 @@ class ExecutionPlan:
         ``resolve`` maps a flat parameter index to its value: a float, a
         0-d tensor, or a per-batch 1-D tensor (which is how batched
         parameter-shift executes every shifted parameter set at once).
+        Under :func:`repro.obs.profile` the same steps run, each timed.
         """
         from .state import QuantumState  # deferred: state does not import us
 
-        tensor = state.tensor
-        if obs.is_profiling():
-            # Same metric families as the interpreted path (torq.gates /
-            # torq.circuit.batch / torq.apply) so dashboards and tests see
-            # one vocabulary; fused steps are timed under their step kind.
-            reg = obs.metrics()
-            reg.counter("torq.plan.replay").inc()
-            reg.histogram("torq.circuit.batch").observe(state.batch)
-            with reg.scope("torq.plan.run", n_qubits=self.n_qubits):
-                for step in self.steps:
-                    for name in step.gates:
-                        reg.counter("torq.gates", gate=name).inc()
-                    reg.counter("torq.plan.steps", kind=step.kind).inc()
-                    label = step.gates[0] if step.n_gates == 1 else step.kind
-                    with reg.timer("torq.apply", gate=label).time():
-                        tensor = step(tensor, resolve)
-        else:
-            for step in self.steps:
-                tensor = step(tensor, resolve)
+        if not obs.is_profiling():
+            tensor = self._execute(state.tensor, resolve, None)
+            return QuantumState(tensor, self.n_qubits)
+        # Same metric families as the interpreted path (torq.gates /
+        # torq.circuit.batch / torq.apply) so dashboards and tests see one
+        # vocabulary; fused steps are timed under their step kind.
+        reg = obs.metrics()
+        reg.counter("torq.plan.replay").inc()
+        reg.histogram("torq.circuit.batch").observe(state.batch)
+        with reg.scope("torq.plan.run", n_qubits=self.n_qubits):
+            tensor = self._execute(state.tensor, resolve, reg)
         return QuantumState(tensor, self.n_qubits)
+
+    def step_states(self, state, resolve: Callable[[int], object]):
+        """Run the plan, yielding the state after every step as
+        :class:`ComplexTensor` planes (the per-step view
+        :func:`repro.lower.audit_plan` compares)."""
+        for step, x in self._walk(state.tensor, resolve, None):
+            yield _Unpack(step.order)(x) if step.packed else x
+
+    def _execute(self, x, resolve, reg) -> ComplexTensor:
+        for _, x in self._walk(x, resolve, reg):
+            pass
+        return x if self._exit is None else self._exit(x)
+
+    def _walk(self, x, resolve, reg):
+        """The step loop: yields ``(step, state)`` after each step, timing
+        each one into ``reg`` when given."""
+        for step, convert in zip(self.steps, self._converts):
+            if convert is not None:
+                x = convert(x)
+            if reg is None:
+                x = step(x, resolve)
+            else:
+                for name in step.gates:
+                    reg.counter("torq.gates", gate=name).inc()
+                reg.counter("torq.plan.steps", kind=step.kind).inc()
+                label = step.gates[0] if step.n_gates == 1 else step.kind
+                with reg.timer("torq.apply", gate=label).time():
+                    x = step(x, resolve)
+            yield step, x
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

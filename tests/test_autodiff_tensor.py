@@ -201,6 +201,50 @@ class TestGradFunction:
         np.testing.assert_allclose(g.data, [1.0])
 
 
+def _reaches(node, target) -> bool:
+    """Whether ``target`` is ``node`` or one of its graph ancestors."""
+    stack, seen = [node], set()
+    while stack:
+        t = stack.pop()
+        if t is target:
+            return True
+        if id(t) not in seen:
+            seen.add(id(t))
+            stack.extend(p for p, _ in t._parents)
+    return False
+
+
+class TestGradPruning:
+    """``grad`` runs only the VJPs whose parent reaches a requested input."""
+
+    def test_create_graph_pass_differentiates_only_toward_the_input(self):
+        from repro.autodiff.tensor import set_backward_hook
+
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=(4,)), requires_grad=True)
+        h = ad.tanh(x @ w + b)
+        y = ((h * ad.exp(b)).sum(axis=1) * ad.sin(w).sum()).sum()
+
+        parents = []
+
+        def hook(node, vjp, ct):
+            parents.append(next(p for p, fn in node._parents if fn is vjp))
+            return vjp(ct)
+
+        set_backward_hook(hook)
+        try:
+            (gx,) = grad(y, [x], create_graph=True)
+        finally:
+            set_backward_hook(None)
+        assert parents
+        assert all(_reaches(p, x) for p in parents)
+        assert gx.requires_grad
+        full = grad(y, [x, w])[0]
+        assert gx.data.tobytes() == full.data.tobytes()
+
+
 class TestBackward:
     def test_accumulates_into_grad(self):
         x = Tensor([1.0, 2.0], requires_grad=True)

@@ -15,6 +15,20 @@ class TestParameter:
     def test_promotes_to_float64(self):
         assert nn.Parameter(np.array([1, 2])).dtype == np.float64
 
+    def test_built_under_no_grad_still_trains(self):
+        """A model built inside ``no_grad()`` gets real gradients: the
+        flag no longer follows the grad mode at construction."""
+        from repro.core.models import MaxwellQPINN
+
+        with ad.no_grad():
+            model = MaxwellQPINN(rng=np.random.default_rng(0))
+        params = model.parameters()
+        assert all(p.requires_grad for p in params)
+        pts = np.random.default_rng(1).uniform(-1, 1, (3, 8, 1))
+        out = model(*(Tensor(a) for a in pts))
+        ad.backward((out * out).mean(), params)
+        assert all(np.any(p.grad != 0.0) for p in params)
+
 
 class TestModule:
     def _make(self, rng):

@@ -231,6 +231,39 @@ def test_profile_attributes_ops_inside_compiled_plan():
     assert op_timers  # profiler shims saw the ops the plan executed
 
 
+def test_profiled_plan_runs_the_same_steps_bitwise():
+    """Observing a run does not change it: a QuantumLayer forward and a
+    second-order gradient are bitwise equal with and without
+    ``obs.profile()``, which still counts every step by kind."""
+    from repro.torq.layer import QuantumLayer
+
+    layer = QuantumLayer(n_qubits=5, n_layers=2, rng=np.random.default_rng(0))
+    acts = np.random.default_rng(1).uniform(-0.9, 0.9, (6, 5))
+
+    def run():
+        a = Tensor(acts, requires_grad=True)
+        z = layer(a)
+        (da,) = ad.grad(z.sum(), [a], create_graph=True)
+        dd = ad.grad((da * da).sum(), [a, layer.params])
+        return [z.data, da.data] + [g.data for g in dd]
+
+    plain = run()
+    reg = obs.metrics()
+    reg.reset()
+    with obs.profile():
+        observed = run()
+    snap = reg.snapshot()
+    reg.reset()
+    for got, want in zip(observed, plain):
+        assert got.tobytes() == want.tobytes()
+    steps = {
+        e["labels"]["kind"]: e["value"] for e in snap
+        if e["kind"] == "counter" and e["name"] == "torq.plan.steps"
+    }
+    kinds = [s.kind for s in layer.ansatz.execution_plan().steps]
+    assert steps == {k: kinds.count(k) for k in set(kinds)}
+
+
 def test_plan_cache_counters_under_profile():
     clear_plan_cache()
     gates = (GateSpec("rx", (0,), (0,)), GateSpec("cnot", (0, 1)))

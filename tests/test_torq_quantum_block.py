@@ -97,9 +97,12 @@ class TestOneSquareReadout:
 
 
 def _fused_rot(n_qubits, qubit):
-    return torq_compile._FusedSingleQubitStep(
+    """A lone Rot step reading the canonical packed order."""
+    step = torq_compile._FusedSingleQubitStep(
         [GateSpec("rot", (qubit,), (0, 1, 2))], qubit, n_qubits
     )
+    step.bind(tuple(range(n_qubits + 2)), None)
+    return step
 
 
 class TestRowGemm:
@@ -119,12 +122,14 @@ class TestRowGemm:
         state = ComplexTensor(Tensor(rng.normal(size=shape)),
                               Tensor(rng.normal(size=shape)))
         angles = [Tensor(v) for v in rng.uniform(-3, 3, 3)]
+        packed = torq_compile._pack(state)
         for qubit in range(n):
             step = _fused_rot(n, qubit)
-            rows = step(state, lambda i: angles[i])
+            unpack = torq_compile._Unpack(step.order)
+            rows = unpack(step(packed, lambda i: angles[i]))
             with monkeypatch.context() as mp:
                 mp.setattr(torq_compile, "_row_gemm", lambda m, post: False)
-                bcast = step(state, lambda i: angles[i])
+                bcast = unpack(step(packed, lambda i: angles[i]))
             post = 2 ** (n - 1 - qubit)
             for got, want in ((rows.re, bcast.re), (rows.im, bcast.im)):
                 if post == 1:
