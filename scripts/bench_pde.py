@@ -9,7 +9,8 @@ the paper's training configuration (hidden=32 x 3 layers, 256 collocation
 
 * ``step``    — one training step (forward + residual + backward) on a
                 fixed batch: graph construction + topo sort + VJP closures
-                vs. a preplanned kernel replay into preallocated buffers,
+                vs. a preplanned kernel replay into a liveness-planned
+                arena,
 * ``trainer`` — end-to-end :class:`repro.pde.PDETrainer` training runs
                 with ``compile_step`` on vs. off (identical seeds; the
                 loss trajectories are asserted bitwise equal),
@@ -22,7 +23,8 @@ the median of ``--repeats`` runs plus the median per-pair speedup (robust
 against machine-load drift).  The step section also reports the max abs difference between
 replayed and define-by-run gradients (the tape's contract is bitwise
 equality, i.e. 0.0) and the executor's schedule statistics (entries
-recorded / after DCE / constant-folded / fused).
+recorded / after DCE / constant-folded / fused, and the replay arena's
+bytes against the unplanned one-buffer-per-entry total).
 
 Usage::
 
@@ -167,6 +169,9 @@ def bench_step(hidden: int, n_hidden: int, n_col: int, n_data: int,
         print(f"        schedule: {sched.get('recorded')} recorded -> "
               f"{sched.get('after_dce')} after DCE, "
               f"{sched.get('folded')} folded, {sched.get('fused')} fused")
+        print(f"        arena: {sched.get('arena_bytes', 0) / 1e3:.1f} kB "
+              f"for {sched.get('buffers')} buffers "
+              f"({sched.get('unplanned_bytes', 0) / 1e3:.1f} kB unplanned)")
     return row
 
 

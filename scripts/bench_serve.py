@@ -22,8 +22,9 @@ replay — batched answers are *bitwise* equal to sequential ones) and a
 within the documented expectation budget).  ``--toy`` swaps in a small
 GenericPINN for CI smoke; ``--check-parity`` additionally asserts the
 coalescing contract (batched == isolated, bitwise at float64), the
-freeze→load round trip, and deadline handling, and fails the run on
-any violation.
+freeze→load round trip, deadline handling, and that every warm float64
+tape executor's arena is at most half its unplanned per-buffer total,
+and fails the run on any violation.
 
 Usage::
 
@@ -234,6 +235,17 @@ def check_parity(frozen, cfg, requests, batched_outs) -> dict:
             return False
 
     checks["deadline_enforced"] = asyncio.run(expired())
+    # 4. every warm float64 executor replays in a liveness-planned arena
+    #    at most half its unplanned one-buffer-per-entry footprint
+    if cfg["precision"] == "float64":
+        execs = frozen.cache_info()["tape"]["executors"]
+        checks["arena_vs_unplanned_bytes"] = [
+            [ex["arena_bytes"], ex["unplanned_bytes"]] for ex in execs
+        ]
+        checks["arena_at_most_half_unplanned"] = bool(execs) and all(
+            2 * ex["arena_bytes"] <= ex["unplanned_bytes"] for ex in execs
+        )
+        ok = ok and checks["arena_at_most_half_unplanned"]
     checks["ok"] = bool(ok and rt and checks["deadline_enforced"])
     return checks
 
@@ -244,7 +256,8 @@ def main(argv=None) -> int:
                         help="tiny config for CI smoke runs")
     parser.add_argument("--check-parity", action="store_true",
                         help="assert batched == isolated answers, bundle "
-                             "round trip, and deadline handling")
+                             "round trip, deadline handling, and the float64 "
+                             "arena footprint")
     parser.add_argument("--out", type=Path,
                         default=REPO_ROOT / "BENCH_serve.json")
     args = parser.parse_args(argv)

@@ -33,19 +33,31 @@ three structure-preserving passes:
   the floating-point operation sequence is *bitwise identical* to the
   define-by-run result.
 
-Replay reuses preallocated output buffers keyed by schedule position
-(ufunc kernels write with ``out=``), so a steady-state replay performs
-**zero** graph-node allocations — ``scripts/bench_pde.py --check-alloc``
-asserts exactly that in CI.
+**Memory.**  Replay runs in one liveness-planned arena, built with the
+planner the lowered statevector tier uses (:mod:`repro.lower.memplan`)
+from the layouts the trace recorded, so the first replay already runs
+in it.  Every ``out=`` buffer and fused-kernel scratch buffer is an
+arena view with the shape, strides and tier dtype of the array it
+replaces (BLAS and reduction bits read strides).  A buffer is live from
+the entry that writes it to the last entry that reads it or a view of
+it; the buffers behind the loss, gradients, aux and forward output live
+to the end.  Buffers whose live ranges do not overlap share memory.
+Kernels that return fresh arrays (gathers, copying reshapes, the
+row-stable kernels' internals) still allocate, and each such array is
+dropped at its last read, so between replays an executor holds its
+arena and its constants only.  A steady-state replay performs **zero**
+graph-node allocations — ``scripts/bench_pde.py --check-alloc`` asserts
+exactly that in CI.
 
-Once the first replay has allocated every buffer, the executor *freezes*
-the schedule into generated straight-line Python — one kernel call per
-line, with buffers, constants, and parameter tensors bound in the
-function's namespace — removing the interpreter's per-entry dispatch
-(tuple unpacking, argument-list building, mode branching) entirely.  The
-generated function is verified bitwise against the interpreted schedule
-on its first use and dropped permanently on any mismatch, so the freeze
-is an invisible optimisation, never a correctness risk.
+After the first (interpreted) replay the executor *freezes* the
+schedule into generated straight-line Python — one kernel call per
+line, with arena views, constants, and parameter tensors bound in the
+function's namespace and a ``del`` after each local's last read —
+removing the interpreter's per-entry dispatch (tuple unpacking,
+argument-list building, mode branching) entirely.  The generated
+function is verified bitwise against the interpreted schedule on its
+first use and dropped permanently on any mismatch, so the freeze is an
+invisible optimisation, never a correctness risk.
 
 **Entry point.**  :func:`compile_step` wraps a step function
 ``fn(*arrays) -> loss`` (or ``(loss, {name: Tensor})`` for logged
@@ -75,15 +87,17 @@ designed to be bitwise identical).
 events are published to the global metrics registry as counters
 ``autodiff.tape.hits`` / ``.misses`` / ``.retraces`` / ``.fallbacks``
 (labelled ``step=<name>``; outside profiling the hot loop makes zero obs
-callbacks), and
-:meth:`CompiledStep.cache_info` reports the same numbers together with
-per-executor schedule statistics.
+callbacks), each executor's arena through ``lower.arena.bytes``
+(labelled ``executor="tape"``), and :meth:`CompiledStep.cache_info`
+reports the same numbers together with per-executor schedule and arena
+statistics (``arena_bytes`` against the ``unplanned_bytes`` one buffer
+per entry would hold).
 
 **Precision tier.**  ``compile_step(..., precision="float32")`` replays
 the tape in float32: tracing and constant folding still run in float64
 (the folded constants are demoted *once* at compile time), but dynamic
 binds — input arrays and live parameter reads — are demoted at the top
-of every replay, every kernel buffer is float32, and the returned loss,
+of every replay, every arena buffer is float32, and the returned loss,
 gradients, and aux arrays are promoted back to float64 so callers (the
 optimiser, validation) never see tier dtypes.  Validation for the tier
 compares against a fresh float64 define-by-run step under the
@@ -165,8 +179,9 @@ _COMPOSITE_OPS = frozenset({"mean", "dot_last"})
 # ----------------------------------------------------------------------
 # Replay kernels — each mirrors the exact NumPy computation of its op so
 # replayed values are bitwise identical to the define-by-run forward.
-# Mode 0 kernels return fresh arrays/views; mode 1 kernels accept ``out=``
-# and reuse a per-entry buffer; mode 2 are fused pairs (see below).
+# Mode 0 kernels return fresh arrays/views; mode 1 kernels write into an
+# ``out=`` arena view; mode 2 are fused pairs streaming through an arena
+# scratch view (see below).
 # ----------------------------------------------------------------------
 
 def _ufunc(uf):
@@ -283,20 +298,14 @@ def _k_stack(*arrays, axis=0, out=None):
 
 def _k_fused_mulsum(vals, static, buf):
     a, b = vals
-    if buf is None:
-        buf = np.multiply(a, b)
-    else:
-        np.multiply(a, b, out=buf)
-    return buf.sum(axis=static["axis"], keepdims=static["keepdims"]), buf
+    np.multiply(a, b, out=buf)
+    return buf.sum(axis=static["axis"], keepdims=static["keepdims"])
 
 
 def _k_fused_squaresum(vals, static, buf):
     (a,) = vals
-    if buf is None:
-        buf = np.square(a)
-    else:
-        np.square(a, out=buf)
-    return buf.sum(axis=static["axis"], keepdims=static["keepdims"]), buf
+    np.square(a, out=buf)
+    return buf.sum(axis=static["axis"], keepdims=static["keepdims"])
 
 
 def _k_fused_chain(vals, static, buf):
@@ -307,13 +316,10 @@ def _k_fused_chain(vals, static, buf):
     # intermediate allocations disappear.
     (a,) = vals
     fns = static["ops"]
-    if buf is None:
-        buf = fns[0](a)
-    else:
-        fns[0](a, out=buf)
+    fns[0](a, out=buf)
     for fn in fns[1:]:
         fn(buf, out=buf)
-    return buf, buf
+    return buf
 
 
 #: op name -> (kernel, mode); mode 1 kernels take ``out=`` buffers.
@@ -372,6 +378,12 @@ _FUSED_KERNELS = {
     "__fused_squaresum": _k_fused_squaresum,
     "__fused_chain": _k_fused_chain,
 }
+
+#: mode 0 kernels that may return a view of their first operand; every
+#: other mode 0 kernel returns a fresh array (gathers, ``where``, ``pow``).
+_VIEW_KERNELS = frozenset(
+    {"reshape", "transpose", "moveaxis", "expand_dims", "squeeze", "flip"}
+)
 
 #: row block size of the batch-invariant matmul kernel (see below).
 _ROW_BLOCK = 32
@@ -467,15 +479,21 @@ _CHAINABLE_UNARY = frozenset({
 # ----------------------------------------------------------------------
 
 class _Entry:
-    """One recorded op: kernel name, arg template, static kwargs, output."""
+    """One recorded op: kernel name, arg template, static kwargs, output.
 
-    __slots__ = ("name", "template", "static", "out_slot")
+    ``layout`` is ``(shape, dtype, element strides)`` of the array an
+    ``out=`` op produced while tracing — the layout its replay buffer
+    mirrors (``None`` for ops that return fresh arrays or views).
+    """
 
-    def __init__(self, name, template, static, out_slot):
+    __slots__ = ("name", "template", "static", "out_slot", "layout")
+
+    def __init__(self, name, template, static, out_slot, layout):
         self.name = name
         self.template = template  # tuple[(is_slot, slot_or_value), ...]
         self.static = static      # dict of static kwargs
         self.out_slot = out_slot
+        self.layout = layout
 
 
 class _Tracer:
@@ -570,7 +588,14 @@ class _Tracer:
         out_slot = self._new_slot(("op", None))
         self.slot_of[id(out)] = out_slot
         self.keepalive.append(out)
-        self.entries.append(_Entry(name, tuple(template), static, out_slot))
+        layout = None
+        if KERNELS[name][1]:  # an ``out=`` kernel: its buffer mirrors this
+            data = out.data
+            layout = (data.shape, data.dtype,
+                      tuple(st // data.itemsize for st in data.strides))
+        self.entries.append(
+            _Entry(name, tuple(template), static, out_slot, layout)
+        )
 
     def output_ref(self, t: Tensor) -> tuple:
         slot = self.slot_of.get(id(t))
@@ -819,6 +844,7 @@ def _fuse(entries: list, protected: set) -> tuple[list, int]:
                       else "__fused_mulsum")
         entry.template = prod.template
         entry.static = {"axis": axis, "keepdims": keepdims}
+        entry.layout = prod.layout  # the scratch buffer replaces prod's
         fused_away.add(j)
         fused += 1
     if fused_away:
@@ -831,8 +857,8 @@ def _fuse_chains(entries: list, protected: set) -> tuple[list, int]:
 
     ``sin -> square -> neg`` (each intermediate used exactly once and not
     itself a tape output) becomes a single ``__fused_chain`` entry that
-    streams through one preallocated scratch buffer — one loop's worth of
-    allocation instead of one per op.  The surviving entry keeps the
+    streams through one arena scratch buffer instead of one buffer per
+    op.  The surviving entry keeps the
     *last* op's output slot, so downstream references are untouched.
     Returns the rewritten list and the number of entries eliminated.
     """
@@ -872,6 +898,7 @@ def _fuse_chains(entries: list, protected: set) -> tuple[list, int]:
             last.name = "__fused_chain"
             last.template = entries[run[0]].template
             last.static = {"ops": ops}
+            last.layout = entries[run[0]].layout
             fused_away.update(run[:-1])
             chained += len(run) - 1
             i = run[-1] + 1
@@ -882,14 +909,29 @@ def _fuse_chains(entries: list, protected: set) -> tuple[list, int]:
     return entries, chained
 
 
+def _arena_layout(layout, f32: bool) -> tuple:
+    """``(shape, dtype, byte strides, nbytes)`` of one replay buffer.
+
+    The traced array's layout at the tier dtype: BLAS kernel choice and
+    reduction order read the output's strides, so float64 bits depend on
+    them.  ``nbytes`` is the strides' span (0 for an empty array).
+    """
+    shape, dtype, strides = layout
+    if f32 and dtype.kind == "f":
+        dtype = np.dtype(np.float32)
+    span = 1 + sum(st * (d - 1) for st, d in zip(strides, shape))
+    return (shape, dtype, tuple(st * dtype.itemsize for st in strides),
+            span * dtype.itemsize if all(shape) else 0)
+
+
 class TapeExecutor:
     """Replays an optimised tape as preplanned raw NumPy kernel calls.
 
-    Buffers are preallocated per schedule entry on the first replay and
-    reused thereafter (``out=`` for ufunc kernels, a zero-filled scratch
-    for ``scatter_add``), so steady-state replays allocate no graph nodes
-    at all.  Returned gradient arrays are owned by the executor and are
-    only valid until the next replay — copy before mutating.
+    Every ``out=`` and scratch buffer is a view into one liveness-planned
+    :class:`repro.lower.memplan.Arena` (module docstring, **Memory**), so
+    between replays the executor holds its arena and its constants only.
+    Returned outputs are arena views, only valid until the next replay —
+    copy before mutating or keeping them.
     """
 
     def __init__(self, tape: Tape, precision: str = "float64",
@@ -979,17 +1021,86 @@ class TapeExecutor:
                 )
             schedule.append((fn, template, entry.static, entry.out_slot, mode))
         self._schedule = tuple(schedule)
-        self._bufs: list = [None] * len(schedule)
+        self._plan_memory(entries, outputs)
         # Frozen straight-line replay function (built after the first
-        # interpreted replay allocates the buffers, then verified bitwise
-        # against the interpreter once before taking over).
+        # interpreted replay, then verified bitwise against the
+        # interpreter once before taking over).
         self._fast = None
         self._fast_checked = False
         self._fast_failed = False
 
+    def _plan_memory(self, entries: list, outputs: set) -> None:
+        """Liveness-plan the replay buffers into one arena.
+
+        A buffer is live from the entry that writes it to the last entry
+        that reads it or a view of it; a buffer behind a tape output
+        stays live to the end.  Every other slot a replay fills (fresh
+        kernel results, per-replay tier casts) is dropped after its last
+        read (``_frees``) or, for outputs, once they are resolved
+        (``_tail``).
+        """
+        from ..lower.memplan import Arena, BufferSpec, plan_buffers
+
+        end = len(self._schedule)
+        roots: dict[int, tuple] = {}  # slot -> buffers it may alias
+        last: dict[int, int] = {}     # buffer (its entry index) -> last read
+        last_read: dict[int, int] = {}
+        for i, (entry, (_fn, template, _static, out_slot, mode)) in enumerate(
+            zip(entries, self._schedule)
+        ):
+            for is_slot, ref in template:
+                if is_slot:
+                    last_read[ref] = i
+                    for buf in roots.get(ref, ()):
+                        last[buf] = i
+            if mode:
+                last[i] = i
+            if mode == 1 or entry.name == "__fused_chain":
+                roots[out_slot] = (i,)
+            elif entry.name in _VIEW_KERNELS and template[0][0]:
+                roots[out_slot] = roots.get(template[0][1], ())
+        for ref in outputs:
+            last_read[ref] = end
+            for buf in roots.get(ref, ()):
+                last[buf] = end
+        layouts = {
+            i: _arena_layout(entries[i].layout, self._cast is not None)
+            for i in last
+        }
+        plan = plan_buffers([
+            BufferSpec(f"e{i}", layout[3], i, last[i])
+            for i, layout in layouts.items()
+        ])
+        self._arena = Arena(plan, executor="tape")
+        self._bufs: list = [None] * end
+        for i, (shape, dtype, strides, nbytes) in layouts.items():
+            self._bufs[i] = (
+                self._arena.strided_view(f"e{i}", shape, dtype, strides)
+                if nbytes else self._arena.view(f"e{i}", shape, dtype)
+            )
+        transient = {slot for slot, _is_input, _p in self._dyn_binds}
+        transient.update(out_slot for *_, out_slot, _mode in self._schedule)
+        frees: list[list] = [[] for _ in range(end)]
+        for ref, i in last_read.items():
+            if i < end and ref in transient:
+                frees[i].append(ref)
+                transient.discard(ref)
+        self._frees = tuple(tuple(f) for f in frees)
+        self._tail = tuple(transient)
+        self.stats.update(
+            buffers=len(layouts),
+            arena_bytes=plan.total_bytes,
+            unplanned_bytes=plan.naive_bytes,
+        )
+
     def buffer_bytes(self) -> int:
-        """Bytes held by preallocated replay buffers (0 before first replay)."""
-        return sum(b.nbytes for b in self._bufs if isinstance(b, np.ndarray))
+        """Bytes the executor holds for replay: its arena.
+
+        Every ``out=`` and scratch buffer lives in the arena and every
+        fresh kernel result is dropped by the end of a replay, so nothing
+        else survives one.
+        """
+        return self._arena.total_bytes
 
     def replay(self, arrays: Sequence[np.ndarray]):
         """Execute the schedule; returns ``(loss, grads, aux)``."""
@@ -1019,19 +1130,17 @@ class TapeExecutor:
                 slots[slot] = cast(
                     arrays[payload] if is_input else payload.data
                 )
-        bufs = self._bufs
+        bufs, frees = self._bufs, self._frees
         for i, (fn, template, static, out_slot, mode) in enumerate(self._schedule):
             vals = [slots[ref] if is_slot else ref for is_slot, ref in template]
             if mode == 1:
-                buf = bufs[i]
-                result = fn(*vals, out=buf, **static)
-                if buf is None and type(result) is np.ndarray:
-                    bufs[i] = result
+                slots[out_slot] = fn(*vals, out=bufs[i], **static)
             elif mode == 0:
-                result = fn(*vals, **static)
+                slots[out_slot] = fn(*vals, **static)
             else:
-                result, bufs[i] = fn(vals, static, bufs[i])
-            slots[out_slot] = result
+                slots[out_slot] = fn(vals, static, bufs[i])
+            for ref in frees[i]:
+                slots[ref] = None
         loss = self._resolve(self.loss_ref)
         if self.forward_only:
             if cast is not None:
@@ -1043,6 +1152,8 @@ class TapeExecutor:
         if cast is not None:
             grads = [_promote_f64(g) for g in grads]
             aux = {k: _promote_f64(v) for k, v in aux.items()}
+        for ref in self._tail:
+            slots[ref] = None
         return loss, grads, aux
 
     def _resolve(self, ref):
@@ -1084,9 +1195,10 @@ class TapeExecutor:
     def _build_fast(self) -> None:
         """Freeze the schedule into generated straight-line Python.
 
-        Emits one source line per kernel call — buffers, static values,
-        constants, and parameter tensors are bound in the generated
-        function's global namespace — and compiles it.  The result makes
+        Emits one source line per kernel call — arena views, static
+        values, constants, and parameter tensors are bound in the
+        generated function's global namespace — plus a ``del`` of every
+        local after its last read, and compiles it.  The result makes
         exactly the same NumPy calls as :meth:`_interp`, minus all of the
         per-entry dispatch work.
         """
@@ -1134,8 +1246,11 @@ class TapeExecutor:
                 sname = bind(static, "k")
                 bname = bind(self._bufs[i], "b")
                 lines.append(
-                    f"    s{out_slot} = "
-                    f"{fname}(({args},), {sname}, {bname})[0]"
+                    f"    s{out_slot} = {fname}(({args},), {sname}, {bname})"
+                )
+            if self._frees[i]:
+                lines.append(
+                    "    del " + ", ".join(f"s{ref}" for ref in self._frees[i])
                 )
 
         def ref_expr(ref) -> str:
@@ -1162,6 +1277,20 @@ class TapeExecutor:
 # ----------------------------------------------------------------------
 # The user-facing compiled step
 # ----------------------------------------------------------------------
+
+def _executor_info(cache: OrderedDict) -> dict:
+    """The executor fields of ``cache_info()``: ``buffer_bytes`` (every
+    cached executor's arena), per-executor ``executors`` statistics, and
+    the most recent executor's as ``schedule``."""
+    stats = [dict(ex.stats) for ex in cache.values()]
+    info = {
+        "buffer_bytes": sum(ex.buffer_bytes() for ex in cache.values()),
+        "executors": stats,
+    }
+    if stats:
+        info["schedule"] = stats[-1]
+    return info
+
 
 class CompiledStep:
     """A training step compiled on first call and replayed thereafter.
@@ -1221,7 +1350,7 @@ class CompiledStep:
     def cache_info(self) -> dict:
         """Cache statistics in the spirit of TorQ's ``plan_cache_info``."""
         with self._lock:
-            info = {
+            return {
                 "step": self._name,
                 "precision": self._precision,
                 "size": len(self._cache),
@@ -1231,11 +1360,8 @@ class CompiledStep:
                 "retraces": self._retraces,
                 "fallbacks": self._fallbacks,
                 "disabled": self._disabled,
+                **_executor_info(self._cache),
             }
-            if self._cache:
-                last = next(reversed(self._cache.values()))
-                info["schedule"] = dict(last.stats)
-            return info
 
     def clear(self) -> None:
         """Drop every cached executor (the next call re-traces)."""
@@ -1463,7 +1589,7 @@ class CompiledForward:
     def cache_info(self) -> dict:
         """Cache statistics mirroring :meth:`CompiledStep.cache_info`."""
         with self._lock:
-            info = {
+            return {
                 "step": self._name,
                 "precision": self._precision,
                 "forward_only": True,
@@ -1475,14 +1601,8 @@ class CompiledForward:
                 "retraces": self._retraces,
                 "fallbacks": self._fallbacks,
                 "disabled": self._disabled,
-                "buffer_bytes": sum(
-                    ex.buffer_bytes() for ex in self._cache.values()
-                ),
+                **_executor_info(self._cache),
             }
-            if self._cache:
-                last = next(reversed(self._cache.values()))
-                info["schedule"] = dict(last.stats)
-            return info
 
     def clear(self) -> None:
         """Drop every cached executor (the next call re-traces)."""

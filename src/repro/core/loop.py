@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import obs
-from ..autodiff.tape import compile_step
+from ..autodiff.tape import TapeFallback, compile_step
 from ..dist.bucket import ParamBucket
 from ..dist.shm import DistInterrupt
 from ..optim import Adam
@@ -103,8 +103,9 @@ class TrainLoop:
     ``_step(epoch, recorder, rank)`` evaluates the loss and its gradients
     into ``p.grad`` on the full batch or on ``rank``'s shard and returns
     floats, so the define-by-run graph is freed before the diagnostics;
-    ``_traceable(rank)`` is the pure function the tape captures for it,
-    or ``None`` when the step must stay define-by-run.
+    ``_traceable(rank)`` is the pure function the tape captures for it;
+    it raises :class:`~repro.autodiff.tape.TapeFallback` naming the
+    reason when the step must stay define-by-run (see :meth:`cache_info`).
     """
 
     def __init__(self, model, config, rng: np.random.Generator,
@@ -123,8 +124,10 @@ class TrainLoop:
             self._sentinel = DivergenceSentinel(
                 config.sentinel, self.params, self.optimizer, self.scheduler
             )
-        # shard rank (None = the full batch) -> CompiledStep, or False
+        # shard rank (None = the full batch) -> CompiledStep, or False;
+        # rank -> why ``_traceable`` declined it
         self._steps = {}
+        self._declined = {}
         self._ckpt = None
         self._dist_ctx = None
         self._dist_bucket = None
@@ -157,12 +160,34 @@ class TrainLoop:
         """The cached compiled step for ``rank``'s shard, or ``None``."""
         if rank not in self._steps:
             cfg = self.config
-            fn = self._traceable(rank) if cfg.compile_step else None
-            self._steps[rank] = fn is not None and compile_step(
-                fn, self.params, precision=cfg.precision,
-                name=self._name if rank is None else f"{self._name}-r{rank}",
-            )
+            name = self._name if rank is None else f"{self._name}-r{rank}"
+            step = False
+            if cfg.compile_step:
+                try:
+                    step = compile_step(self._traceable(rank), self.params,
+                                        precision=cfg.precision, name=name)
+                except TapeFallback as exc:
+                    # Counted like a tape fallback: only while profiling.
+                    self._declined[rank] = str(exc)
+                    if obs.is_profiling():
+                        obs.metrics().counter(
+                            "autodiff.tape.fallbacks", step=name
+                        ).inc()
+            self._steps[rank] = step
         return self._steps[rank] or None
+
+    def cache_info(self) -> dict:
+        """The full-batch compiled step's ``cache_info()``.
+
+        A step that runs define-by-run reports ``{"step", "disabled"}``:
+        ``disabled`` is the reason ``_traceable`` declined it, under the
+        key a tape fallback uses, or ``None`` (``compile_step`` off, or
+        no step run yet).
+        """
+        step = self._steps.get(None)
+        if step:
+            return step.cache_info()
+        return {"step": self._name, "disabled": self._declined.get(None)}
 
     def _replay(self, step, *arrays) -> tuple[float, dict]:
         """Run a compiled step into ``p.grad``; returns loss, components."""

@@ -16,6 +16,7 @@ from functools import partial
 import numpy as np
 
 from ..autodiff import Tensor, backward, no_grad
+from ..autodiff.tape import TapeFallback
 from ..dist.bucket import shard_slice
 from ..optim import LBFGS, StepDecay
 from ..solvers.maxwell_ref import ReferenceSolution
@@ -174,18 +175,20 @@ class Trainer(TrainLoop):
     # The step and its per-epoch record
     # ------------------------------------------------------------------
     def _traceable(self, rank):
-        """The pure fixed-grid step, or ``None`` when it is stateful.
+        """The pure fixed-grid step; raises ``TapeFallback`` when stateful.
 
         Stateful weighting (curriculum, RBA) and per-epoch mini-batching
         change the computation between epochs, so only the plain
-        fixed-grid step is captured; everything else stays define-by-run.
-        The tape folds the grid at trace time, so each shard needs its
-        own capture.
+        fixed-grid step is captured; everything else stays define-by-run
+        and the reason is kept for :meth:`cache_info`.  The tape folds
+        the grid at trace time, so each shard needs its own capture.
         """
-        if self.config.batch_points or (
-            self.loss.curriculum is not None or self.loss.rba is not None
-        ):
-            return None
+        if self.config.batch_points:
+            raise TapeFallback("mini-batching draws a new grid every epoch")
+        if self.loss.curriculum is not None:
+            raise TapeFallback("curriculum weights change every epoch")
+        if self.loss.rba is not None:
+            raise TapeFallback("RBA weights change every epoch")
         loss_fn, model, grid = self.loss, self.model, self._grid_for(rank)
 
         def step_fn():

@@ -1,15 +1,22 @@
 """Plan-time memory planning: liveness analysis and carrier arenas.
 
-An allocating executor creates fresh statevector-sized arrays at every
-plan step (pack buffers, GEMM outputs, gathered planes, adjoint
-carriers).  At 14 qubits those are megabyte-class ``mmap`` allocations —
-page-fault and zeroing cost on every step, and a transient peak of many
-live statevectors.  This module plans all of that away:
+One planner serves both executors that replay a fixed schedule:
+
+* the lowered statevector executor (:mod:`repro.lower.inplace`), whose
+  pack buffers, GEMM outputs, gathered planes and adjoint carriers are
+  megabyte-class at 14 qubits — page-fault and zeroing cost on every
+  step, and a transient peak of many live statevectors, if allocated
+  per step;
+* the autodiff tape executor (:class:`repro.autodiff.tape.TapeExecutor`),
+  whose ``out=`` and fused-kernel scratch buffers would otherwise be one
+  per schedule entry for the executor's lifetime.
+
+Both declare their buffers the same way:
 
 * Every intermediate a planned execution will ever need is declared up
   front as a :class:`BufferSpec` — a byte size plus a live interval over
   a virtual timeline of execution positions (forward steps, readout,
-  adjoint init, reverse steps).
+  adjoint init, reverse steps; or tape schedule entries).
 * :func:`plan_buffers` runs a linear-scan liveness analysis over the
   specs (classic register allocation on intervals): two requests share
   one arena *slot* whenever their live intervals are disjoint, and each
@@ -21,9 +28,11 @@ live statevectors.  This module plans all of that away:
 
 Slots are raw bytes, so a float32 pack buffer from the forward sweep can
 be reused as a complex64 adjoint carrier later on the timeline — the
-liveness analysis, not the dtype, decides reuse.  The arena reports its
-total footprint through the ``lower.arena.bytes`` counter (under
-profiling) and via :attr:`Arena.total_bytes` for benchmark reports.
+liveness analysis, not the dtype, decides reuse.  Each arena reports its
+footprint through the ``lower.arena.bytes`` counter (under profiling),
+labelled ``executor="lowered"`` or ``executor="tape"`` so the two tiers'
+figures stay apart, and via :attr:`Arena.total_bytes` for benchmark
+reports.
 """
 
 from __future__ import annotations
@@ -133,15 +142,18 @@ class Arena:
     float64 tier uses this to reproduce the seed's batch-fastest gather
     layout, on which downstream reduction order — and therefore bitwise
     equality — depends).  Views alias slot memory: a buffer's contents
-    are only valid inside its declared live interval.
+    are only valid inside its declared live interval.  ``executor``
+    labels the ``lower.arena.bytes`` counter with the arena's owner.
     """
 
-    def __init__(self, plan: MemoryPlan):
+    def __init__(self, plan: MemoryPlan, executor: str = "lowered"):
         self.plan = plan
         self._slots = [np.empty(cap, dtype=np.uint8) for cap in plan.slots]
         self.total_bytes = plan.total_bytes
         if obs.is_profiling():
-            obs.metrics().counter("lower.arena.bytes").inc(self.total_bytes)
+            obs.metrics().counter(
+                "lower.arena.bytes", executor=executor
+            ).inc(self.total_bytes)
 
     def view(self, name: str, shape: tuple, dtype) -> np.ndarray:
         """A C-contiguous ``dtype`` view of buffer ``name``."""

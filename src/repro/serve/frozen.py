@@ -18,7 +18,10 @@ The serving contract has three legs:
   answer cannot depend on its batch neighbours.
 
 * **No gradient residue.**  Forward-only tapes carry no backward
-  schedule, so replay allocates no grad or residual buffers at all.
+  schedule, so replay allocates no grad or residual buffers at all, and
+  each executor replays in one liveness-planned arena: ``cache_info()``
+  reports the arenas as ``arena_bytes``, the tier's whole replay
+  footprint.
 
 Requests larger than ``max_batch`` are processed in ``max_batch``
 chunks; smaller ones are zero-padded up to their bucket (padding rows
@@ -257,6 +260,8 @@ class FrozenModel:
                 "padded_rows": self._padded_rows,
             }
             if self._compiled is not None:
+                # The executors' arenas are all a warm float64 tier holds
+                # between replays (fresh kernel results die in-replay).
                 info["tape"] = self._compiled.cache_info()
                 info["arena_bytes"] = info["tape"]["buffer_bytes"]
             else:

@@ -381,6 +381,7 @@ class TestTrainerIntegration:
             assert np.array_equal(a, b)
 
     def test_core_trainer_curriculum_ineligible(self):
+        from repro import obs
         from repro.core import (
             CollocationGrid, MaxwellLoss, MaxwellPINN, TemporalCurriculum,
             Trainer, TrainerConfig,
@@ -392,9 +393,17 @@ class TestTrainerIntegration:
             model, MaxwellLoss(curriculum=TemporalCurriculum(ramp_epochs=4)),
             CollocationGrid(n=4), TrainerConfig(epochs=4, lr=1e-3),
         )
-        history = trainer.train().history
+        counter = obs.metrics().counter("autodiff.tape.fallbacks",
+                                        step=trainer._name)
+        before = counter.value
+        with obs.profile():
+            history = trainer.train().history
         assert trainer._compiled is False  # curriculum => define-by-run
         assert np.isfinite(history.loss).all()
+        # The decline is a reported, counted fallback, not a silent one.
+        reason = "curriculum weights change every epoch"
+        assert trainer.cache_info()["disabled"] == reason
+        assert counter.value == before + 1
 
 
 class TestCompiledStepApi:
