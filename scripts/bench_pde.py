@@ -33,8 +33,10 @@ Usage::
     PYTHONPATH=src python scripts/bench_pde.py --toy --check-alloc
 
 ``--check-alloc`` exits non-zero unless a steady-state tape replay
-constructs exactly zero ``Tensor`` graph nodes — a deterministic
-structural assertion suitable for CI, unlike wall-clock thresholds.
+constructs exactly zero ``Tensor`` graph nodes and the ``trainer`` row's
+compiled side really replayed a tape (its ``disabled`` reason is unset,
+so the row does not compare define-by-run with itself) — deterministic
+structural assertions suitable for CI, unlike wall-clock thresholds.
 ``--check-sentinel`` asserts the sentinel's zero-perturbation contract
 the same way: a clean guarded run must be bitwise identical to an
 unguarded one.
@@ -228,6 +230,7 @@ def bench_trainer(hidden: int, n_hidden: int, n_col: int, n_data: int,
     """End-to-end PDETrainer wall time with the compiled step on vs. off."""
     problem = SchrodingerProblem()
     losses: dict[bool, list[float]] = {}
+    infos: dict[bool, dict] = {}
 
     def run(compiled: bool):
         def once():
@@ -239,8 +242,9 @@ def bench_trainer(hidden: int, n_hidden: int, n_col: int, n_data: int,
                 epochs=epochs, n_collocation=n_col, n_data=n_data,
                 eval_every=0, seed=seed, compile_step=compiled,
             )
-            result = PDETrainer(model, problem, cfg).train()
-            losses[compiled] = result.loss
+            trainer = PDETrainer(model, problem, cfg)
+            losses[compiled] = trainer.train().loss
+            infos[compiled] = trainer.cache_info()
         return once
 
     direct_s, compiled_s, speedup = _paired_median(run(False), run(True), reps)
@@ -252,11 +256,13 @@ def bench_trainer(hidden: int, n_hidden: int, n_col: int, n_data: int,
         "speedup_compiled_vs_define_by_run": speedup,
         "loss_trajectories_bitwise_equal": identical,
         "final_loss": losses[True][-1],
+        # why the compiled side ran define-by-run (None: it replayed)
+        "disabled": infos[True]["disabled"],
     }
     print(f"  trainer ({epochs} epochs): define-by-run {direct_s:.2f} s, "
           f"compiled {compiled_s:.2f} s "
           f"({row['speedup_compiled_vs_define_by_run']:.2f}x, "
-          f"trajectories equal: {identical})")
+          f"trajectories equal: {identical}, disabled: {row['disabled']})")
     return row
 
 
@@ -341,9 +347,10 @@ def check_sentinel(hidden: int, n_hidden: int, n_col: int, n_data: int,
 
 
 def check_zero_alloc(hidden: int, n_hidden: int, n_col: int, n_data: int,
-                     seed: int) -> int:
+                     seed: int, trainer_disabled) -> int:
     """Deterministic CI assertion: a steady-state tape replay constructs
-    ZERO ``Tensor`` graph nodes (the whole point of the compiler)."""
+    ZERO ``Tensor`` graph nodes (the whole point of the compiler), and
+    the compiled trainer row was not disabled to define-by-run."""
     from repro.autodiff import tensor as tensor_mod
 
     _, _, params, arrays, step_fn = _build_workload(
@@ -366,11 +373,12 @@ def check_zero_alloc(hidden: int, n_hidden: int, n_col: int, n_data: int,
         step(*arrays)
     finally:
         tensor_mod.Tensor.__init__ = orig_init
-    ok = counter["n"] == 0 and not step.disabled
+    ok = counter["n"] == 0 and not step.disabled and not trainer_disabled
     status = "passed" if ok else "FAILED"
     print(f"alloc check {status}: {counter['n']} Tensor node(s) constructed "
           f"during a steady-state replay (expected 0; "
-          f"disabled={bool(step.disabled)})")
+          f"disabled={bool(step.disabled)}; compiled trainer "
+          f"disabled={trainer_disabled!r})")
     return 0 if ok else 1
 
 
@@ -451,7 +459,8 @@ def main(argv=None) -> int:
     print(f"wrote {args.out}")
 
     if args.check_alloc:
-        if check_zero_alloc(hidden, n_hidden, n_col, n_data, args.seed) != 0:
+        if check_zero_alloc(hidden, n_hidden, n_col, n_data, args.seed,
+                            trainer_row["disabled"]) != 0:
             return 1
     if args.check_sentinel:
         if check_sentinel(hidden, n_hidden, n_col, n_data, epochs,

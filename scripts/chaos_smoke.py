@@ -20,13 +20,6 @@ Runs the :mod:`repro.resilience` fault-injection scenarios against real
                          and still reproduces the uninterrupted run.
 * **failed-write**     — a checkpoint write raises mid-run; training
                          continues and the next cadence point succeeds.
-* **dist-rank-kill**   — a 2-worker shm run has rank 1 SIGKILLed
-                         mid-epoch (gradient already in shared memory,
-                         rank 0 stranded at the gather barrier); the
-                         supervisor restarts the group from the newest
-                         checkpoint and the result is bitwise equal to a
-                         never-killed run, with zero leaked SharedMemory
-                         segments.
 * **campaign-kill-resume** — a 2-job campaign has both workers SIGKILLed
                          mid-training and the supervisor killed after the
                          first job completes; a fresh ``run_campaign``
@@ -47,11 +40,8 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import functools
-import glob
 import json
 import multiprocessing
-import os
 import sys
 import tempfile
 import warnings
@@ -168,46 +158,6 @@ def scenario_failed_write(workdir: Path) -> dict:
             "later_checkpoint_valid": bool(resumable)}
 
 
-def dist_factory(rank, world, ckpt_dir=None):
-    """Spawn-picklable 2-worker factory; rank 1 SIGKILLs itself once."""
-    chaos = None
-    if rank == 1 and int(os.environ.get("REPRO_DIST_ATTEMPT", "0")) == 0:
-        chaos = ChaosInjector(sigkill_at=(4,))
-    return make_trainer(epochs=8, checkpoint_dir=ckpt_dir,
-                        checkpoint_every=1, chaos=chaos)
-
-
-def scenario_dist_rank_kill(workdir: Path) -> dict:
-    from repro.dist import DistConfig, train_distributed
-
-    reference = make_trainer(epochs=8)
-    reference.config.dist = DistConfig(workers=2, backend="serial")
-    ref_result = reference.train()
-
-    result = train_distributed(
-        functools.partial(dist_factory, ckpt_dir=str(workdir / "dist")),
-        DistConfig(workers=2, backend="shm", max_restarts=1,
-                   run_timeout=240.0),
-    )
-    # The restarted run's result covers the resumed segment only; it must
-    # equal the unkilled run's tail bitwise.
-    tail = ref_result.loss[len(ref_result.loss) - len(result.loss):]
-    bitwise_losses = result.loss == tail
-    bitwise_params = all(
-        np.array_equal(a, b)
-        for a, b in zip(model_params(reference),
-                        [p.data for p in result.model.parameters()])
-    )
-    leaked = glob.glob("/dev/shm/repro_dist_*")
-    ok = (result.dist_stats["respawns"] == 1 and bitwise_losses
-          and bitwise_params and not leaked)
-    return {"passed": bool(ok),
-            "respawns": result.dist_stats["respawns"],
-            "bitwise_losses": bool(bitwise_losses),
-            "bitwise_params": bool(bitwise_params),
-            "leaked_segments": leaked}
-
-
 def scenario_campaign_kill_resume(workdir: Path) -> dict:
     from repro.campaign import (
         CampaignChaos,
@@ -292,15 +242,13 @@ def main(argv=None) -> int:
             scenario_corrupt_fallback, workdir)
         scenarios["failed-write"] = run_scenario(
             scenario_failed_write, workdir)
-        scenarios["dist-rank-kill"] = run_scenario(
-            scenario_dist_rank_kill, workdir)
         scenarios["campaign-kill-resume"] = run_scenario(
             scenario_campaign_kill_resume, workdir)
 
     counters = sorted(
         (s for s in obs.metrics().snapshot()
          if s["kind"] == "counter"
-         and s["name"].startswith(("resilience.", "dist.", "campaign."))),
+         and s["name"].startswith(("resilience.", "campaign."))),
         key=lambda s: s["name"],
     )
     all_passed = all(s["passed"] for s in scenarios.values())

@@ -3,8 +3,8 @@
 
 :class:`TrainLoop` owns the epoch (step → chaos → clip → gradient
 statistics → sentinel → Adam → curriculum → scheduler → record →
-evaluation → telemetry → ``epoch_hook``) of local, observed and sharded
-runs, and the checkpoint, resume, signal and dist wiring around it.
+evaluation → telemetry → ``epoch_hook``) of plain and observed runs,
+and the checkpoint, resume and signal wiring around it.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ import numpy as np
 
 from .. import obs
 from ..autodiff.tape import TapeFallback, compile_step
-from ..dist.bucket import ParamBucket
-from ..dist.shm import DistInterrupt
 from ..optim import Adam
 from ..resilience import (
     CheckpointManager,
@@ -71,19 +69,12 @@ class LoopConfig:
     resume_from: "str | Path | None" = None
     #: test-only fault injection (:class:`repro.resilience.ChaosInjector`).
     chaos: "object | None" = None
-    #: data-parallel sharding (:class:`repro.dist.DistConfig`).  ``None``
-    #: or ``workers=1`` is the unchanged single-process path;
-    #: ``backend="serial"`` runs all shards in-process (the bitwise
-    #: reference); ``backend="shm"`` must be launched through
-    #: :func:`repro.dist.train_distributed`.
-    dist: "object | None" = None
     #: per-epoch observer ``hook(epoch, loss, grad_norm, grad_variance)``
     #: called at the end of every epoch; a truthy return stops training
     #: cleanly after the epoch's checkpoint cadence (a returned string is
     #: recorded as the stop reason).  Used by
     #: :class:`repro.campaign.CampaignMonitor` for online
-    #: black-hole/barren-plateau detection.  Distributed runs reject it:
-    #: a stop on one rank would leave its peers waiting at a barrier.
+    #: black-hole/barren-plateau detection.
     epoch_hook: "object | None" = None
 
 
@@ -93,19 +84,18 @@ def phase(recorder, name: str):
 
 
 class TrainLoop:
-    """Epoch, resilience and dist machinery shared by the trainers.
+    """Epoch and resilience machinery shared by the trainers.
 
     Subclasses define ``_name`` (the obs scope and compiled-step label),
     ``_step``, ``_traceable``, ``_new_record``, ``_finalize``,
     ``_evaluate_epoch`` (returns the relative L2 error or ``None``),
-    ``_checkpoint_arrays``, ``_restore_arrays`` and ``_dist_validate``,
-    and may override the no-op hooks below.
-    ``_step(epoch, recorder, rank)`` evaluates the loss and its gradients
-    into ``p.grad`` on the full batch or on ``rank``'s shard and returns
-    floats, so the define-by-run graph is freed before the diagnostics;
-    ``_traceable(rank)`` is the pure function the tape captures for it;
-    it raises :class:`~repro.autodiff.tape.TapeFallback` naming the
-    reason when the step must stay define-by-run (see :meth:`cache_info`).
+    ``_checkpoint_arrays`` and ``_restore_arrays``, and may override the
+    no-op hooks below.  ``_step(epoch, recorder)`` evaluates the loss and
+    its gradients into ``p.grad`` and returns floats, so the
+    define-by-run graph is freed before the diagnostics;
+    ``_traceable()`` is the pure function the tape captures for it; it
+    raises :class:`~repro.autodiff.tape.TapeFallback` naming the reason
+    when the step must stay define-by-run (see :meth:`cache_info`).
     """
 
     def __init__(self, model, config, rng: np.random.Generator,
@@ -124,19 +114,17 @@ class TrainLoop:
             self._sentinel = DivergenceSentinel(
                 config.sentinel, self.params, self.optimizer, self.scheduler
             )
-        # shard rank (None = the full batch) -> CompiledStep, or False;
-        # rank -> why ``_traceable`` declined it
-        self._steps = {}
-        self._declined = {}
+        #: the CompiledStep (``None`` unbuilt, ``False`` define-by-run)
+        self._compiled = None
+        #: why ``_traceable`` declined the step, if it did
+        self._declined = None
         self._ckpt = None
-        self._dist_ctx = None
-        self._dist_bucket = None
 
     # ------------------------------------------------------------------
     # Subclass hooks with a default
     # ------------------------------------------------------------------
     def _sample(self, epoch: int) -> None:
-        """Draw this epoch's inputs before any shard runs (default: none)."""
+        """Draw this epoch's inputs (default: none)."""
 
     def _clip_gradients(self) -> None:
         """Clip the gradients in place (default: no clipping)."""
@@ -149,45 +137,39 @@ class TrainLoop:
         """Post-Adam phase after a clean run (one ``rec.loss`` per epoch)."""
 
     # ------------------------------------------------------------------
-    # Compiled steps and gradients
+    # Compiled step and gradients
     # ------------------------------------------------------------------
-    @property
-    def _compiled(self):
-        """Full-batch CompiledStep (``None`` unbuilt, ``False`` ineligible)."""
-        return self._steps.get(None)
-
-    def _compiled_step(self, rank=None):
-        """The cached compiled step for ``rank``'s shard, or ``None``."""
-        if rank not in self._steps:
+    def _compiled_step(self):
+        """The cached compiled step, or ``None`` to run define-by-run."""
+        if self._compiled is None:
             cfg = self.config
-            name = self._name if rank is None else f"{self._name}-r{rank}"
             step = False
             if cfg.compile_step:
                 try:
-                    step = compile_step(self._traceable(rank), self.params,
-                                        precision=cfg.precision, name=name)
+                    step = compile_step(self._traceable(), self.params,
+                                        precision=cfg.precision,
+                                        name=self._name)
                 except TapeFallback as exc:
                     # Counted like a tape fallback: only while profiling.
-                    self._declined[rank] = str(exc)
+                    self._declined = str(exc)
                     if obs.is_profiling():
                         obs.metrics().counter(
-                            "autodiff.tape.fallbacks", step=name
+                            "autodiff.tape.fallbacks", step=self._name
                         ).inc()
-            self._steps[rank] = step
-        return self._steps[rank] or None
+            self._compiled = step
+        return self._compiled or None
 
     def cache_info(self) -> dict:
-        """The full-batch compiled step's ``cache_info()``.
+        """The compiled step's ``cache_info()``.
 
         A step that runs define-by-run reports ``{"step", "disabled"}``:
         ``disabled`` is the reason ``_traceable`` declined it, under the
         key a tape fallback uses, or ``None`` (``compile_step`` off, or
         no step run yet).
         """
-        step = self._steps.get(None)
-        if step:
-            return step.cache_info()
-        return {"step": self._name, "disabled": self._declined.get(None)}
+        if self._compiled:
+            return self._compiled.cache_info()
+        return {"step": self._name, "disabled": self._declined}
 
     def _replay(self, step, *arrays) -> tuple[float, dict]:
         """Run a compiled step into ``p.grad``; returns loss, components."""
@@ -249,39 +231,10 @@ class TrainLoop:
         self._start_epoch = int(info["epoch"])
         # A restore swaps parameter/buffer arrays behind any compiled
         # step and any sentinel snapshot: both must drop cached state.
-        for step in self._steps.values():
-            if step:
-                step.invalidate()
+        if self._compiled:
+            self._compiled.invalidate()
         if self._sentinel is not None:
             self._sentinel.refresh()
-
-    # ------------------------------------------------------------------
-    # Data-parallel sharding (repro.dist)
-    # ------------------------------------------------------------------
-    def attach_dist(self, ctx) -> None:
-        """Attach a distribution context (worker entrypoint / serial)."""
-        self._dist_validate(ctx.world)
-        self._dist_ctx = ctx
-
-    def _resolve_dist(self):
-        if self._dist_ctx is not None:
-            return self._dist_ctx
-        dist = self.config.dist
-        if dist is None or int(dist.workers) <= 1:
-            return None
-        if dist.backend == "serial":
-            from ..dist import SerialDistContext
-
-            self.attach_dist(SerialDistContext(dist.workers))
-            return self._dist_ctx
-        if dist.backend == "shm":
-            raise RuntimeError(
-                "backend='shm' needs worker processes and shared memory: "
-                "launch through repro.dist.train_distributed(factory, "
-                "dist); call trainer.train() directly only with "
-                "backend='serial' or workers=1"
-            )
-        raise ValueError(f"unknown dist backend {dist.backend!r}")
 
     # ------------------------------------------------------------------
     # The loop
@@ -290,16 +243,6 @@ class TrainLoop:
         """Run the training loop and return the result record."""
         cfg = self.config
         rec = self._new_record()
-        dist_ctx = self._resolve_dist()
-        if (dist_ctx is not None and dist_ctx.world > 1
-                and cfg.epoch_hook is not None):
-            raise ValueError(
-                f"epoch_hook is not supported on distributed runs "
-                f"(world={dist_ctx.world}): an early stop on one rank would "
-                f"leave its peers waiting at a barrier; unset "
-                f"{type(cfg).__name__}.epoch_hook or train with dist=None"
-            )
-        ckpt_write = dist_ctx is None or dist_ctx.writes_checkpoints
         self._setup_resilience()
         start = time.perf_counter()
         # Observability is opt-in: outside obs.observe()/obs.profile() the
@@ -309,65 +252,58 @@ class TrainLoop:
         epoch = self._start_epoch
 
         def final_checkpoint() -> None:
-            if self._ckpt is not None and ckpt_write:
+            if self._ckpt is not None:
                 self._ckpt.save(epoch + 1, loss=rec.loss[-1],
                                 arrays=self._checkpoint_arrays)
-            if dist_ctx is not None:
-                dist_ctx.announce_interrupt()
 
-        with ExitStack() as stack:
-            # Autodiff graphs are acyclic and freed by reference counting;
-            # the cyclic collector only adds multi-second pauses scanning
-            # the live graph, so it is paused for the duration of the loop.
-            if gc.isenabled():
-                gc.disable()
-                stack.callback(gc.enable)
-            if recorder is not None:
-                stack.enter_context(obs.scope("train", problem=self._name))
-            shutdown = None
-            if self._ckpt is not None:
-                shutdown = stack.enter_context(GracefulShutdown())
-            try:
-                for epoch in range(self._start_epoch, cfg.epochs):
-                    self._epoch(epoch, rec, recorder)
-                    if self._ckpt is not None and ckpt_write:
-                        self._ckpt.step(epoch + 1, rec.loss[-1],
-                                        arrays=self._checkpoint_arrays)
-                    if shutdown is not None and shutdown.requested:
-                        interrupted = True
-                        final_checkpoint()
-                        break
-                    if self._stopped(rec):
-                        break
-            except SimulatedPreemption:
-                # The chaos injector preempts at a step boundary: the
-                # epoch's state is consistent, so a final checkpoint makes
-                # the run resumable exactly where it died.
-                interrupted = True
-                final_checkpoint()
-            except DistInterrupt:
-                # A peer rank shut down cleanly while this rank was
-                # already mid-epoch: its RNG/schedule advanced past the
-                # last consistent boundary, so it must NOT checkpoint —
-                # resume rewinds to rank 0's newest boundary archive.
-                interrupted = True
-            if not (interrupted or self._stopped(rec)):
-                self._finetune(rec)
-        # Every epoch that ran in this call, Adam and fine-tuning alike,
-        # appended exactly one loss.
-        elapsed = time.perf_counter() - start
-        return self._finalize(rec, interrupted, elapsed / max(1, len(rec.loss)))
+        train_scope = (nullcontext() if recorder is None
+                       else obs.scope("train", problem=self._name))
+        with train_scope:
+            with ExitStack() as stack:
+                # Autodiff graphs are acyclic and freed by reference
+                # counting; the cyclic collector only adds multi-second
+                # pauses scanning the live graph, so it is paused for the
+                # epochs.
+                if gc.isenabled():
+                    gc.disable()
+                    stack.callback(gc.enable)
+                shutdown = None
+                if self._ckpt is not None:
+                    shutdown = stack.enter_context(GracefulShutdown())
+                try:
+                    for epoch in range(self._start_epoch, cfg.epochs):
+                        self._epoch(epoch, rec, recorder)
+                        if self._ckpt is not None:
+                            self._ckpt.step(epoch + 1, rec.loss[-1],
+                                            arrays=self._checkpoint_arrays)
+                        if shutdown is not None and shutdown.requested:
+                            interrupted = True
+                            final_checkpoint()
+                            break
+                        if self._stopped(rec):
+                            break
+                except SimulatedPreemption:
+                    # The chaos injector preempts at a step boundary: the
+                    # epoch's state is consistent, so a final checkpoint
+                    # makes the run resumable exactly where it died.
+                    interrupted = True
+                    final_checkpoint()
+                if not (interrupted or self._stopped(rec)):
+                    self._finetune(rec)
+            # Every epoch that ran in this call, Adam and fine-tuning
+            # alike, appended exactly one loss.
+            elapsed = time.perf_counter() - start
+            with phase(recorder, "finalize"):
+                return self._finalize(rec, interrupted,
+                                      elapsed / max(1, len(rec.loss)))
 
     def _epoch(self, epoch: int, rec, recorder=None) -> None:
-        """One local, observed or sharded epoch."""
+        """One plain or observed epoch."""
         cfg = self.config
         self._sample(epoch)
-        if self._dist_ctx is None:
-            self.optimizer.zero_grad()
-            loss_value, comps = self._step(epoch, recorder)
-            stats = self._update(epoch, loss_value, rec)
-        else:
-            loss_value, comps, stats = self._sharded(epoch, rec)
+        self.optimizer.zero_grad()
+        loss_value, comps = self._step(epoch, recorder)
+        stats = self._update(epoch, loss_value, rec)
         rec.loss.append(loss_value)
         extra = self._record(rec, comps, stats)
         l2 = None
@@ -397,7 +333,7 @@ class TrainLoop:
 
     @staticmethod
     def _stopped(rec) -> bool:
-        """A non-finite loss or ``epoch_hook`` ended training early."""
+        """A non-finite loss or gradient, or ``epoch_hook``, ended training."""
         return rec.stop_reason is not None or rec.early_stop_epoch is not None
 
     def _update(self, epoch: int, loss_value: float, rec) -> tuple:
@@ -411,15 +347,18 @@ class TrainLoop:
         if self._sentinel is not None:
             apply = self._sentinel.observe(epoch, loss_value)
         else:
-            apply = math.isfinite(loss_value)
+            # No sentinel: stop immediately instead of silently training
+            # on garbage for the remaining epochs.  A finite loss can
+            # still carry a non-finite gradient (``acos`` at ±1).
+            apply = math.isfinite(loss_value) and math.isfinite(stats[0])
             if not apply:
-                # No sentinel: stop immediately instead of silently
-                # training on garbage for the remaining epochs.
+                what = ("loss" if not math.isfinite(loss_value)
+                        else "gradient norm")
                 rec.stop_epoch = epoch
                 rec.stop_reason = (
-                    f"loss went non-finite ({loss_value!r}) at epoch {epoch} "
-                    f"(grad_norm={stats[0]!r}); configure "
-                    f"{type(self.config).__name__}.sentinel for "
+                    f"{what} went non-finite at epoch {epoch} "
+                    f"(loss={loss_value!r}, grad_norm={stats[0]!r}); "
+                    f"configure {type(self.config).__name__}.sentinel for "
                     f"skip/rollback recovery, or lower the learning rate"
                 )
         if apply:
@@ -431,36 +370,3 @@ class TrainLoop:
         if chaos is not None:
             chaos.params(epoch, self.params)
         return stats
-
-    def _sharded(self, epoch: int, rec) -> tuple:
-        """Run the local shards, then apply (root) or receive the update."""
-        ctx = self._dist_ctx
-        if self._dist_bucket is None:
-            self._dist_bucket = ParamBucket(self.params)
-        for rank in ctx.local_ranks:
-            self.optimizer.zero_grad()
-            loss_value, comps = self._step(epoch, rank=rank)
-            ctx.put_shard(rank, self._dist_bucket, loss_value,
-                          aux_vals=list(comps.values()))
-        if self._chaos is not None:
-            ctx.shard_chaos(self._chaos, epoch)
-        ctx.gather(epoch)
-        if ctx.is_root:
-            loss_value, aux = ctx.reduce(self._dist_bucket, len(comps))
-            stats = self._update(epoch, loss_value, rec)
-            ctx.publish(self._dist_bucket, loss_value, aux, epoch,
-                        stop=rec.stop_reason is not None)
-        else:
-            loss_value, aux, stopped = ctx.read_update(
-                self._dist_bucket, epoch, len(comps)
-            )
-            if self.scheduler is not None:
-                self.scheduler.step()
-            stats = self._grad_stats()  # rank-local shard gradients
-            if stopped and rec.stop_reason is None:
-                rec.stop_epoch = epoch
-                rec.stop_reason = (
-                    f"rank 0 stopped training at epoch {epoch} "
-                    f"(non-finite loss; see the rank-0 result for details)"
-                )
-        return loss_value, dict(zip(comps, map(float, aux))), stats

@@ -17,7 +17,6 @@ import numpy as np
 
 from ..autodiff import Tensor, backward, no_grad
 from ..autodiff.tape import TapeFallback
-from ..dist.bucket import shard_slice
 from ..optim import LBFGS, StepDecay
 from ..solvers.maxwell_ref import ReferenceSolution
 from ..torq.entanglement import meyer_wallach
@@ -71,8 +70,8 @@ class TrainingHistory:
     #: near-zero drift, BH shows genuine movement followed by collapse.
     param_drift: list[float] = field(default_factory=list)
     seconds_per_epoch: float = 0.0
-    #: set when training stopped early on a non-finite loss (no sentinel
-    #: configured): the offending epoch and an actionable diagnostic.
+    #: set when training stopped early on a non-finite loss or gradient (no
+    #: sentinel configured): the offending epoch and an actionable diagnostic.
     stop_epoch: int | None = None
     stop_reason: str | None = None
     #: set when ``config.epoch_hook`` requested a clean early stop (e.g.
@@ -174,14 +173,13 @@ class Trainer(TrainLoop):
     # ------------------------------------------------------------------
     # The step and its per-epoch record
     # ------------------------------------------------------------------
-    def _traceable(self, rank):
+    def _traceable(self):
         """The pure fixed-grid step; raises ``TapeFallback`` when stateful.
 
         Stateful weighting (curriculum, RBA) and per-epoch mini-batching
         change the computation between epochs, so only the plain
         fixed-grid step is captured; everything else stays define-by-run
-        and the reason is kept for :meth:`cache_info`.  The tape folds
-        the grid at trace time, so each shard needs its own capture.
+        and the reason is kept for :meth:`cache_info`.
         """
         if self.config.batch_points:
             raise TapeFallback("mini-batching draws a new grid every epoch")
@@ -189,37 +187,28 @@ class Trainer(TrainLoop):
             raise TapeFallback("curriculum weights change every epoch")
         if self.loss.rba is not None:
             raise TapeFallback("RBA weights change every epoch")
-        loss_fn, model, grid = self.loss, self.model, self._grid_for(rank)
+        loss_fn, model, grid = self.loss, self.model, self.grid
 
         def step_fn():
             return loss_fn.loss_tensors(model, grid)
 
         return step_fn
 
-    def _step(self, epoch: int, recorder=None, rank=None):
-        """The Maxwell loss and its gradients on the grid or a shard."""
-        step = self._compiled_step(rank) if recorder is None else None
+    def _step(self, epoch: int, recorder=None):
+        """The Maxwell loss and its gradients on this epoch's grid."""
+        step = self._compiled_step() if recorder is None else None
         if step is not None:
             return self._replay(step)
-        grid = self._grid_for(rank)
+        grid = self.grid
+        points = self.config.batch_points
+        if points and points < grid.n_points:
+            grid = grid.subsample(
+                self.rng.choice(grid.n_points, size=points, replace=False))
         with phase(recorder, "forward"):
             total, comps = self.loss(self.model, grid, epoch)
         with phase(recorder, "backward"):
             backward(total, self.params)
         return float(total.data), comps
-
-    def _grid_for(self, rank) -> CollocationGrid:
-        """This epoch's (mini-batch) grid, or ``rank``'s fixed shard."""
-        if rank is not None:
-            sl = shard_slice(self.grid.n_points, rank, self._dist_ctx.world,
-                             "CollocationGrid.n_points")
-            return self.grid.subsample(np.arange(sl.start, sl.stop))
-        points = self.config.batch_points
-        if points and points < self.grid.n_points:
-            indices = self.rng.choice(self.grid.n_points, size=points,
-                                      replace=False)
-            return self.grid.subsample(indices)
-        return self.grid
 
     def _clip_gradients(self) -> None:
         limit = self.config.clip_grad_norm
@@ -289,31 +278,6 @@ class Trainer(TrainLoop):
             ):
                 hist.l2_epochs.append(epoch_offset + k)
                 hist.l2_error.append(l2_relative_error(self.model, self.reference))
-
-    # ------------------------------------------------------------------
-    # Data-parallel sharding (repro.dist)
-    # ------------------------------------------------------------------
-    def _dist_validate(self, world: int) -> None:
-        cfg = self.config
-        if cfg.batch_points:
-            raise ValueError(
-                "dist training shards the full collocation grid; it "
-                "cannot be combined with batch_points mini-batching"
-            )
-        if cfg.lbfgs_epochs:
-            raise ValueError(
-                "dist training does not support the L-BFGS fine-tuning "
-                "phase (its line search is inherently full-batch serial); "
-                "set lbfgs_epochs=0"
-            )
-        if self.loss.curriculum is not None or self.loss.rba is not None:
-            raise ValueError(
-                "dist training cannot shard stateful loss weighting "
-                "(curriculum / RBA): their state depends on full-batch "
-                "point identities; disable them for distributed runs"
-            )
-        shard_slice(self.grid.n_points, 0, world,
-                    "CollocationGrid.n_points")
 
     def _finalize(self, hist: TrainingHistory, interrupted: bool,
                   seconds_per_epoch: float) -> TrainingResult:

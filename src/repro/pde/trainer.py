@@ -19,7 +19,6 @@ import numpy as np
 
 from ..autodiff import backward
 from ..core.loop import LoopConfig, TrainLoop, phase
-from ..dist.bucket import shard_slice
 
 __all__ = ["PDETrainerConfig", "PDETrainingResult", "PDETrainer"]
 
@@ -54,8 +53,8 @@ class PDETrainingResult:
     #: the run was stopped by SIGINT/SIGTERM or a simulated preemption
     #: after writing a final checkpoint; resume with ``resume_from=``.
     interrupted: bool = False
-    #: set when training stopped early on a non-finite loss (no sentinel
-    #: configured): the offending epoch and an actionable diagnostic.
+    #: set when training stopped early on a non-finite loss or gradient (no
+    #: sentinel configured): the offending epoch and an actionable diagnostic.
     stop_epoch: int | None = None
     stop_reason: str | None = None
     #: set when ``config.epoch_hook`` requested a clean early stop (e.g.
@@ -112,18 +111,13 @@ class PDETrainer(TrainLoop):
     # The step and its per-epoch record
     # ------------------------------------------------------------------
     def _sample(self, epoch: int) -> None:
-        """Draw the collocation (every ``resample_every``) and data arrays.
-
-        Lockstep sampling: every rank draws the *full* batch with its own
-        (identically seeded) generator and computes only its shard, so the
-        RNG streams stay bit-identical across ranks and epochs.
-        """
+        """Draw the collocation (every ``resample_every``) and data arrays."""
         cfg = self.config
         if self._points is None or epoch % cfg.resample_every == 0:
             self._points = self.problem.sample(cfg.n_collocation, self.rng)
         self._data = self.problem.data_arrays(cfg.n_data, self.rng)
 
-    def _traceable(self, rank):
+    def _traceable(self):
         return self._step_fn
 
     def _make_step_fn(self, n_res: int):
@@ -139,20 +133,14 @@ class PDETrainer(TrainLoop):
 
         return step_fn
 
-    def _step(self, epoch: int, recorder=None, rank=None):
-        """Residual + weighted data loss and gradients, on a shard or all."""
+    def _step(self, epoch: int, recorder=None):
+        """Residual + weighted data loss and their gradients."""
         points, data = self._points, self._data
-        if rank is not None:
-            cfg, world = self.config, self._dist_ctx.world
-            csl = shard_slice(cfg.n_collocation, rank, world, "n_collocation")
-            dsl = shard_slice(cfg.n_data, rank, world, "n_data")
-            points = tuple(a[csl] for a in points)
-            data = tuple(a[dsl] for a in data)
         expand = getattr(self.problem, "residual_arrays", None)
         arrays = (*(points if expand is None else expand(*points)), *data)
         if self._step_fn is None:
             self._step_fn = self._make_step_fn(len(arrays) - len(data))
-        # Arrays are step inputs, so one compiled step serves every shard.
+        # Arrays are step inputs, so one compiled step serves every sample.
         step = self._compiled_step() if recorder is None else None
         if step is not None:
             return self._replay(step, *arrays)
@@ -174,7 +162,7 @@ class PDETrainer(TrainLoop):
         return result
 
     # ------------------------------------------------------------------
-    # Resilience and sharding
+    # Resilience wiring
     # ------------------------------------------------------------------
     def _checkpoint_arrays(self) -> dict:
         """The live collocation sample (resampled only every N epochs)."""
@@ -189,7 +177,3 @@ class PDETrainer(TrainLoop):
         )
         if keys:
             self._points = tuple(arrays[k] for k in keys)
-
-    def _dist_validate(self, world: int) -> None:
-        shard_slice(self.config.n_collocation, 0, world, "n_collocation")
-        shard_slice(self.config.n_data, 0, world, "n_data")

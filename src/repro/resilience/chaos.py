@@ -66,13 +66,6 @@ class ChaosInjector:
     fail_writes:
         Zero-based indices of checkpoint *write attempts* that raise
         :class:`InjectedIOError` before any byte reaches disk.
-    sigkill_at:
-        Steps at which the process SIGKILLs *itself* — an uncatchable
-        death with no cleanup, as close to a real OOM-kill as a test can
-        get.  Fired from the distributed trainers' per-rank hook
-        (:meth:`dist_rank`) after the shard gradient is already in
-        shared memory, so surviving ranks are left stuck at the gather
-        barrier: the exact scenario elastic restart must handle.
     sigterm_at:
         Steps at which the process sends itself a real SIGTERM at the
         end of the step.  With :class:`~repro.resilience.GracefulShutdown`
@@ -81,24 +74,21 @@ class ChaosInjector:
         machinery rather than a raised exception.
     sigkill_end_at:
         Steps at which the process SIGKILLs *itself* at the end of the
-        step, from :meth:`end_step` — the single-process counterpart of
-        :attr:`sigkill_at` (which only fires from the distributed
-        per-rank hook).  Because it fires *before* the epoch's cadence
-        checkpoint is written, the newest archive on disk predates the
-        killed step: exactly the progress-losing OOM-kill a campaign
-        worker must absorb and replay.
+        step, from :meth:`end_step` — an uncatchable death with no
+        cleanup, as close to a real OOM-kill as a test can get.  Because
+        it fires *before* the epoch's cadence checkpoint is written, the
+        newest archive on disk predates the killed step: exactly the
+        progress-losing kill a campaign worker must absorb and replay.
     """
 
     def __init__(self, nan_grad_at=(), inf_loss_grad_at=(),
                  corrupt_params_at=(), preempt_at: int | None = None,
-                 fail_writes=(), sigkill_at=(), sigterm_at=(),
-                 sigkill_end_at=()):
+                 fail_writes=(), sigterm_at=(), sigkill_end_at=()):
         self.nan_grad_at = frozenset(nan_grad_at)
         self.inf_loss_grad_at = frozenset(inf_loss_grad_at)
         self.corrupt_params_at = frozenset(corrupt_params_at)
         self.preempt_at = preempt_at
         self.fail_writes = frozenset(fail_writes)
-        self.sigkill_at = frozenset(sigkill_at)
         self.sigterm_at = frozenset(sigterm_at)
         self.sigkill_end_at = frozenset(sigkill_end_at)
         self.counts = {
@@ -148,18 +138,6 @@ class ChaosInjector:
         if self.preempt_at is not None and epoch == self.preempt_at:
             self.counts["preemptions"] += 1
             raise SimulatedPreemption(f"simulated preemption after step {epoch}")
-
-    def dist_rank(self, epoch: int, rank: int) -> None:
-        """Called by distributed trainers once per rank, mid-epoch.
-
-        Runs after the rank's shard gradient has been written to shared
-        memory but before any barrier, so a kill here strands every peer
-        mid-epoch — SIGKILL is uncatchable and the line below it never
-        executes.
-        """
-        if epoch in self.sigkill_at:
-            self.counts["sigkills"] += 1
-            os.kill(os.getpid(), signal.SIGKILL)
 
     # ------------------------------------------------------------------
     # Checkpoint hook

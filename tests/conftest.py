@@ -1,21 +1,8 @@
 """Shared fixtures and hypothesis settings for the test suite."""
 
-import glob
-import multiprocessing
-import os
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
-
-# Distributed workers are spawned, never forked: fork would duplicate
-# live numpy buffers, the process-global obs registry, and any installed
-# signal handlers into children.  Pinning here makes every test run —
-# and every library default — agree on the start method.
-try:
-    multiprocessing.set_start_method("spawn")
-except RuntimeError:  # pragma: no cover - already set by the runner
-    pass
 
 # Keep property-based tests fast and deterministic on CI boxes.
 settings.register_profile(
@@ -27,8 +14,8 @@ settings.register_profile(
 settings.load_profile("repro")
 
 #: ceiling for one @pytest.mark.slow test when pytest-timeout is present
-#: (CI installs it); locally the library-level barrier/run timeouts are
-#: what keep a dead worker from hanging the suite.
+#: (CI installs it); locally the campaign's heartbeat timeout is what
+#: keeps a dead worker from hanging the suite.
 SLOW_TEST_TIMEOUT_S = 300
 
 
@@ -46,30 +33,6 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "slow" in item.keywords and "timeout" not in item.keywords:
             item.add_marker(pytest.mark.timeout(SLOW_TEST_TIMEOUT_S))
-
-
-@pytest.fixture(autouse=True)
-def _no_shm_leaks():
-    """Fail any test that leaves a repro_dist SharedMemory segment behind.
-
-    The dist supervisor owns segment lifecycle and unlinks in a
-    ``finally`` — clean exits, worker crashes, and graceful shutdowns
-    must all end with zero leftovers.  Leaked segments are removed after
-    failing so one broken test cannot cascade into the rest of the run.
-    """
-    if not os.path.isdir("/dev/shm"):  # pragma: no cover - non-Linux
-        yield
-        return
-    before = set(glob.glob("/dev/shm/repro_dist_*"))
-    yield
-    leaked = sorted(set(glob.glob("/dev/shm/repro_dist_*")) - before)
-    if leaked:
-        for path in leaked:
-            try:
-                os.unlink(path)
-            except OSError:  # pragma: no cover - raced with cleanup
-                pass
-        pytest.fail(f"leaked SharedMemory segments: {leaked}")
 
 
 @pytest.fixture

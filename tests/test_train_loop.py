@@ -1,7 +1,7 @@
 """The one training loop shared by ``Trainer`` and ``PDETrainer``.
 
-Both trainers run :class:`repro.core.loop.TrainLoop`'s epoch, resilience
-and dist path; these tests pin the behaviour that used to drift between
+Both trainers run :class:`repro.core.loop.TrainLoop`'s epoch and
+resilience path; these tests pin the behaviour that used to drift between
 their private copies.
 """
 
@@ -10,10 +10,11 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import CollocationGrid, Trainer, TrainerConfig, get_case
+from repro import obs
+from repro.core import (CollocationGrid, MaxwellQPINN, Trainer,
+                        TrainerConfig, get_case)
 from repro.core.loop import TrainLoop
 from repro.core.models import MaxwellPINN
-from repro.dist import DistConfig
 from repro.pde import GenericPINN, PDETrainer, PDETrainerConfig
 from repro.pde.problems import SchrodingerProblem
 from repro.resilience import ChaosInjector, SentinelConfig
@@ -42,8 +43,8 @@ TRAINERS = pytest.mark.parametrize("make", [maxwell_trainer, pde_trainer],
 
 
 def test_both_trainers_share_one_loop():
-    shared = ("train", "_setup_resilience", "save_checkpoint", "attach_dist",
-              "_resolve_dist", "_grad_stats", "_epoch")
+    shared = ("train", "_setup_resilience", "save_checkpoint", "_grad_stats",
+              "_epoch")
     for cls in (Trainer, PDETrainer):
         assert issubclass(cls, TrainLoop)
         assert not set(shared) & set(cls.__dict__)
@@ -84,12 +85,31 @@ def test_grad_stats_of_a_skipped_step_are_nan(make):
 
 
 @TRAINERS
-def test_epoch_hook_rejected_on_distributed_runs(make):
-    """A hook that stops one rank would strand its peers at a barrier."""
-    trainer = make(dist=DistConfig(workers=2, backend="serial"),
-                   epoch_hook=lambda *args: None)
-    with pytest.raises(ValueError, match="epoch_hook"):
-        trainer.train()
+def test_non_finite_gradient_stops_without_a_sentinel(make):
+    """A NaN gradient under a finite loss (``acos`` at ±1) must not reach
+    Adam: the run stops at that epoch with finite parameters."""
+    trainer = make(chaos=ChaosInjector(nan_grad_at=(2,)))
+    result = trainer.train()
+    record = getattr(result, "history", result)
+    assert record.stop_epoch == 2
+    assert "gradient norm went non-finite" in record.stop_reason
+    assert all(np.isfinite(p.data).all() for p in trainer.params)
+
+
+def test_observed_scope_tree_has_one_root(tmp_path):
+    """The post-training diagnostics (the BH indicator runs the quantum
+    plan) are timed inside ``train``, not as a second root."""
+    model = MaxwellQPINN(hidden=8, rff_features=4, n_qubits=3, n_layers=1,
+                         rng=np.random.default_rng(0))
+    cfg = TrainerConfig(epochs=2, eval_every=0, bh_n_space=4, bh_n_times=3)
+    path = tmp_path / "run.jsonl"
+    with obs.observe(str(path), profile=True):
+        Trainer(model, get_case("vacuum").make_loss(use_energy=True),
+                CollocationGrid(n=3, t_max=1.5), config=cfg).train()
+    snapshot = obs.load_events(str(path))[-1]["snapshot"]
+    names = {e["name"] for e in snapshot if e["kind"] == "scope"}
+    assert "train/finalize" in names
+    assert all(name.split("/")[0] == "train" for name in names), names
 
 
 def test_pde_problem_without_data_arrays_rejected_at_construction():
