@@ -14,11 +14,12 @@ plus serial vs. batched parameter-shift gradients (one circuit execution
 per shifted parameter vector vs. ONE batched execution for the whole shift
 table), the adjoint-method gradient (one forward + one reverse sweep for
 ALL parameters), the structural fusion counts (gates vs. kernel steps)
-for all six paper ansätze, and the ``repro.lower`` precision tiers: the
-float32 layer step, a 10+ qubit float32 forward, and the in-place planned
-executor (step time, peak traced memory, arena bytes) against the seed
-float64 adjoint, optionally across a qubit sweep.  Wall times are the
-median of ``--repeats`` timed runs after a warm-up call.
+for all six paper ansätze, and the ``repro.lower`` float32 tier: the
+float32 layer step, a 10+ qubit float32 forward against the seed float64
+plan, and the in-place planned executor (step time, peak traced memory,
+arena bytes) against the seed float64 adjoint, optionally across a qubit
+sweep.  Wall times are the median of ``--repeats`` timed runs after a
+warm-up call.
 
 Usage::
 
@@ -42,8 +43,9 @@ every parameter on each pass, to gate-by-gate RX embedding or to a
 per-qubit |ψ|² readout); ``--check-adjoint`` exits
 non-zero unless an adjoint gradient performs exactly 2 plan sweeps
 (forward + reverse) where parameter-shift needs 2P+1 circuit columns;
-``--check-lowering`` exits non-zero unless float64 lowered execution is
-bitwise identical to the seed adjoint layer and float32 lands inside its
+``--check-lowering`` exits non-zero unless every lowered step of the six
+ansätze's embedded circuits is a fused, phase-mask or permutation step
+(so every step runs in the arena) and the float32 layer lands inside its
 ⟨Z⟩ budget.  All are deterministic assertions suitable for CI, unlike
 wall-clock thresholds.
 """
@@ -86,7 +88,6 @@ from repro.torq import (  # noqa: E402
     shift_table,
 )
 from repro.torq.adjoint import adjoint_state_vjp  # noqa: E402
-from repro.torq.embedding import scale_input  # noqa: E402
 from repro.torq.measure import pauli_z_expectations  # noqa: E402
 from repro.torq.state import zero_state  # noqa: E402
 
@@ -405,23 +406,27 @@ def bench_big_statevector(n_qubits: int, n_layers: int, batch: int,
                           reps: int, seed: int = 0) -> dict:
     """A 10+ qubit statevector row under the float32 tier.
 
-    Runs the lowered forward at ``n_qubits`` in both tiers and checks
-    the float32 amplitudes against the float64 oracle within the
-    documented amplitude budget.
+    Times the lowered float32 forward at ``n_qubits`` against the seed
+    float64 plan's forward, and checks the float32 amplitudes against
+    the seed's within the documented amplitude budget.
     """
     ansatz = make_ansatz(ANSATZ, n_qubits=n_qubits, n_layers=n_layers)
     gates = ansatz.gate_sequence()
     rng = np.random.default_rng(seed)
     values = [float(v) for v in rng.uniform(0, 2 * np.pi, ansatz.param_count)]
-    lo64 = lower_plan(gates, n_qubits, "float64")
-    lo32 = lower_plan(gates, n_qubits, "float32")
+    seed_plan = compile_gates(gates, n_qubits)
+    lo32 = lower_plan(gates, n_qubits)
 
     def resolve(i):
         return values[i]
 
-    t64 = _median_time(lambda: lo64.run_planes(batch, resolve), reps)
+    def run64():
+        return seed_plan.run(zero_state(batch, n_qubits), resolve)
+
+    with ad.no_grad():
+        t64 = _median_time(run64, reps)
+        amp64 = run64().numpy()
     t32 = _median_time(lambda: lo32.run_planes(batch, resolve), reps)
-    amp64 = lo64.amplitudes(lo64.run_planes(batch, resolve))
     amp32 = lo32.amplitudes(lo32.run_planes(batch, resolve))
     err = float(np.max(np.abs(amp32.astype(np.complex128) - amp64)))
     budget = amplitude_budget("float32", n_qubits, len(gates))
@@ -487,8 +492,7 @@ def bench_planned(n_qubits: int, n_layers: int, batch: int, reps: int,
 
     Forward + ⟨Z⟩ + adjoint at ``n_qubits``: step time, peak traced
     memory of one warm step, and the arena footprint of the planned
-    float64 and float32 tiers.  The float64 planned gradients are
-    asserted bitwise equal to the seed's.
+    float32 tier.
     """
     ansatz = make_ansatz(ANSATZ, n_qubits=n_qubits, n_layers=n_layers)
     gates = ansatz.gate_sequence()
@@ -499,7 +503,11 @@ def bench_planned(n_qubits: int, n_layers: int, batch: int, reps: int,
         seed_run = _seed_step(gates, n_qubits, values, weights, batch)
         t_seed = _median_time(seed_run, reps)
         peak_seed = _peak_traced_bytes(seed_run)
-        seed_grads = seed_run()
+        plan = lower_plan(gates, n_qubits)
+        run = _full_step(plan, values, weights, batch)
+        t = _median_time(run, reps)
+        peak = _peak_traced_bytes(run)
+    report = plan.memory_report()[batch]
     row = {
         "n_qubits": n_qubits,
         "n_layers": n_layers,
@@ -507,35 +515,19 @@ def bench_planned(n_qubits: int, n_layers: int, batch: int, reps: int,
         "batch": batch,
         "seed_f64_step_s": t_seed,
         "seed_f64_peak_traced_bytes": peak_seed,
-        "planned": {},
-    }
-    parts = [f"seed f64 {t_seed*1e3:.1f} ms, {peak_seed/2**20:.1f} MiB"]
-    for precision in ("float64", "float32"):
-        plan = lower_plan(gates, n_qubits, precision)
-        run = _full_step(plan, values, weights, batch)
-        with ad.no_grad():
-            t = _median_time(run, reps)
-            peak = _peak_traced_bytes(run)
-            grads = run()
-        if precision == "float64":
-            assert all(np.array_equal(a, b)
-                       for a, b in zip(seed_grads, grads)), \
-                "planned float64 gradients are not bitwise identical"
-        report = plan.memory_report()[batch]
-        row["planned"][precision] = {
+        "planned_f32": {
             "step_s": t,
             "speedup_vs_seed_f64": t_seed / t,
             "peak_traced_bytes": peak,
             "peak_memory_ratio_vs_seed_f64": peak_seed / max(1, peak),
             "arena_bytes": report["arena_bytes"],
             "memory_plan": report["memory_plan"],
-        }
-        parts.append(
-            f"planned {precision} {t*1e3:.1f} ms ({t_seed/t:.2f}x), "
-            f"{peak/2**20:.2f} MiB + {report['arena_bytes']/2**20:.2f} MiB "
-            f"arena"
-        )
-    print(f"  {n_qubits} qubits x batch {batch}: " + "; ".join(parts))
+        },
+    }
+    print(f"  {n_qubits} qubits x batch {batch}: seed f64 "
+          f"{t_seed*1e3:.1f} ms, {peak_seed/2**20:.1f} MiB; planned f32 "
+          f"{t*1e3:.1f} ms ({t_seed/t:.2f}x), {peak/2**20:.2f} MiB + "
+          f"{report['arena_bytes']/2**20:.2f} MiB arena")
     return row
 
 
@@ -562,31 +554,36 @@ def bench_qubit_sweep(qubits: list[int], n_layers: int, batch: int,
 
 
 def check_lowering() -> int:
-    """Deterministic CI assertion for the lowered tiers.
+    """Deterministic CI assertion for the lowered float32 tier.
 
-    * float64 lowered execution of the layer's circuit (driven with the
-      layer's angles and parameters) is bitwise identical to the seed
-      adjoint layer's ⟨Z⟩,
-    * the float32 layer's ⟨Z⟩ deviation is within its documented budget.
+    * every lowered step of the six ansätze's embedded circuits is a
+      fused, phase-mask or permutation step, so every step runs in the
+      arena (a lone gate lowers to the one-gate step of its kind),
+    * the float32 layer's ⟨Z⟩ deviation from the seed float64 adjoint
+      layer is within its documented budget.
     """
     n_qubits, n_layers, batch = 4, 2, 16
+    in_place = {"fused_1q", "phase_mask", "permutation"}
+    other = {}
+    for name in ANSATZ_NAMES:
+        layer = QuantumLayer(n_qubits=n_qubits, n_layers=n_layers,
+                             ansatz=name, rng=np.random.default_rng(0))
+        kinds = {s.kind for s in lower_plan(
+            layer.embedded_gate_sequence(), n_qubits).steps}
+        if kinds - in_place:
+            other[name] = sorted(kinds - in_place)
     _, base, acts = _adjoint_layer_step(batch, n_qubits, n_layers)
     _, l32, _ = _adjoint_layer_step(batch, n_qubits, n_layers, "float32")
-    gates = base.embedded_gate_sequence()
     with ad.no_grad():
         z0 = base(acts).data
         z32 = l32(acts).data
-        angles = scale_input(base.scaling, acts).data
-    values = [angles[:, q] for q in range(n_qubits)]
-    values += [float(v) for v in base.params.data]
-    lo64 = lower_plan(gates, n_qubits, "float64")
-    z64 = lo64.z_expectations(lo64.run_planes(batch, lambda i: values[i]))
-    budget = expectation_budget("float32", n_qubits, len(gates))
+    budget = expectation_budget(
+        "float32", n_qubits, len(base.embedded_gate_sequence()))
     err32 = float(np.max(np.abs(z32 - z0)))
-    bitwise = bool(np.array_equal(z64, z0))
-    ok = bitwise and err32 <= budget
+    ok = not other and err32 <= budget
     status = "passed" if ok else "FAILED"
-    print(f"lowering check {status}: f64 bitwise={bitwise}, "
+    print(f"lowering check {status}: steps outside the arena "
+          f"{other or 'none'} over {len(ANSATZ_NAMES)} ansätze, "
           f"f32 z err {err32:.1e} <= {budget:.1e}")
     return 0 if ok else 1
 
@@ -643,8 +640,8 @@ def main(argv=None) -> int:
     parser.add_argument("--check-adjoint", action="store_true",
                         help="assert an adjoint gradient = exactly 2 sweeps")
     parser.add_argument("--check-lowering", action="store_true",
-                        help="assert f64 lowering is bitwise and f32 is "
-                             "within budget")
+                        help="assert every lowered step runs in the arena "
+                             "and f32 is within budget")
     parser.add_argument("--repeats", type=int, default=None,
                         help="timed runs per measurement (median reported; "
                              "default 2 with --toy, 5 otherwise)")
@@ -726,7 +723,7 @@ def main(argv=None) -> int:
             "seed": args.seed,
         },
         # CPU/BLAS fingerprint; the "lowering", "big_statevector" and
-        # "planned_execution" sections carry per-row precision tiers.
+        # "planned_execution" sections compare float32 with the seed.
         "environment": obs.environment_info(),
         "table2_step": step_rows,
         "paper_residual_step": residual_row,

@@ -1,46 +1,40 @@
-"""Backend lowering: precision tiers and in-place planned execution.
+"""Backend lowering: the float32 tier, executed in place.
 
 ``repro.lower`` takes a compiled TorQ
 :class:`~repro.torq.compile.ExecutionPlan` and runs it as raw NumPy
-kernels over split real/imaginary statevector planes at a precision tier
-— the measured (tape-free) path behind
+kernels over split real/imaginary float32 statevector planes — the
+measured (tape-free) path behind
 ``QuantumLayer(precision="float32", grad_method="adjoint")`` and
-float32 serving.  The precision string is the only input: there are no
-passes, kernel variants or environment switches to choose among.
+float32 serving.  Lowering takes nothing but the circuit: there are no
+passes, kernel variants, tiers or environment switches to choose among.
+Float64 work does not lower: ``QuantumLayer`` runs the seed plan and
+:mod:`repro.torq.adjoint`, ``FrozenModel`` the compiled tape.
 
 Entry points:
 
-* :func:`lower_plan` — compile + lower a gate sequence at ``precision``
-  (``"float64"`` or ``"float32"``); cached on the circuit structure and
-  the tier, so tiers never alias each other's artifacts.
+* :func:`lower_plan` — compile + lower a gate sequence; cached on the
+  circuit structure.
 * :func:`audit_plan` — per-op error-budget accounting: run a lowered
   plan step by step against the float64 seed plan and report each step's
   amplitude deviation.
 * :mod:`repro.lower.budget` — the documented error budgets the float32
   tier is tested against.
+* :data:`PRECISION_TIERS` — the ``precision=`` vocabulary of
+  ``QuantumLayer``, ``FrozenModel`` and the tape.
 
 One executor.  Every :class:`LoweredPlan` runs through the
 :class:`~repro.lower.inplace.PlannedExecution` bound to its batch size,
 created on first use and kept for the plan's lifetime (one per batch
-size served, so a serving bucket ladder binds each arena once).  All
-intermediates — plane ping-pongs, SoA pack buffers, phase scratches,
-complex adjoint carriers — are liveness-planned into shared arena slots
-(:mod:`repro.lower.memplan`), and after the first run forward, readout
-and (float32) adjoint perform **zero statevector-sized allocations**.
+size served, so a serving bucket ladder binds each arena once).  Every
+lowered step is a fused single-qubit block GEMM, a phase mask or a
+permutation — a lone gate lowers to the one-gate step of its kind — and
+all intermediates (plane ping-pongs, SoA pack buffers, phase scratches,
+complex adjoint carriers) are liveness-planned into shared arena slots
+(:mod:`repro.lower.memplan`), so after the first run forward, readout
+and adjoint perform **zero statevector-sized allocations**.
 ``LoweredPlan.memory_report()`` returns the arena audit per bound batch.
-
-The tiers:
-
-* ``float64`` — bitwise identical to the seed executor: amplitudes, ⟨Z⟩
-  (the readout layout is probed once from an allocating seed-order
-  forward) and adjoint gradients (the reverse sweep runs the seed
-  ``adjoint_step`` kernels from the arena's final planes).
-* ``float32`` — statevector work in float32/complex64, parameter-space
-  algebra in float64, inside the :mod:`~repro.lower.budget` error
-  budgets.  Each fused single-qubit run is one real 4×4 block-GEMM over
-  the SoA-packed planes — broadcast over ``(batch, pre, 4, post)``, or
-  one ``(4, N)`` column GEMM for a batch-independent matrix over a
-  short ``post`` extent — and the adjoint runs in place on the arena.
+State-sized work runs in float32/complex64 and parameter-space algebra
+in float64, inside the :mod:`~repro.lower.budget` error budgets.
 
 ``run_planes`` returns arena views stamped with their run;
 ``adjoint_vjp(values, weights, planes=...)`` re-runs the forward for
@@ -52,12 +46,10 @@ Config surfaces: ``QuantumLayer(precision="float32")`` (requires
 ``grad_method="adjoint"``), ``FrozenModel``/``load_bundle(precision=)``,
 ``TrainerConfig.precision`` / ``PDETrainerConfig.precision`` (the tape
 replay tier), and ``compile_step(fn, params, precision=...)`` directly.
-Every cache involved — lowered plans, tape executors, ``zero_state``
-frozen bases — incorporates the tier in its key.
-
 Tape lowering (the float32 replay tier) lives in
-:func:`repro.autodiff.tape.compile_step` via its ``precision`` argument;
-this package supplies its budget and shares the tier vocabulary.
+:func:`repro.autodiff.tape.compile_step`, whose executor cache keys on
+the tier; this package supplies its budget and shares the tier
+vocabulary.
 """
 
 from __future__ import annotations
@@ -73,9 +65,8 @@ from .budget import (
     gradient_budget,
     tape_budget,
 )
-from .inplace import PlannedExecution
+from .inplace import LoweredPlan, PlannedExecution
 from .memplan import Arena, BufferSpec, MemoryPlan, plan_buffers
-from .plan_exec import PRECISION_TIERS, LoweredPlan
 
 __all__ = [
     "LoweredPlan",
@@ -96,6 +87,11 @@ __all__ = [
 ]
 
 
+#: Precision tiers of the measured paths: ``float64`` runs the seed
+#: arithmetic (the compiled plan, or the serving tape), ``float32`` the
+#: lowered plan (or the float32 tape replay).
+PRECISION_TIERS: tuple[str, ...] = ("float64", "float32")
+
 # Lowered plans are tiny (they borrow the seed plan's precomputed
 # buffers) but each owns its bound arenas, so repeated lowering must hit
 # the same object; same LRU discipline as the plan cache underneath.
@@ -106,31 +102,26 @@ _LOWERED_CACHE_MAX = 512
 _lowered_cache_lock = threading.RLock()
 
 
-def lower_plan(gates, n_qubits: int, precision: str = "float64",
-               cache: bool = True) -> LoweredPlan:
-    """Compile a gate sequence and lower it to ``precision``.
+def lower_plan(gates, n_qubits: int, *, cache: bool = True) -> LoweredPlan:
+    """Compile a gate sequence and lower it to the float32 tier.
 
-    Keyed on the same circuit-structure key as the plan cache *plus* the
-    tier, so a float32 and a float64 lowering of one circuit never share
-    an artifact.  ``cache=False`` builds a fresh, unshared plan.
+    Keyed on the plan cache's circuit-structure key, so lowering one
+    structure again returns the same plan and its bound arenas.
+    ``cache=False`` builds a fresh, unshared plan.
     """
-    from ..torq.compile import compile_gates
+    from ..torq.compile import _plan_key, compile_gates
 
     gates = tuple(gates)
     plan = compile_gates(gates, n_qubits, cache=cache)
     if not cache:
-        return LoweredPlan(plan, precision)
-    key = (
-        n_qubits,
-        tuple((g.name, g.qubits, g.params) for g in gates),
-        precision,
-    )
+        return LoweredPlan(plan)
+    key = _plan_key(gates, n_qubits)
     with _lowered_cache_lock:
         lowered = _LOWERED_CACHE.get(key)
         if lowered is not None and lowered.plan is plan:
             _LOWERED_CACHE.move_to_end(key)
             return lowered
-    lowered = LoweredPlan(plan, precision)
+    lowered = LoweredPlan(plan)
     with _lowered_cache_lock:
         existing = _LOWERED_CACHE.get(key)
         if existing is not None and existing.plan is plan:
@@ -163,9 +154,8 @@ def audit_plan(lowered: LoweredPlan, values, batch: int | None = None) -> list[d
     every step, the max-abs deviation of the lowered amplitudes from the
     float64 oracle.  ``values`` is the flat parameter list (floats or
     ``(batch,)`` arrays).  Returns a list of ``{"kind", "gates",
-    "max_abs_err"}`` records in step order — the float64 tier reports
-    0.0 everywhere.  The audit is a forward run: it overwrites the arena
-    bound to ``batch``.
+    "max_abs_err"}`` records in step order.  The audit is a forward run:
+    it overwrites the arena bound to ``batch``.
     """
     from ..autodiff import no_grad
     from ..torq.state import zero_state

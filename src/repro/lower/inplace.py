@@ -1,52 +1,44 @@
-"""In-place planned execution of lowered plans over preallocated arenas.
+"""The lowered float32 tier: lowered plans and their in-place executor.
 
-:class:`PlannedExecution` is the one executor of a
-:class:`~repro.lower.plan_exec.LoweredPlan`.  It binds the plan to a
-concrete batch size and executes the forward sweep, the ⟨Z⟩ readout, and
-(on the float32 tier) the adjoint reverse sweep **without allocating a
-single statevector-sized array after the first run**.  All carriers —
-plane ping-pongs, SoA pack buffers, phase-mask scratches, complex adjoint
-carriers, the observable mask — are declared up front as
-:class:`~repro.lower.memplan.BufferSpec` live intervals over one virtual
-timeline (init, forward steps, readout, adjoint init, reverse steps) and
-assigned to shared arena slots by the liveness planner.  Re-running a
-bound execution touches only the arena.
+A :class:`LoweredPlan` wraps a frozen
+:class:`~repro.torq.compile.ExecutionPlan` for the measured (tape-free)
+path of ``QuantumLayer(precision="float32")`` and float32 serving:
+forward statevector simulation, the ⟨Z⟩ readout and the adjoint reverse
+sweep over *split real/imaginary planes* (two float32 arrays of shape
+``(batch, 2, ..., 2)``).  State-sized work runs in float32/complex64; all
+parameter-space algebra (2×2 factor matrices, prefix/suffix products,
+gradient contractions against the overlap matrix) stays float64, so the
+deviation from the float64 seed plan is bounded by the documented
+budgets (:mod:`repro.lower.budget`).
 
-Correctness contract (mirrors :mod:`repro.lower.plan_exec`):
+Every lowered step is one of three kernels, reading the precomputed
+index and factor fields of its seed step (the two modules evolve
+together by design):
 
-* **float64** — every planned kernel performs the seed's elementwise /
-  GEMM / gather arithmetic with ``out=`` destinations (bitwise identical
-  to the allocating forms), so plane *values* are bitwise equal to the
-  seed executor whatever buffer layout they sit in.  The one place
-  layout itself is load-bearing is the ⟨Z⟩ readout: summation order
-  follows the memory layout of the probability array, and the seed
-  layout is the end product of NumPy's ufunc layout propagation across
-  the whole circuit (gathers emit batch-fastest strides, full-shape
-  masks snap back to C order, partial broadcasts produce mixed orders).
-  Rather than re-implement that heuristic, the first run *probes* it:
-  one allocating forward records the strides of ``re·re + im·im``, and
-  the arena's readout scratch is laid out with exactly those strides —
-  same values in the same memory order, bitwise-identical reduction.
-  The float64 **adjoint** runs the seed kernels unchanged (their exact
-  allocation/ufunc sequence is the bitwise contract), so the in-place
-  adjoint applies to the float32 tier only — where the speed and the
-  memory ceiling live.
-* **Fused runs** pack the planes into SoA form and run one real 4×4
-  GEMM: broadcast over ``(batch, pre, 4, post)`` (``bcast``), or — for a
-  batch-independent matrix over a short ``post`` extent, where the
+* **fused_1q** — a run of single-qubit gates as one real 4×4 block GEMM
+  over SoA-packed planes: broadcast over ``(batch, pre, 4, post)``, or —
+  for a batch-independent matrix over a short ``post`` extent, where the
   broadcast form degenerates into many tiny GEMMs
-  (:func:`repro.torq.compile._row_gemm`) — one GEMM over every row:
-  ``(batch·pre·post, 4) @ mᵀ`` at float64, the seed's own product
-  (``rows``), and ``m @ (4, batch·pre·post)`` at float32 (``cols``).
-* **float32** — the readout scratch is C-ordered.  The adjoint packs
-  the complex carriers into real ``(batch, 4, pre·post)`` buffers so
-  un-apply is one real GEMM and the overlap matrix one batched GEMM.
-  Deviation stays within the documented float32 budgets.
+  (:func:`repro.torq.compile._row_gemm`) — one ``m @ (4, batch·pre·post)``
+  column GEMM;
+* **phase_mask** — a run of diagonal gates as one phase multiply;
+* **permutation** — a run of X/CNOT gates as one gather per plane.
 
-Steps the planner cannot execute in place (unfused ``gate`` steps — rare
-leftovers the compiler could not fuse) fall back to the allocating
-kernel plus one copy into the arena; they are listed in
-:meth:`PlannedExecution.describe` under ``fallback_steps``.
+A lone gate, which the seed plan keeps as an unfused ``gate`` step, is
+lowered to the one-gate step of its kind (a single-qubit gate to
+``fused_1q``, CRZ to ``phase_mask``, CNOT to ``permutation``).
+
+:class:`PlannedExecution` binds a lowered plan to one batch size.  All
+carriers — plane ping-pongs, SoA pack buffers, phase-mask scratches,
+the readout scratch, complex adjoint carriers, the observable mask — are
+declared as :class:`~repro.lower.memplan.BufferSpec` live intervals over
+one virtual timeline (init, forward steps, readout, adjoint init,
+reverse steps) and assigned to shared arena slots by the liveness
+planner when the execution is constructed.  From then on forward,
+readout and adjoint run **without allocating a single statevector-sized
+array**.  The adjoint packs the complex carriers into real
+``(batch, 4, pre·post)`` buffers so un-apply is one real GEMM and the
+overlap matrix one batched GEMM.
 
 :meth:`PlannedExecution.run_forward` returns the final planes as
 :class:`Planes` — arena views stamped with the run that wrote them.
@@ -60,20 +52,242 @@ import numpy as np
 
 from .. import obs
 from ..torq import compile as torq_compile
-from ..torq.adjoint import _z_weight_mask_into
-from ..torq.state import zero_planes_into, zero_state
+from ..torq.adjoint import _GradientSums, _z_weight_mask_into
+from ..torq.compile import _np_angle, _np_dagger, _np_factor_mats, _row_gemm
+from ..torq.state import zero_planes_into
 from .memplan import Arena, BufferSpec, plan_buffers
-from .plan_exec import _bcast, _block44, _np_value
 
-__all__ = ["PlannedExecution", "Planes"]
+__all__ = ["LoweredPlan", "PlannedExecution", "Planes"]
+
+_RD = np.dtype(np.float32)
+_CD = np.dtype(np.complex64)
 
 
-def _span_bytes(shape: tuple, strides: tuple, itemsize: int) -> int:
-    """Bytes a positively-strided view of ``shape`` spans in its base."""
-    if any(s < 0 for s in strides):
-        raise ValueError("negative strides cannot back an arena view")
-    return sum(s * (d - 1) for s, d in zip(strides, shape)) + itemsize
+def _compose_factors(factors, resolve) -> np.ndarray:
+    """A fused run's complex 2×2 unitary composed in float64 from its
+    factor list (``(2, 2)``, or ``(batch, 2, 2)`` for per-batch angles)."""
+    u = None
+    for kind, payload in factors:
+        if kind == "const":
+            f = payload
+        else:
+            f, _ = _np_factor_mats(kind, _np_angle(resolve, payload))
+        u = f if u is None else np.matmul(f, u)
+    return u
 
+
+def _block44(u: np.ndarray) -> np.ndarray:
+    """Real block form ``[[Ur, −Ui], [Ui, Ur]]`` of a complex 2×2 (or
+    per-batch ``(B, 2, 2)``) matrix, ready to broadcast through matmul."""
+    ur, ui = u.real, u.imag
+    top = np.concatenate([ur, -ui], axis=-1)
+    bot = np.concatenate([ui, ur], axis=-1)
+    m = np.concatenate([top, bot], axis=-2)
+    if m.ndim == 3:
+        return m.reshape(-1, 1, 4, 4)
+    return m
+
+
+# ----------------------------------------------------------------------
+# Lowered steps: a seed step plus the float32 constants the executor reads
+# ----------------------------------------------------------------------
+
+class _Step:
+    """A lowered step: its seed step (a permutation needs nothing else)."""
+
+    __slots__ = ("seed", "kind", "gates")
+
+    def __init__(self, seed):
+        self.seed = seed
+        self.kind = seed.kind
+        self.gates = seed.gates
+
+
+class _Fused(_Step):
+    """Fused single-qubit run: one real 4×4 block matrix."""
+
+    __slots__ = ("_const_m",)
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        m = seed._const_m
+        self._const_m = None if m is None else m.astype(_RD)
+
+    def matrix(self, resolve) -> np.ndarray:
+        """The float32 block matrix: the float64 factors composed
+        numerically and cast once."""
+        if self._const_m is not None:
+            return self._const_m
+        return _block44(_compose_factors(self.seed._factors, resolve)).astype(
+            _RD
+        )
+
+
+class _Phase(_Step):
+    """Diagonal run: one phase-mask multiply on the planes."""
+
+    __slots__ = ("coeffs", "const", "coeff_flat", "const_flat",
+                 "mask_tail", "scratch_tail")
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.coeffs = tuple((c.astype(_RD), ref) for c, ref in seed._terms)
+        c, cf, kf = seed._const, seed._coeff_flat, seed._const_flat
+        self.const = None if c is None else c.astype(_RD)
+        self.coeff_flat = None if cf is None else cf.astype(_RD)
+        self.const_flat = None if kf is None else kf.astype(_CD)
+        # Non-batch extents of the summed-angle mask and of the mask
+        # times the constant ±1 pattern, fixed here so that a forward
+        # only picks the batch extent.
+        self.mask_tail = np.broadcast_shapes(
+            *(c.shape[1:] for c, _ in self.coeffs)
+        )
+        self.scratch_tail = (
+            self.mask_tail if self.const is None
+            else np.broadcast_shapes(self.mask_tail, self.const.shape[1:])
+        )
+
+
+_STEPS = {"fused_1q": _Fused, "phase_mask": _Phase, "permutation": _Step}
+
+
+def _lower_step(seed, n_qubits: int) -> _Step:
+    """The lowered step of seed step ``seed``.  A lone ``gate`` step is
+    first rebuilt as the one-gate fused, phase-mask or permutation step
+    its gate compiles to in a run."""
+    if seed.kind == "gate":
+        gate = seed._gate
+        if gate.name in torq_compile._SINGLE_QUBIT:
+            seed = torq_compile._FusedSingleQubitStep(
+                (gate,), gate.qubits[0], n_qubits
+            )
+        elif gate.name in torq_compile._DIAGONAL:
+            seed = torq_compile._PhaseMaskStep((gate,), n_qubits)
+        else:
+            seed = torq_compile._PermutationStep((gate,), n_qubits)
+    return _STEPS[seed.kind](seed)
+
+
+# ----------------------------------------------------------------------
+# The lowered plan
+# ----------------------------------------------------------------------
+
+class LoweredPlan:
+    """A compiled plan lowered to the float32 tier (numpy-native).
+
+    Produced by :func:`repro.lower.lower_plan`.  :meth:`run_planes`
+    (forward), :meth:`z_expectations` (readout) and :meth:`adjoint_vjp`
+    (all-parameter gradients) run through the :class:`PlannedExecution`
+    bound to the batch size.  A plan keeps one bound execution per batch
+    size it has served, for its lifetime, so a fixed set of batch sizes
+    — a serving bucket ladder, a training batch — binds each arena
+    exactly once.  :meth:`amplitudes` and :meth:`memory_report` serve
+    tests and inspection.
+    """
+
+    def __init__(self, plan):
+        self.plan = plan
+        self.n_qubits = plan.n_qubits
+        self.steps = [_lower_step(s, plan.n_qubits) for s in plan.steps]
+        self._planned: dict[int, PlannedExecution] = {}
+
+    def planned_execution(self, batch: int) -> "PlannedExecution":
+        """The :class:`PlannedExecution` bound to ``batch``, created (and
+        its arena planned) on first use."""
+        pe = self._planned.get(batch)
+        if pe is None:
+            pe = self._planned[batch] = PlannedExecution(self, batch)
+        return pe
+
+    def run_planes(self, batch: int, resolve) -> "Planes":
+        """Forward statevector simulation from |0…0⟩, in place.
+
+        Returns the final float32 ``(re, im)`` planes: views into the
+        arena of the execution bound to ``batch``, stamped with the run
+        that wrote them and valid until the next forward at the same
+        batch size.  ``resolve`` maps flat parameter indices to floats /
+        ``(batch,)`` arrays (Tensors are unwrapped).
+        """
+        return self.planned_execution(batch).run_forward(resolve)
+
+    def amplitudes(self, planes) -> np.ndarray:
+        """Flat complex64 amplitudes ``(batch, 2**n)``."""
+        re, im = planes
+        flat = (-1, 2 ** self.n_qubits)
+        out = np.empty((re.shape[0], 2 ** self.n_qubits), dtype=_CD)
+        out.real = re.reshape(flat)
+        out.imag = im.reshape(flat)
+        return out
+
+    def z_expectations(self, planes) -> np.ndarray:
+        """Per-qubit ⟨Z⟩ of a forward's planes, ``(batch, n_qubits)``.
+
+        Raises ``ValueError`` when ``planes`` are not the latest forward
+        of this plan at their batch size.
+        """
+        pe = self._planned.get(planes[0].shape[0])
+        if pe is None or not pe.holds(planes):
+            raise ValueError(
+                "planes are not the latest forward of this plan at their "
+                "batch size; a later run_planes has overwritten them"
+            )
+        return pe.z_expectations()
+
+    def adjoint_vjp(self, values, weights: np.ndarray, planes=None) -> list:
+        """All-parameter adjoint gradients of ``Σ weights·⟨Z⟩``.
+
+        The lowered analogue of
+        :func:`repro.torq.adjoint.adjoint_state_vjp`, with the same
+        gradient bookkeeping: carriers are float32/complex64, returned
+        gradients float64 (a float per shared parameter, ``(batch,)`` per
+        per-batch parameter).  ``planes`` (from :meth:`run_planes` with
+        the same ``values``) skips the forward while the arena still
+        holds it; once a later forward at this batch size has overwritten
+        the arena, the forward for ``values`` is re-run in place first,
+        so the gradient always belongs to ``values``.
+        """
+        grads = _GradientSums(values, weights, self.n_qubits)
+        batch = grads.batch
+        if planes is not None and planes[0].shape[0] != batch:
+            raise ValueError(
+                f"final state batch {planes[0].shape[0]} != weights batch {batch}"
+            )
+
+        def resolve(i: int):
+            return values[i]
+
+        pe = self.planned_execution(batch)
+        profiling = obs.is_profiling()
+        if planes is None or not pe.holds(planes):
+            if planes is not None and profiling:
+                obs.metrics().counter("lower.planned.rerun").inc()
+            pe.run_forward(resolve)
+        if profiling:
+            reg = obs.metrics()
+            reg.counter("lower.adjoint.sweep").inc()
+            with reg.scope("lower.adjoint.run", n_qubits=self.n_qubits):
+                pe.adjoint_sweep(resolve, grads.weights, grads.accumulate)
+        else:
+            pe.adjoint_sweep(resolve, grads.weights, grads.accumulate)
+        return grads.gradients()
+
+    def memory_report(self) -> dict:
+        """Arena audit across the bound planned executions: each bound
+        batch size maps to its :meth:`PlannedExecution.describe` record."""
+        return {
+            batch: pe.describe() for batch, pe in self._planned.items()
+        }
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"LoweredPlan(n_qubits={self.n_qubits}, "
+            f"steps={len(self.steps)})"
+        )
+
+
+# ----------------------------------------------------------------------
+# The in-place executor
+# ----------------------------------------------------------------------
 
 class Planes(tuple):
     """The ``(re, im)`` final planes of one forward run — arena views —
@@ -88,64 +302,32 @@ class Planes(tuple):
 class PlannedExecution:
     """One lowered plan bound to one batch size, executing in place.
 
-    Construction is cheap; the arena (liveness plan, slot buffers, bound
-    views, float64 seed layout probe) is built lazily on the first
-    :meth:`run_forward` — the probe needs resolved parameter values.
-    ``runs`` counts forward sweeps, so a caller holding :class:`Planes`
-    can tell whether the arena still holds them (:meth:`holds`).
+    Construction plans the arena and binds every view.  ``runs`` counts
+    forward sweeps, so a caller holding :class:`Planes` can tell whether
+    the arena still holds them (:meth:`holds`).
     """
 
-    def __init__(self, lowered, batch: int):
+    def __init__(self, lowered: LoweredPlan, batch: int):
         self.lowered = lowered
         self.batch = int(batch)
         self.n_qubits = int(lowered.n_qubits)
         self.dim = 2 ** self.n_qubits
-        self.rdtype = np.dtype(lowered.rdtype)
-        self.cdtype = np.dtype(lowered.cdtype)
-        self.f64 = self.rdtype == np.float64
         self.runs = 0
-        self._fallback_steps: list[int] = []
-        self._built = False
+        self._build()
 
     # ------------------------------------------------------------------
-    # Bind time: seed layout probe, liveness specs, arena, bound views
+    # Bind time: liveness specs, arena, bound views
     # ------------------------------------------------------------------
-    def _probe_readout_strides(self, resolve) -> tuple:
-        """Strides of the seed readout's probability array (float64).
-
-        Runs the allocating per-step forward once (the only allocating
-        run this bound execution ever performs) and records the layout
-        of ``re·re + im·im`` — the array whose memory order fixes the
-        readout's reduction order, and with it float64 bitwise equality.
-        """
-        base = zero_state(self.batch, self.n_qubits, dtype=self.rdtype)
-        re = base.tensor.re.data
-        im = base.tensor.im.data
-        for step in self.lowered.steps:
-            re, im = step.forward(re, im, resolve)
-        probs = re * re + im * im
-        return probs.strides
-
-    def _ensure(self, resolve) -> None:
-        if self._built:
-            return
-        # Only the float64 readout order is load-bearing; float32 reads
-        # out of C-ordered scratch.
-        self._build(self._probe_readout_strides(resolve) if self.f64 else None)
-        self._built = True
-
-    def _build(self, ro_strides: tuple | None) -> None:
+    def _build(self) -> None:
         steps = self.lowered.steps
         K = len(steps)
         b, n, dim = self.batch, self.n_qubits, self.dim
-        rd, cd = self.rdtype, self.cdtype
-        plane = b * dim * rd.itemsize
-        cstate = b * dim * cd.itemsize
+        plane = b * dim * _RD.itemsize
+        cstate = b * dim * _CD.itemsize
         full = (b,) + (2,) * n
         ro_pos = K + 1
         a0_pos = K + 2
         end = a0_pos + 1 + K
-        plane_adjoint = not self.f64
 
         specs: list[BufferSpec] = []
         for v in range(K + 1):
@@ -158,65 +340,53 @@ class PlannedExecution:
             if step.kind == "fused_1q":
                 specs.append(BufferSpec(f"s{i}.a", 2 * plane, pos, pos))
                 specs.append(BufferSpec(f"s{i}.b", 2 * plane, pos, pos))
-            elif step.kind == "phase_mask" and step._coeffs:
-                shapes = [c.shape for c, _ in step._coeffs]
-                if step._const is not None:
-                    shapes.append(step._const.shape)
-                wc = (b,) + np.broadcast_shapes(*shapes)[1:]
-                wc_bytes = int(np.prod(wc)) * rd.itemsize
+            elif step.kind == "phase_mask" and step.coeffs:
+                wc_bytes = b * int(np.prod(step.scratch_tail)) * _RD.itemsize
                 for suffix in ("t", "u", "c1", "s1", "c2", "s2"):
                     specs.append(
                         BufferSpec(f"s{i}.{suffix}", wc_bytes, pos, pos)
                     )
                 specs.append(BufferSpec(f"s{i}.sc", plane, pos, pos))
 
-        ro_bytes = (plane if ro_strides is None
-                    else _span_bytes(full, ro_strides, rd.itemsize))
-        specs.append(BufferSpec("ro.a", ro_bytes, ro_pos, ro_pos))
-        specs.append(BufferSpec("ro.b", ro_bytes, ro_pos, ro_pos))
+        specs.append(BufferSpec("ro.a", plane, ro_pos, ro_pos))
+        specs.append(BufferSpec("ro.b", plane, ro_pos, ro_pos))
+        specs.append(BufferSpec("adj.m64", b * dim * 8, a0_pos, a0_pos))
+        specs.append(BufferSpec("adj.m32", plane, a0_pos, a0_pos))
 
-        if plane_adjoint:
-            mask64 = b * dim * 8
-            specs.append(BufferSpec("adj.m64", mask64, a0_pos, a0_pos))
-            specs.append(BufferSpec("adj.m32", plane, a0_pos, a0_pos))
+        def adj_pos(v: int) -> int:
+            # Carrier v (the state before step v) is written while step v
+            # is reverse-processed; carrier K at adjoint init.
+            return a0_pos if v == K else a0_pos + 1 + (K - 1 - v)
 
-            def adj_pos(v: int) -> int:
-                # Carrier v (the state before step v) is written while
-                # step v is reverse-processed; carrier K at adjoint init.
-                return a0_pos if v == K else a0_pos + 1 + (K - 1 - v)
-
-            for v in range(K + 1):
-                pos = adj_pos(v)
-                last = pos if v == 0 else pos + 1
-                specs.append(BufferSpec(f"a{v}.psi", cstate, pos, last))
-                specs.append(BufferSpec(f"a{v}.mu", cstate, pos, last))
-            for j, step in enumerate(steps):
-                pos = adj_pos(j)
-                if step.kind == "fused_1q":
-                    for suffix in ("pp", "pm", "qp", "qm"):
-                        specs.append(
-                            BufferSpec(f"r{j}.{suffix}", 2 * plane, pos, pos)
-                        )
-                elif step.kind == "phase_mask" and step.seed._term_refs:
-                    specs.append(BufferSpec(f"r{j}.w", plane, pos, pos))
-                    specs.append(BufferSpec(f"r{j}.w2", plane, pos, pos))
-                    specs.append(BufferSpec(f"r{j}.t", plane, pos, pos))
-                    specs.append(BufferSpec(f"r{j}.m", cstate, pos, pos))
+        for v in range(K + 1):
+            pos = adj_pos(v)
+            last = pos if v == 0 else pos + 1
+            specs.append(BufferSpec(f"a{v}.psi", cstate, pos, last))
+            specs.append(BufferSpec(f"a{v}.mu", cstate, pos, last))
+        for j, step in enumerate(steps):
+            pos = adj_pos(j)
+            if step.kind == "fused_1q":
+                for suffix in ("pp", "pm", "qp", "qm"):
+                    specs.append(
+                        BufferSpec(f"r{j}.{suffix}", 2 * plane, pos, pos)
+                    )
+            elif step.kind == "phase_mask" and step.seed._term_refs:
+                specs.append(BufferSpec(f"r{j}.w", plane, pos, pos))
+                specs.append(BufferSpec(f"r{j}.w2", plane, pos, pos))
+                specs.append(BufferSpec(f"r{j}.t", plane, pos, pos))
+                specs.append(BufferSpec(f"r{j}.m", cstate, pos, pos))
 
         self.plan = plan_buffers(specs)
         self.arena = Arena(self.plan)
         ar = self.arena
 
-        # Every plane is C-contiguous: elementwise kernels, gathers and
-        # GEMMs produce identical *values* whatever the buffer layout,
-        # and only the readout scratch below is layout-sensitive.
         self._full = [
-            (ar.view(f"p{v}.re", full, rd), ar.view(f"p{v}.im", full, rd))
+            (ar.view(f"p{v}.re", full, _RD), ar.view(f"p{v}.im", full, _RD))
             for v in range(K + 1)
         ]
         self._flat2 = [
-            (ar.view(f"p{v}.re", (b, dim), rd),
-             ar.view(f"p{v}.im", (b, dim), rd))
+            (ar.view(f"p{v}.re", (b, dim), _RD),
+             ar.view(f"p{v}.im", (b, dim), _RD))
             for v in range(K + 1)
         ]
 
@@ -225,7 +395,6 @@ class PlannedExecution:
             ctx: dict = {}
             if step.kind == "fused_1q":
                 _, pre, _, post = step.seed._pack_shape
-                R = pre * post
                 pack = (b, pre, 2, post)
                 ctx.update(
                     post=post,
@@ -233,69 +402,47 @@ class PlannedExecution:
                     src_im=self._full[i][1].reshape(pack),
                     dst_re=self._full[i + 1][0].reshape(pack),
                     dst_im=self._full[i + 1][1].reshape(pack),
-                    p_bcast=ar.view(f"s{i}.a", (b, pre, 4, post), rd),
-                    q_bcast=ar.view(f"s{i}.b", (b, pre, 4, post), rd),
-                    p_cols=ar.view(f"s{i}.a", (4, b, pre, post), rd),
-                    q_cols=ar.view(f"s{i}.b", (4, b, pre, post), rd),
-                    p_cols2=ar.view(f"s{i}.a", (4, b * R), rd),
-                    q_cols2=ar.view(f"s{i}.b", (4, b * R), rd),
-                    p_rows=ar.view(f"s{i}.a", (b, pre, post, 4), rd),
-                    q_rows=ar.view(f"s{i}.b", (b, pre, post, 4), rd),
-                    p_rows2=ar.view(f"s{i}.a", (b * R, 4), rd),
-                    q_rows2=ar.view(f"s{i}.b", (b * R, 4), rd),
+                    p_bcast=ar.view(f"s{i}.a", (b, pre, 4, post), _RD),
+                    q_bcast=ar.view(f"s{i}.b", (b, pre, 4, post), _RD),
+                    p_cols=ar.view(f"s{i}.a", (4, b, pre, post), _RD),
+                    q_cols=ar.view(f"s{i}.b", (4, b, pre, post), _RD),
+                    p_cols2=ar.view(f"s{i}.a", (4, b * pre * post), _RD),
+                    q_cols2=ar.view(f"s{i}.b", (4, b * pre * post), _RD),
                 )
-            elif step.kind == "phase_mask":
-                if step._coeffs:
-                    ctx["sc"] = ar.view(f"s{i}.sc", full, rd)
-            elif step.kind == "gate":
-                if i not in self._fallback_steps:
-                    self._fallback_steps.append(i)
+            elif step.kind == "phase_mask" and step.coeffs:
+                ctx["sc"] = ar.view(f"s{i}.sc", full, _RD)
             self._ctx.append(ctx)
 
-        # Readout scratch with the seed-probed strides: same values in
-        # the same memory order → the same pairwise reduction → bitwise.
-        self._ro = tuple(
-            ar.view(name, full, rd) if ro_strides is None
-            else ar.strided_view(name, full, rd, ro_strides)
-            for name in ("ro.a", "ro.b")
-        )
+        self._ro = (ar.view("ro.a", full, _RD), ar.view("ro.b", full, _RD))
 
-        if plane_adjoint:
-            self._mask64 = ar.view("adj.m64", full, np.float64)
-            self._mask32 = ar.view("adj.m32", (b, dim), rd)
-            self._adj_psi = [ar.view(f"a{v}.psi", (b, dim), cd)
-                             for v in range(K + 1)]
-            self._adj_mu = [ar.view(f"a{v}.mu", (b, dim), cd)
-                            for v in range(K + 1)]
-            self._adj_ctx: list[dict] = []
-            for j, step in enumerate(steps):
-                actx: dict = {}
-                if step.kind == "fused_1q":
-                    _, pre, _, post = step.seed._pack_shape
-                    R = pre * post
-                    pack = (b, pre, 2, post)
-                    actx.update(
-                        in_psi=self._adj_psi[j + 1].reshape(pack),
-                        in_mu=self._adj_mu[j + 1].reshape(pack),
-                        out_psi=self._adj_psi[j].reshape(pack),
-                        out_mu=self._adj_mu[j].reshape(pack),
-                        pp=ar.view(f"r{j}.pp", (b, 4, pre, post), rd),
-                        pm=ar.view(f"r{j}.pm", (b, 4, pre, post), rd),
-                        qp=ar.view(f"r{j}.qp", (b, 4, pre, post), rd),
-                        qm=ar.view(f"r{j}.qm", (b, 4, pre, post), rd),
-                        pp2=ar.view(f"r{j}.pp", (b, 4, R), rd),
-                        pm2=ar.view(f"r{j}.pm", (b, 4, R), rd),
-                        qp2=ar.view(f"r{j}.qp", (b, 4, R), rd),
-                        qm2=ar.view(f"r{j}.qm", (b, 4, R), rd),
-                    )
-                elif step.kind == "gate":
-                    actx.update(
-                        in_psi_full=self._adj_psi[j + 1].reshape(full),
-                        in_mu_full=self._adj_mu[j + 1].reshape(full),
-                        out_psi_full=self._adj_psi[j].reshape(full),
-                        out_mu_full=self._adj_mu[j].reshape(full),
-                    )
-                self._adj_ctx.append(actx)
+        self._mask64 = ar.view("adj.m64", full, np.float64)
+        self._mask32 = ar.view("adj.m32", (b, dim), _RD)
+        self._adj_psi = [ar.view(f"a{v}.psi", (b, dim), _CD)
+                         for v in range(K + 1)]
+        self._adj_mu = [ar.view(f"a{v}.mu", (b, dim), _CD)
+                        for v in range(K + 1)]
+        self._adj_ctx: list[dict] = []
+        for j, step in enumerate(steps):
+            actx: dict = {}
+            if step.kind == "fused_1q":
+                _, pre, _, post = step.seed._pack_shape
+                R = pre * post
+                pack = (b, pre, 2, post)
+                actx.update(
+                    in_psi=self._adj_psi[j + 1].reshape(pack),
+                    in_mu=self._adj_mu[j + 1].reshape(pack),
+                    out_psi=self._adj_psi[j].reshape(pack),
+                    out_mu=self._adj_mu[j].reshape(pack),
+                    pp=ar.view(f"r{j}.pp", (b, 4, pre, post), _RD),
+                    pm=ar.view(f"r{j}.pm", (b, 4, pre, post), _RD),
+                    qp=ar.view(f"r{j}.qp", (b, 4, pre, post), _RD),
+                    qm=ar.view(f"r{j}.qm", (b, 4, pre, post), _RD),
+                    pp2=ar.view(f"r{j}.pp", (b, 4, R), _RD),
+                    pm2=ar.view(f"r{j}.pm", (b, 4, R), _RD),
+                    qp2=ar.view(f"r{j}.qp", (b, 4, R), _RD),
+                    qm2=ar.view(f"r{j}.qm", (b, 4, R), _RD),
+                )
+            self._adj_ctx.append(actx)
 
     # ------------------------------------------------------------------
     # Forward sweep
@@ -308,14 +455,12 @@ class PlannedExecution:
         """
         if obs.is_profiling():
             reg = obs.metrics()
-            reg.counter(
-                "lower.planned.run", precision=self.lowered.precision
-            ).inc()
+            reg.counter("lower.planned.run").inc()
             with reg.scope("lower.planned.forward", n_qubits=self.n_qubits):
                 for _ in self.forward_steps(resolve):
                     pass
         else:
-            self._begin(resolve)
+            self._begin()
             for i, step in enumerate(self.lowered.steps):
                 self._fwd_step(i, step, resolve)
         return Planes(*self.final_planes(), self.runs)
@@ -323,7 +468,7 @@ class PlannedExecution:
     def forward_steps(self, resolve):
         """Run the forward sweep step by step, yielding each step's output
         planes (arena views, valid until the next step runs)."""
-        self._begin(resolve)
+        self._begin()
         reg = obs.metrics() if obs.is_profiling() else None
         for i, step in enumerate(self.lowered.steps):
             if reg is not None:
@@ -333,8 +478,7 @@ class PlannedExecution:
                 self._fwd_step(i, step, resolve)
             yield self._full[i + 1]
 
-    def _begin(self, resolve) -> None:
-        self._ensure(resolve)
+    def _begin(self) -> None:
         self.runs += 1
         zero_planes_into(*self._full[0])
 
@@ -353,23 +497,16 @@ class PlannedExecution:
             self._fwd_fused(i, step, resolve)
         elif kind == "phase_mask":
             self._fwd_phase(i, step, resolve)
-        elif kind == "permutation":
-            self._fwd_perm(i, step)
         else:
-            self._fwd_gate(i, step, resolve)
+            self._fwd_perm(i, step)
 
     # -- fused single-qubit runs --------------------------------------
     def _fwd_fused(self, i, step, resolve):
-        m = step._matrix(resolve)
-        # float64 performs the seed's exact GEMM (row or broadcast, by the
-        # seed's own predicate) with out= destinations (bitwise); float32
-        # runs the row case as one column GEMM.
-        if not torq_compile._row_gemm(m, self._ctx[i]["post"]):
-            self._fused_bcast(i, m)
-        elif self.f64:
-            self._fused_rows(i, m)
-        else:
+        m = step.matrix(resolve)
+        if _row_gemm(m, self._ctx[i]["post"]):
             self._fused_cols(i, m)
+        else:
+            self._fused_bcast(i, m)
 
     def _fused_bcast(self, i, m) -> None:
         ctx = self._ctx[i]
@@ -379,15 +516,6 @@ class PlannedExecution:
         np.matmul(m, P, out=Q)
         ctx["dst_re"][...] = Q[:, :, 0:2]
         ctx["dst_im"][...] = Q[:, :, 2:4]
-
-    def _fused_rows(self, i, m) -> None:
-        ctx = self._ctx[i]
-        P, Q = ctx["p_rows"], ctx["q_rows"]
-        P[..., 0:2] = ctx["src_re"].transpose(0, 1, 3, 2)
-        P[..., 2:4] = ctx["src_im"].transpose(0, 1, 3, 2)
-        np.matmul(ctx["p_rows2"], m.T, out=ctx["q_rows2"])
-        ctx["dst_re"][...] = Q[..., 0:2].transpose(0, 1, 3, 2)
-        ctx["dst_im"][...] = Q[..., 2:4].transpose(0, 1, 3, 2)
 
     def _fused_cols(self, i, m) -> None:
         ctx = self._ctx[i]
@@ -406,45 +534,40 @@ class PlannedExecution:
 
     # -- phase masks ---------------------------------------------------
     def _fwd_phase(self, i, step, resolve):
-        ar = self.arena
-        coeffs = step._coeffs
-        const = step._const
         sr, si = self._full[i]
         dr, di = self._full[i + 1]
-        if not coeffs:  # all-Z run: constant ±1 pattern
+        const = step.const
+        if not step.coeffs:  # all-Z run: constant ±1 pattern
             np.multiply(sr, const, out=dr)
             np.multiply(si, const, out=di)
             return
         bshape = step.seed._bshape
-        terms = []
-        for coeff, ref in coeffs:
-            theta = _bcast(_np_value(resolve, ref), bshape)
-            if not self.f64:
-                theta = theta.astype(self.rdtype)
-            terms.append((theta, coeff))
-        # Accumulate every θ·coeff term at the *final* broadcast shape:
-        # broadcasting repeats values exactly, so the elementwise sums
-        # (and hence the float64 tier) match the seed's grow-as-you-add
-        # accumulation bitwise — without its per-term reallocations.
-        ms = np.broadcast_shapes(
-            *(np.broadcast_shapes(t.shape, c.shape) for t, c in terms)
-        )
-        T = ar.view(f"s{i}.t", ms, self.rdtype)
-        U = ar.view(f"s{i}.u", ms, self.rdtype)
-        t0, c0 = terms[0]
-        np.multiply(np.broadcast_to(t0, ms), np.broadcast_to(c0, ms), out=T)
-        for t, c in terms[1:]:
-            np.multiply(np.broadcast_to(t, ms), np.broadcast_to(c, ms),
-                        out=U)
+        thetas = []
+        for _, ref in step.coeffs:
+            theta = _np_angle(resolve, ref)
+            if theta.ndim:
+                theta = theta.reshape((theta.shape[0],) + bshape)
+            thetas.append(theta.astype(_RD))
+        # Accumulate every θ·coeff term at the mask's full extent, whose
+        # non-batch part was fixed at lowering: per-batch angles make the
+        # batch extent theirs, shared angles leave it 1.
+        lead = max((t.shape[0] for t in thetas if t.ndim), default=1)
+        ms = (lead,) + step.mask_tail
+        ar = self.arena
+        T = ar.view(f"s{i}.t", ms, _RD)
+        U = ar.view(f"s{i}.u", ms, _RD)
+        np.multiply(thetas[0], step.coeffs[0][0], out=T)
+        for theta, (coeff, _) in zip(thetas[1:], step.coeffs[1:]):
+            np.multiply(theta, coeff, out=U)
             np.add(T, U, out=T)
-        mre = ar.view(f"s{i}.c1", ms, self.rdtype)
-        mim = ar.view(f"s{i}.s1", ms, self.rdtype)
+        mre = ar.view(f"s{i}.c1", ms, _RD)
+        mim = ar.view(f"s{i}.s1", ms, _RD)
         np.cos(T, out=mre)
         np.sin(T, out=mim)
         if const is not None:
-            msc = np.broadcast_shapes(ms, const.shape)
-            mre2 = ar.view(f"s{i}.c2", msc, self.rdtype)
-            mim2 = ar.view(f"s{i}.s2", msc, self.rdtype)
+            msc = (lead,) + step.scratch_tail
+            mre2 = ar.view(f"s{i}.c2", msc, _RD)
+            mim2 = ar.view(f"s{i}.s2", msc, _RD)
             np.multiply(mre, const, out=mre2)
             np.multiply(mim, const, out=mim2)
             mre, mim = mre2, mim2
@@ -466,13 +589,6 @@ class PlannedExecution:
         d2, d2i = self._flat2[i + 1]
         np.take(s2, src, axis=1, out=d2, mode="clip")
         np.take(s2i, src, axis=1, out=d2i, mode="clip")
-
-    # -- unfused gates (allocating fallback) ---------------------------
-    def _fwd_gate(self, i, step, resolve):
-        res_re, res_im = step.forward(*self._full[i], resolve)
-        dr, di = self._full[i + 1]
-        dr[...] = res_re
-        di[...] = res_im
 
     # ------------------------------------------------------------------
     # Readout
@@ -496,25 +612,21 @@ class PlannedExecution:
         return np.stack(outputs, axis=1)
 
     # ------------------------------------------------------------------
-    # Adjoint reverse sweep (float32 tier)
+    # Adjoint reverse sweep
     # ------------------------------------------------------------------
     def adjoint_sweep(self, resolve, weights: np.ndarray, accumulate) -> None:
         """Un-apply every step in reverse over the arena carriers.
 
-        Float32 tier only — the float64 tier's adjoint is pinned to the
-        seed kernels for bitwise equality and handled by the caller.
-        The caller (:meth:`LoweredPlan.adjoint_vjp`) makes sure the
-        arena holds the forward being differentiated.
+        ``weights`` is the float64 ``(batch, n_qubits)`` readout
+        cotangent.  The caller (:meth:`LoweredPlan.adjoint_vjp`) makes
+        sure the arena holds the forward being differentiated.
         """
-        if self.f64:
-            raise RuntimeError("in-place adjoint sweep is float32-only")
         steps = self.lowered.steps
         K = len(steps)
         fre2, fim2 = self._flat2[K]
         psi, mu = self._adj_psi[K], self._adj_mu[K]
         psi.real[...] = fre2
         psi.imag[...] = fim2
-        weights = np.asarray(weights, dtype=np.float64)
         _z_weight_mask_into(weights, self.n_qubits, self._mask64)
         np.copyto(self._mask32, self._mask64.reshape(self.batch, self.dim))
         np.multiply(psi, self._mask32, out=mu)
@@ -525,10 +637,8 @@ class PlannedExecution:
                 self._adj_fused(j, step, resolve, accumulate)
             elif kind == "phase_mask":
                 self._adj_phase(j, step, resolve, accumulate)
-            elif kind == "permutation":
-                self._adj_perm(j, step)
             else:
-                self._adj_gate(j, step, resolve, accumulate)
+                self._adj_perm(j, step)
 
     def _adj_fused(self, j, step, resolve, accumulate):
         s = step.seed
@@ -543,15 +653,13 @@ class PlannedExecution:
                 if kind == "const":
                     mats.append((payload, None, None))
                 else:
-                    u, du = torq_compile._np_factor_mats(
-                        kind, _np_value(resolve, payload)
-                    )
+                    u, du = _np_factor_mats(kind, _np_angle(resolve, payload))
                     mats.append((u, du, payload))
             prefixes = [eye]
             for u, _, _ in mats:
                 prefixes.append(np.matmul(u, prefixes[-1]))
-            udag = torq_compile._np_dagger(prefixes[-1])
-        m44 = _block44(udag).astype(self.rdtype)
+            udag = _np_dagger(prefixes[-1])
+        m44 = _block44(udag).astype(_RD)
         if m44.ndim == 4:
             m44 = m44.reshape(-1, 4, 4)
         pz, mz = ctx["in_psi"], ctx["in_mu"]
@@ -604,36 +712,36 @@ class PlannedExecution:
         pin, min_ = self._adj_psi[j + 1], self._adj_mu[j + 1]
         pout, mout = self._adj_psi[j], self._adj_mu[j]
         if s._term_refs:
-            W = ar.view(f"r{j}.w", (b, dim), self.rdtype)
-            W2 = ar.view(f"r{j}.w2", (b, dim), self.rdtype)
+            W = ar.view(f"r{j}.w", (b, dim), _RD)
+            W2 = ar.view(f"r{j}.w2", (b, dim), _RD)
             np.multiply(pin.real, min_.imag, out=W)
             np.multiply(pin.imag, min_.real, out=W2)
             np.subtract(W, W2, out=W)
-            g = 2.0 * (W @ step._coeff_flat.T)
+            g = 2.0 * (W @ step.coeff_flat.T)
             g64 = np.asarray(g, dtype=np.float64)
             for t, ref in enumerate(s._term_refs):
                 accumulate(ref, g64[:, t])
             vals = [
-                np.asarray(_np_value(resolve, ref), dtype=self.rdtype)
+                np.asarray(_np_angle(resolve, ref), dtype=_RD)
                 for ref in s._term_refs
             ]
             if any(v.ndim for v in vals):
                 thetas = np.stack(
                     [np.broadcast_to(v, (b,)) for v in vals], axis=1
                 )
-                total = ar.view(f"r{j}.t", (b, dim), self.rdtype)
-                np.matmul(thetas, step._coeff_flat, out=total)
+                total = ar.view(f"r{j}.t", (b, dim), _RD)
+                np.matmul(thetas, step.coeff_flat, out=total)
             else:
-                total = ar.view(f"r{j}.t", (dim,), self.rdtype)
-                np.matmul(np.asarray(vals), step._coeff_flat, out=total)
-            mask = ar.view(f"r{j}.m", total.shape, self.cdtype)
+                total = ar.view(f"r{j}.t", (dim,), _RD)
+                np.matmul(np.asarray(vals), step.coeff_flat, out=total)
+            mask = ar.view(f"r{j}.m", total.shape, _CD)
             np.cos(total, out=mask.real)
             np.sin(total, out=mask.imag)
             np.negative(mask.imag, out=mask.imag)
-            if step._const_flat is not None:
-                np.multiply(mask, step._const_flat, out=mask)
+            if step.const_flat is not None:
+                np.multiply(mask, step.const_flat, out=mask)
         else:
-            mask = step._const_flat
+            mask = step.const_flat
         np.multiply(pin, mask, out=pout)
         np.multiply(min_, mask, out=mout)
 
@@ -644,26 +752,11 @@ class PlannedExecution:
         np.take(self._adj_mu[j + 1], inv, axis=1,
                 out=self._adj_mu[j], mode="clip")
 
-    def _adj_gate(self, j, step, resolve, accumulate):
-        ctx = self._adj_ctx[j]
-        res_psi, res_mu = step.adjoint(
-            ctx["in_psi_full"], ctx["in_mu_full"], resolve, accumulate
-        )
-        ctx["out_psi_full"][...] = res_psi
-        ctx["out_mu_full"][...] = res_mu
-
     # ------------------------------------------------------------------
     def describe(self) -> dict:
-        """Audit record: arena footprint and fallback steps."""
-        if not self._built:
-            return {"batch": self.batch,
-                    "precision": self.lowered.precision,
-                    "bound": False}
+        """Audit record: the memory plan and the arena footprint."""
         return {
             "batch": self.batch,
-            "precision": self.lowered.precision,
-            "bound": True,
             "memory_plan": self.plan.describe(),
             "arena_bytes": self.arena.total_bytes,
-            "fallback_steps": list(self._fallback_steps),
         }

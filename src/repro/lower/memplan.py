@@ -138,12 +138,13 @@ class Arena:
 
     One contiguous ``uint8`` array per plan slot.  :meth:`view` returns
     a dtype/shape view of a named buffer's slot prefix;
-    :meth:`strided_view` additionally applies explicit strides (the
-    float64 tier uses this to reproduce the seed's batch-fastest gather
-    layout, on which downstream reduction order — and therefore bitwise
-    equality — depends).  Views alias slot memory: a buffer's contents
-    are only valid inside its declared live interval.  ``executor``
-    labels the ``lower.arena.bytes`` counter with the arena's owner.
+    :meth:`strided_view` additionally applies explicit strides (the tape
+    executor uses this to mirror the layout a traced kernel produced,
+    on which downstream reduction order — and therefore bitwise
+    equality with define-by-run — depends).  Views alias slot memory: a
+    buffer's contents are only valid inside its declared live interval.
+    ``executor`` labels the ``lower.arena.bytes`` counter with the
+    arena's owner.
     """
 
     def __init__(self, plan: MemoryPlan, executor: str = "lowered"):
@@ -173,9 +174,9 @@ class Arena:
                      strides: tuple) -> np.ndarray:
         """A view of ``name`` with explicit strides (layout matching).
 
-        Sized by the strides' *span*, not the element count — probed
-        layouts may be gapped (e.g. a slice of a wider pack buffer), in
-        which case the view addresses more bytes than it has elements.
+        Sized by the strides' *span*, not the element count — mirrored
+        layouts may be gapped (e.g. a slice of a wider buffer), in which
+        case the view addresses more bytes than it has elements.
         """
         dtype = np.dtype(dtype)
         if any(s < 0 for s in strides):

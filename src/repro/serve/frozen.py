@@ -271,8 +271,7 @@ class FrozenModel:
 
                 for i, layer in enumerate(self._quantum):
                     lowered = lower_plan(
-                        layer.embedded_gate_sequence(), layer.n_qubits,
-                        self.precision,
+                        layer.embedded_gate_sequence(), layer.n_qubits
                     )
                     report = lowered.memory_report()
                     reports[f"quantum{i}"] = report

@@ -66,11 +66,10 @@ def _z_weight_mask_into(weights: np.ndarray, n_qubits: int,
                         out: np.ndarray) -> np.ndarray:
     """:func:`_z_weight_mask` accumulated into a caller-owned buffer.
 
-    The planned (in-place) lowered executor preallocates the mask buffer
-    in its arena; writing through ``out`` keeps the adjoint warm path
-    free of statevector-sized allocations.  The accumulation order is
-    identical to the allocating version, so float64 results are bitwise
-    equal.
+    The lowered in-place executor preallocates the mask buffer in its
+    arena; writing through ``out`` keeps the adjoint warm path free of
+    statevector-sized allocations.  The accumulation order is identical
+    to the allocating version, so the two masks are bitwise equal.
     """
     batch = weights.shape[0]
     out.fill(0.0)
@@ -93,6 +92,49 @@ def _z_weight_mask(weights: np.ndarray, n_qubits: int) -> np.ndarray:
     batch = weights.shape[0]
     mask = np.zeros((batch,) + (2,) * n_qubits)
     return _z_weight_mask_into(weights, n_qubits, mask)
+
+
+class _GradientSums:
+    """The gradient bookkeeping of one adjoint reverse sweep.
+
+    Shared by :func:`adjoint_state_vjp` and the lowered float32 sweep
+    (:meth:`repro.lower.inplace.LoweredPlan.adjoint_vjp`): validates the
+    ``(batch, n_qubits)`` readout cotangent ``weights``, sums each flat
+    parameter's ``accumulate(ref, g)`` contributions in call order, and
+    formats one gradient per entry of ``values``.
+    """
+
+    def __init__(self, values: Sequence, weights, n_qubits: int):
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.ndim != 2 or weights.shape[1] != n_qubits:
+            raise ValueError(
+                f"weights must be (batch, {n_qubits}), got {weights.shape}"
+            )
+        self.values = values
+        self.weights = weights
+        self.batch = weights.shape[0]
+        self._sums: dict[int, object] = {}
+
+    def accumulate(self, ref: int, g) -> None:
+        prev = self._sums.get(ref)
+        self._sums[ref] = g if prev is None else prev + g
+
+    def gradients(self) -> list:
+        """A float per shared value (summed over the batch), a
+        ``(batch,)`` array per per-batch value, zero for a parameter no
+        gate owns."""
+        out = []
+        for i, value in enumerate(self.values):
+            g = self._sums.get(i)
+            if g is None:  # parameter owned by no gate in this circuit
+                data = np.zeros(self.batch)
+            else:
+                data = np.broadcast_to(
+                    np.asarray(g, dtype=np.float64), (self.batch,)
+                )
+            per_batch = getattr(value, "ndim", 0) == 1
+            out.append(data.copy() if per_batch else float(data.sum()))
+        return out
 
 
 def adjoint_state_vjp(
@@ -118,23 +160,13 @@ def adjoint_state_vjp(
     already-compiled plan and an already-run forward state, reducing the
     cost to the single reverse sweep.
     """
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.ndim != 2 or weights.shape[1] != n_qubits:
-        raise ValueError(
-            f"weights must be (batch, {n_qubits}), got {weights.shape}"
-        )
-    batch = weights.shape[0]
+    grads = _GradientSums(values, weights, n_qubits)
+    batch = grads.batch
     if plan is None:
         plan = compile_gates(gates, n_qubits)
 
     def resolve(i: int):
         return values[i]
-
-    grads: dict[int, object] = {}
-
-    def accumulate(ref: int, g) -> None:
-        prev = grads.get(ref)
-        grads[ref] = g if prev is None else prev + g
 
     profiling = obs.is_profiling()
     reg = obs.metrics() if profiling else None
@@ -162,7 +194,7 @@ def adjoint_state_vjp(
         psi = np.empty(re.shape, dtype=np.complex128)
         psi.real = re
         psi.imag = tensor.im.data
-        mu = psi * _z_weight_mask(weights, n_qubits)
+        mu = psi * _z_weight_mask(grads.weights, n_qubits)
         assert psi.flags["C_CONTIGUOUS"] and mu.flags["C_CONTIGUOUS"]
 
     def resolve_np(i: int):
@@ -174,21 +206,13 @@ def adjoint_state_vjp(
         with reg.scope("torq.adjoint.run", n_qubits=n_qubits):
             for step in reversed(plan.steps):
                 with reg.timer("torq.adjoint.step", kind=step.kind).time():
-                    psi, mu = step.adjoint_step(psi, mu, resolve_np, accumulate)
+                    psi, mu = step.adjoint_step(
+                        psi, mu, resolve_np, grads.accumulate
+                    )
     else:
         for step in reversed(plan.steps):
-            psi, mu = step.adjoint_step(psi, mu, resolve_np, accumulate)
-
-    out = []
-    for i, value in enumerate(values):
-        g = grads.get(i)
-        if g is None:  # parameter owned by no gate in this circuit
-            data = np.zeros(batch)
-        else:
-            data = np.broadcast_to(np.asarray(g, dtype=np.float64), (batch,))
-        per_batch = getattr(value, "ndim", 0) == 1
-        out.append(data.copy() if per_batch else float(data.sum()))
-    return out
+            psi, mu = step.adjoint_step(psi, mu, resolve_np, grads.accumulate)
+    return grads.gradients()
 
 
 def adjoint_grad(

@@ -493,10 +493,11 @@ def _row_gemm(m, post: int) -> bool:
     that is tens of thousands of tiny kernels per call (and as many outer
     products in the VJP with respect to ``m``).  A batch-independent
     ``(4, 4)`` block then runs instead as ONE ``(batch·pre·post, 4) @ mᵀ``
-    GEMM whose rows are the batch.  Every executor of a fused run — the
-    plan step here, the lowered probe and the in-place executor — decides
-    with this one predicate, so the float64 tiers perform the same
-    products.
+    GEMM whose rows are the batch.  Both executors of a fused run — the
+    plan step here and the lowered float32 executor
+    (:mod:`repro.lower.inplace`, which runs the same choice as one
+    ``m @ (4, batch·pre·post)`` column GEMM) — decide with this one
+    predicate.
     """
     return m.ndim == 2 and post < 8
 
@@ -523,10 +524,9 @@ class _FusedSingleQubitStep:
         self.n_gates = len(gates)
         pre = 2 ** qubit
         post = 2 ** (n_qubits - 1 - qubit)
-        # ``_pack_shape``/``_full_shape`` size the lowered tiers' planes.
+        # ``_pack_shape`` also sizes the lowered tier's planes.
         self._pack_shape = (-1, pre, 2, post)
         self._post = post
-        self._full_shape = (-1,) + (2,) * n_qubits
         self._gemm_shape = (-1, pre, 4, post)
         self._state_shape = (-1,) + (2,) * (n_qubits + 1)
         self._orders = {
@@ -774,7 +774,6 @@ class _PermutationStep:
         n = n_qubits
         dim = 2 ** n
         self._flat_shape = (-1, dim)
-        self._full_shape = (-1,) + (2,) * n
         self._packed_shape = (-1, 2 * dim)
         self._state_shape = (-1,) + (2,) * (n + 1)
         idx = np.arange(dim)
@@ -841,6 +840,7 @@ class _SingleGateStep:
     def __init__(self, gate, n_qubits: int):
         self.gates = (gate.name,)
         self.n_gates = 1
+        self._gate = gate  # the lowered tier rebuilds it as a kernel step
         self._name = gate.name
         self._params = gate.params
         n = n_qubits

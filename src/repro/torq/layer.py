@@ -182,7 +182,7 @@ class QuantumLayer(Module):
         if self.precision != "float64":
             from ..lower import lower_plan
 
-            lowered = lower_plan(gates, n, self.precision)
+            lowered = lower_plan(gates, n)
         angles = scale_input(self.scaling, activations)  # graph-recorded
         method = self.grad_method
         with no_grad():

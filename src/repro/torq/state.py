@@ -84,11 +84,8 @@ class QuantumState:
 #: primitives never write in place (every op allocates its output), so the
 #: same read-only buffers can seed every forward call — copy-on-write in
 #: effect, without the copy.  Small LRU: training loops reuse a handful of
-#: batch shapes, and one stale shape must not pin memory forever.  The
-#: dtype is part of the key because lowered precision tiers request
-#: float32 bases — a float32 and a float64 plan of the same shape must
-#: never alias one buffer.
-_ZERO_CACHE: "OrderedDict[tuple[int, int, str], tuple[np.ndarray, np.ndarray]]" = (
+#: batch shapes, and one stale shape must not pin memory forever.
+_ZERO_CACHE: "OrderedDict[tuple[int, int], tuple[np.ndarray, np.ndarray]]" = (
     OrderedDict()
 )
 _ZERO_CACHE_MAX = 8
@@ -110,25 +107,23 @@ def zero_cache_info() -> dict:
         return {"size": len(_ZERO_CACHE), "capacity": _ZERO_CACHE_MAX}
 
 
-def zero_state(batch: int, n_qubits: int, dtype=np.float64) -> QuantumState:
+def zero_state(batch: int, n_qubits: int) -> QuantumState:
     """|0...0⟩ replicated over the batch.
 
-    The underlying re/im arrays are cached per ``(batch, n_qubits,
-    dtype)`` and marked read-only; repeated calls share one allocation
+    The underlying float64 re/im arrays are cached per ``(batch,
+    n_qubits)`` and marked read-only; repeated calls share one allocation
     instead of zero-filling a fresh ``batch × 2**n`` buffer every forward
-    pass.  ``dtype`` selects the plane precision (lowered float32 tiers
-    pass ``np.float32``; the default is the seed float64 path).
+    pass.
     """
     if n_qubits < 1:
         raise ValueError("need at least one qubit")
-    dtype = np.dtype(dtype)
-    key = (int(batch), int(n_qubits), dtype.str)
+    key = (int(batch), int(n_qubits))
     with _zero_cache_lock:
         cached = _ZERO_CACHE.get(key)
         if cached is not None:
             _ZERO_CACHE.move_to_end(key)
         else:
-            re = np.zeros((batch,) + (2,) * n_qubits, dtype=dtype)
+            re = np.zeros((batch,) + (2,) * n_qubits)
             re[(slice(None),) + (0,) * n_qubits] = 1.0
             im = np.zeros_like(re)
             re.flags.writeable = False

@@ -94,7 +94,7 @@ def test_lowered_cache_concurrent():
 
     def work(t, r):
         q = 2 + (r % 3)
-        lowered[t][r % 3] = lower_plan(_any_gates(q), q, "float32")
+        lowered[t][r % 3] = lower_plan(_any_gates(q), q)
 
     _hammer(work)
     for i in range(3):
