@@ -14,7 +14,10 @@ plus serial vs. batched parameter-shift gradients (one circuit execution
 per shifted parameter vector vs. ONE batched execution for the whole shift
 table), the adjoint-method gradient (one forward + one reverse sweep for
 ALL parameters), the structural fusion counts (gates vs. kernel steps)
-for all six paper ansätze, and the ``repro.lower`` float32 tier: the
+for all six paper ansätze, the ``QuantumLayer`` transfer-matrix path
+against the gate-by-gate plan across qubit counts (``transfer_sweep``:
+no-grad forward and second-order step, which set the layer's
+``_TRANSFER_MAX_QUBITS``), and the ``repro.lower`` float32 tier: the
 float32 layer step, a 10+ qubit float32 forward against the seed float64
 plan, and the in-place planned executor (step time, peak traced memory,
 arena bytes) against the seed float64 adjoint, optionally across a qubit
@@ -34,13 +37,14 @@ training epoch runs: a ``MaxwellQPINN``'s fields plus the three
 the parameter backward through them.
 
 ``--check-structure`` exits non-zero unless every fusing ansatz's compiled
-plan executes fewer kernel steps than gates, the residual step's graph at
-64 points holds no more traced bytes than its budget, and its three
-``create_graph`` passes record no more graph nodes than theirs (both
-deterministic sizes: they catch a return to per-gate re/im concatenate
-and slice copies in the fused steps, to a ``grad()`` that differentiates
-every parameter on each pass, to gate-by-gate RX embedding or to a
-per-qubit |ψ|² readout); ``--check-adjoint`` exits
+plan executes fewer kernel steps than gates, the paper layer runs its
+ansatz on the 2ⁿ basis rows of the transfer matrix only (whatever the
+batch), the residual step's graph at 64 points holds no more traced
+bytes than its budget, and its three ``create_graph`` passes record no
+more graph nodes than theirs (both deterministic sizes: they catch a
+return to the gate-by-gate plan on every row, to a ``grad()`` that
+differentiates every parameter on each pass, to gate-by-gate RX
+embedding or to a per-qubit |ψ|² readout); ``--check-adjoint`` exits
 non-zero unless an adjoint gradient performs exactly 2 plan sweeps
 (forward + reverse) where parameter-shift needs 2P+1 circuit columns;
 ``--check-lowering`` exits non-zero unless every lowered step of the six
@@ -53,6 +57,7 @@ wall-clock thresholds.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -87,6 +92,8 @@ from repro.torq import (  # noqa: E402
     parameter_shift_grad,
     shift_table,
 )
+from repro.torq import compile as torq_compile  # noqa: E402
+from repro.torq import layer as torq_layer  # noqa: E402
 from repro.torq.adjoint import adjoint_state_vjp  # noqa: E402
 from repro.torq.measure import pauli_z_expectations  # noqa: E402
 from repro.torq.state import zero_state  # noqa: E402
@@ -95,13 +102,20 @@ N_QUBITS = 7
 N_LAYERS = 4
 ANSATZ = "basic_entangling"
 #: Points of the residual graph ``--check-structure`` sizes, and the
-#: budgets it must stay under.  The graph holds 46.7 MB and the three
-#: ``create_graph`` passes record 1,057 nodes; per-gate re/im concatenate
-#: and slice copies in the fused steps held 91.2 MB, and a ``grad()``
-#: without pruning recorded 9,867 nodes.
+#: budgets it must stay under (the measured figures plus about 15%).
+#: Through the transfer matrix the graph holds 25.8 MB and the three
+#: ``create_graph`` passes record 421 nodes; the gate-by-gate plan on
+#: every row held 46.7 MB and recorded 1,057 nodes, and a ``grad()``
+#: without pruning recorded 9,867.
 GRAPH_BATCH = 64
-GRAPH_BUDGET_BYTES = 52_000_000
-GRAPH_NODE_BUDGET = 1_200
+GRAPH_BUDGET_BYTES = 29_600_000
+GRAPH_NODE_BUDGET = 485
+#: ``transfer_sweep``: qubit counts and batch.  The second-order step
+#: runs up to ``TRANSFER_STEP_MAX_QUBITS`` only: the gate-by-gate graph
+#: holds 1.4 GB at 9 qubits and about doubles per qubit.
+TRANSFER_SWEEP_QUBITS = tuple(range(5, 12))
+TRANSFER_STEP_MAX_QUBITS = 9
+TRANSFER_BATCH = 1024
 
 
 def _median_time(fn, reps: int) -> float:
@@ -265,6 +279,91 @@ def bench_paper_residual_step(batch: int, reps: int, seed: int = 0) -> dict:
           f"points holds {row['graph_bytes']/1e6:.1f} MB, its create_graph "
           f"passes record {row['graph_pass_nodes']} nodes")
     return row
+
+
+@contextlib.contextmanager
+def _transfer_path(enabled: bool):
+    """Run ``QuantumLayer``'s backprop path through the transfer matrix
+    (``enabled``) or gate by gate, whatever the circuit size."""
+    saved = torq_layer._TRANSFER_MAX_QUBITS
+    torq_layer._TRANSFER_MAX_QUBITS = 64 if enabled else 0
+    try:
+        yield
+    finally:
+        torq_layer._TRANSFER_MAX_QUBITS = saved
+
+
+def bench_transfer_sweep(qubits, batch: int, step_max: int, reps: int,
+                         seed: int = 0) -> list[dict]:
+    """The transfer-matrix path against the gate-by-gate plan.
+
+    Per qubit count: the no-grad forward and a second-order step (⟨Z⟩,
+    one ``create_graph`` input derivative, and the parameter backward of
+    a loss on both) of a 4-layer ``strongly_entangling`` layer at
+    ``batch`` rows, the second only up to ``step_max`` qubits.
+    """
+    rows = []
+    for n in qubits:
+        layer = QuantumLayer(n_qubits=n, n_layers=N_LAYERS,
+                             rng=np.random.default_rng(seed))
+        acts = np.random.default_rng(seed + 1).uniform(-0.9, 0.9, (batch, n))
+        params = layer.parameters()
+
+        def forward() -> None:
+            with ad.no_grad():
+                layer(ad.Tensor(acts))
+
+        def step() -> None:
+            a = ad.Tensor(acts, requires_grad=True)
+            z = layer(a)
+            (dz,) = ad.grad(z.sum(), [a], create_graph=True)
+            layer.zero_grad()
+            backward((dz * dz).mean() + (z * z).mean(), params)
+
+        row = {"n_qubits": n, "batch": batch}
+        for path in ("transfer", "gate"):
+            with _transfer_path(path == "transfer"):
+                row[f"{path}_forward_s"] = _median_time(forward, reps)
+                if n <= step_max:
+                    row[f"{path}_step_s"] = _median_time(step, reps)
+        row["forward_speedup"] = row["gate_forward_s"] / row["transfer_forward_s"]
+        line = (f"  {n} qubits: forward {row['transfer_forward_s']*1e3:.0f} "
+                f"vs {row['gate_forward_s']*1e3:.0f} ms "
+                f"({row['forward_speedup']:.2f}x)")
+        if n <= step_max:
+            row["step_speedup"] = row["gate_step_s"] / row["transfer_step_s"]
+            line += (f", second-order step {row['transfer_step_s']*1e3:.0f} "
+                     f"vs {row['gate_step_s']*1e3:.0f} ms "
+                     f"({row['step_speedup']:.2f}x)")
+        rows.append(row)
+        print(line)
+    return rows
+
+
+def check_transfer_path() -> tuple[bool, list]:
+    """Whether the paper layer runs its ansatz on the 2ⁿ basis rows only.
+
+    Records the row count of every ``ExecutionPlan.run`` in one forward
+    of ``MaxwellQPINN``'s layer at ``GRAPH_BATCH`` points: the transfer
+    path runs the plan once, on 2ⁿ rows; a silent fallback to the
+    gate-by-gate plan runs it on the batch.
+    """
+    layer = MaxwellQPINN(rng=np.random.default_rng(0)).quantum
+    seen = []
+    run = torq_compile.ExecutionPlan.run
+
+    def recording(plan, state, resolve):
+        seen.append(state.batch)
+        return run(plan, state, resolve)
+
+    acts = ad.Tensor(np.random.default_rng(1).uniform(
+        -0.9, 0.9, (GRAPH_BATCH, layer.n_qubits)))
+    torq_compile.ExecutionPlan.run = recording
+    try:
+        layer(acts)
+    finally:
+        torq_compile.ExecutionPlan.run = run
+    return seen == [2 ** layer.n_qubits], seen
 
 
 def bench_parameter_shift(
@@ -679,6 +778,13 @@ def main(argv=None) -> int:
     residual_row = bench_paper_residual_step(
         16 if args.toy else 512, reps, seed=args.seed
     )
+    sweep_qubits = range(3, 6) if args.toy else TRANSFER_SWEEP_QUBITS
+    transfer_batch = 64 if args.toy else TRANSFER_BATCH
+    print(f"transfer matrix vs gate by gate (batch {transfer_batch}):")
+    transfer_rows = bench_transfer_sweep(
+        sweep_qubits, transfer_batch, TRANSFER_STEP_MAX_QUBITS,
+        max(1, reps - 2), seed=args.seed,
+    )
     print("parameter-shift gradient:")
     shift = bench_parameter_shift(
         n_qubits, max(1, n_layers // 2) if not args.toy else n_layers, reps,
@@ -727,6 +833,7 @@ def main(argv=None) -> int:
         "environment": obs.environment_info(),
         "table2_step": step_rows,
         "paper_residual_step": residual_row,
+        "transfer_sweep": transfer_rows,
         "parameter_shift": shift,
         "adjoint": adjoint,
         "plan_structure": structure,
@@ -744,14 +851,22 @@ def main(argv=None) -> int:
             print(f"STRUCTURE CHECK FAILED: {failures}")
             return 1
         print("structure check passed: compiled plans execute fewer kernels")
+        ok, seen = check_transfer_path()
+        if not ok:
+            print(f"TRANSFER CHECK FAILED: the paper layer's plan ran on "
+                  f"{seen} rows at {GRAPH_BATCH} points, not once on the "
+                  f"{2 ** N_QUBITS} basis rows")
+            return 1
+        print(f"transfer check passed: the paper layer's plan ran once, "
+              f"on the {seen[0]} basis rows, for {GRAPH_BATCH} points")
         held = residual_row["graph_bytes"]
         if held > GRAPH_BUDGET_BYTES:
             print(f"GRAPH CHECK FAILED: residual graph at {GRAPH_BATCH} "
                   f"points holds {held/1e6:.1f} MB > "
-                  f"{GRAPH_BUDGET_BYTES/1e6:.0f} MB budget")
+                  f"{GRAPH_BUDGET_BYTES/1e6:.1f} MB budget")
             return 1
         print(f"graph check passed: residual graph at {GRAPH_BATCH} points "
-              f"holds {held/1e6:.1f} MB <= {GRAPH_BUDGET_BYTES/1e6:.0f} MB")
+              f"holds {held/1e6:.1f} MB <= {GRAPH_BUDGET_BYTES/1e6:.1f} MB")
         nodes = residual_row["graph_pass_nodes"]
         if nodes > GRAPH_NODE_BUDGET:
             print(f"GRAPH CHECK FAILED: the create_graph passes at "

@@ -44,10 +44,13 @@ it; the buffers behind the loss, gradients, aux and forward output live
 to the end.  Buffers whose live ranges do not overlap share memory.
 Kernels that return fresh arrays (gathers, copying reshapes, the
 row-stable kernels' internals) still allocate, and each such array is
-dropped at its last read, so between replays an executor holds its
-arena and its constants only.  A steady-state replay performs **zero**
-graph-node allocations — ``scripts/bench_pde.py --check-alloc`` asserts
-exactly that in CI.
+dropped at its last read.  Constant folding keeps only the folded values
+the schedule or an output reads, so a parameter-free chain that folds to
+one matrix leaves that matrix and none of its intermediates.  Between
+replays an executor thus holds its arena and those constants only
+(``arena_bytes`` and ``folded_bytes`` in its ``stats``).  A
+steady-state replay performs **zero** graph-node allocations —
+``scripts/bench_pde.py --check-alloc`` asserts exactly that in CI.
 
 After the first (interpreted) replay the executor *freezes* the
 schedule into generated straight-line Python — one kernel call per
@@ -91,7 +94,7 @@ callbacks), each executor's arena through ``lower.arena.bytes``
 (labelled ``executor="tape"``), and :meth:`CompiledStep.cache_info`
 reports the same numbers together with per-executor schedule and arena
 statistics (``arena_bytes`` against the ``unplanned_bytes`` one buffer
-per entry would hold).
+per entry would hold, and ``folded_bytes``, the folded constants kept).
 
 **Precision tier.**  ``compile_step(..., precision="float32")`` replays
 the tape in float32: tracing and constant folding still run in float64
@@ -929,9 +932,11 @@ class TapeExecutor:
 
     Every ``out=`` and scratch buffer is a view into one liveness-planned
     :class:`repro.lower.memplan.Arena` (module docstring, **Memory**), so
-    between replays the executor holds its arena and its constants only.
-    Returned outputs are arena views, only valid until the next replay —
-    copy before mutating or keeping them.
+    between replays the executor holds its arena and the folded constants
+    its schedule reads, and nothing else: ``stats`` reports the two as
+    ``arena_bytes`` and ``folded_bytes``.  Returned outputs are arena
+    views, only valid until the next replay — copy before mutating or
+    keeping them.
     """
 
     def __init__(self, tape: Tape, precision: str = "float64",
@@ -972,6 +977,11 @@ class TapeExecutor:
         else:
             entries, fused = _fuse(entries, outputs)
         entries, chained = _fuse_chains(entries, outputs)
+        # A folded value is kept only if the schedule or an output reads
+        # it: a folded chain's intermediates die here, at compile time.
+        read = set(outputs)
+        for entry in entries:
+            read.update(ref for is_slot, ref in entry.template if is_slot)
         self.stats = {
             "recorded": recorded,
             "after_dce": after_dce,
@@ -988,6 +998,8 @@ class TapeExecutor:
         values: list[tuple] = []
         for slot, (kind, payload) in enumerate(binds):
             if kind == "value":
+                if slot not in read:
+                    continue
                 if cast is not None:
                     payload = cast(payload)
                 self._slots[slot] = payload
@@ -999,6 +1011,9 @@ class TapeExecutor:
             # ("op", None) slots are filled by the schedule.
         self._dyn_binds = tuple(dyn)
         self._value_binds = tuple(values)
+        self.stats["folded_bytes"] = sum(
+            np.asarray(v).nbytes for _slot, v in values
+        )
         schedule = []
         for entry in entries:
             if entry.name in _FUSED_KERNELS:
@@ -1280,11 +1295,13 @@ class TapeExecutor:
 
 def _executor_info(cache: OrderedDict) -> dict:
     """The executor fields of ``cache_info()``: ``buffer_bytes`` (every
-    cached executor's arena), per-executor ``executors`` statistics, and
-    the most recent executor's as ``schedule``."""
+    cached executor's arena), ``folded_bytes`` (their folded constants),
+    per-executor ``executors`` statistics, and the most recent executor's
+    as ``schedule``."""
     stats = [dict(ex.stats) for ex in cache.values()]
     info = {
         "buffer_bytes": sum(ex.buffer_bytes() for ex in cache.values()),
+        "folded_bytes": sum(st["folded_bytes"] for st in stats),
         "executors": stats,
     }
     if stats:

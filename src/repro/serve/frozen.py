@@ -20,8 +20,9 @@ The serving contract has three legs:
 * **No gradient residue.**  Forward-only tapes carry no backward
   schedule, so replay allocates no grad or residual buffers at all, and
   each executor replays in one liveness-planned arena: ``cache_info()``
-  reports the arenas as ``arena_bytes``, the tier's whole replay
-  footprint.
+  reports the arenas as ``arena_bytes`` and the folded constants the
+  schedules read (a quantum layer's transfer matrix, one per bucket) as
+  ``folded_bytes``, the tier's whole replay footprint.
 
 Requests larger than ``max_batch`` are processed in ``max_batch``
 chunks; smaller ones are zero-padded up to their bucket (padding rows
@@ -260,10 +261,12 @@ class FrozenModel:
                 "padded_rows": self._padded_rows,
             }
             if self._compiled is not None:
-                # The executors' arenas are all a warm float64 tier holds
+                # The executors' arenas and the folded constants their
+                # schedules read are all a warm float64 tier holds
                 # between replays (fresh kernel results die in-replay).
                 info["tape"] = self._compiled.cache_info()
                 info["arena_bytes"] = info["tape"]["buffer_bytes"]
+                info["folded_bytes"] = info["tape"]["folded_bytes"]
             else:
                 reports = {}
                 arena = 0

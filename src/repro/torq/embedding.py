@@ -30,6 +30,8 @@ __all__ = [
     "scaling_fn",
     "angle_embedding",
     "rx_product_state",
+    "rx_magnitudes",
+    "rx_basis_state",
     "single_qubit_z_response",
 ]
 
@@ -113,18 +115,15 @@ def _rx_phase(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     return re, im
 
 
-def rx_product_state(angles: Tensor) -> QuantumState:
-    """RX(angles[:, q]) on every qubit ``q`` of |0…0⟩ — the paper's encoding.
+def rx_magnitudes(angles: Tensor) -> Tensor:
+    """Real magnitudes of the RX product state, shape ``(batch, 2ⁿ)``.
 
-    The encoded state is a product state: amplitude ``b`` is
-    ∏_q (cos θ_q/2 if b_q = 0 else sin θ_q/2) times the fixed phase
-    (−i)^popcount(b).  It is built directly — one outer product per
-    qubit (about 2·2ⁿ·batch multiplies) and one multiply by the phase per
-    plane — instead of ``n`` full-state RX gates.
-    Every RX-embedded amplitude is purely real or purely imaginary, so the
-    gate-by-gate form only ever adds exact zeros to these same products,
-    taken in the same qubit order: the amplitudes equal
-    ``angle_embedding(zero_state(batch, n), angles)`` bit for bit.
+    Column ``b`` is ∏_q (cos θ_q/2 if b_q = 0 else sin θ_q/2), with qubit
+    0 the most significant bit of ``b``: one outer product per qubit, in
+    qubit order.  :func:`rx_product_state` multiplies it by the fixed
+    phase; :class:`~repro.torq.layer.QuantumLayer`'s transfer-matrix path
+    multiplies it into the transfer matrix, whose basis rows carry that
+    phase.
     """
     angles = as_tensor(angles)
     if angles.ndim != 2 or angles.shape[1] < 1:
@@ -137,9 +136,55 @@ def rx_product_state(angles: Tensor) -> QuantumState:
         mag = ad.reshape(mag, (batch, -1, 1)) * ad.reshape(
             factors[:, q], (batch, 1, 2)
         )
+    return ad.reshape(mag, (batch, 2 ** n))
+
+
+def rx_product_state(angles: Tensor) -> QuantumState:
+    """RX(angles[:, q]) on every qubit ``q`` of |0…0⟩ — the paper's encoding.
+
+    The encoded state is a product state: amplitude ``b`` is the
+    magnitude :func:`rx_magnitudes` builds times the fixed phase
+    (−i)^popcount(b).  It is built directly — one outer product per
+    qubit (about 2·2ⁿ·batch multiplies) and one multiply by the phase per
+    plane — instead of ``n`` full-state RX gates.
+    Every RX-embedded amplitude is purely real or purely imaginary, so the
+    gate-by-gate form only ever adds exact zeros to these same products,
+    taken in the same qubit order: the amplitudes equal
+    ``angle_embedding(zero_state(batch, n), angles)`` bit for bit.
+    """
+    angles = as_tensor(angles)
+    mag = rx_magnitudes(angles)
+    batch, n = angles.shape
     mag = ad.reshape(mag, (batch,) + (2,) * n)
     phase_re, phase_im = _rx_phase(n)
     return QuantumState(ComplexTensor(mag * phase_re, mag * phase_im), n)
+
+
+@lru_cache(maxsize=None)
+def _rx_basis_planes(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Re/im of the phased basis rows, shaped ``(2ⁿ,) + (2,)*n``."""
+    dim = 2 ** n_qubits
+    shape = (dim,) + (2,) * n_qubits
+    planes = []
+    for phase in _rx_phase(n_qubits):
+        plane = np.diag(phase.reshape(dim)).reshape(shape)
+        plane.flags.writeable = False
+        planes.append(plane)
+    return planes[0], planes[1]
+
+
+def rx_basis_state(n_qubits: int) -> QuantumState:
+    """Every basis state |b⟩ times the RX phase (−i)^popcount(b), one per row.
+
+    A batch of 2ⁿ states over read-only, cached planes.  Running a
+    circuit ``U`` on it gives the rows ``(−i)^popcount(b)·U|b⟩``; an RX
+    product state is then the magnitudes of :func:`rx_magnitudes` times
+    those rows, since ``U`` is linear and the magnitudes are real.
+    """
+    if n_qubits < 1:
+        raise ValueError("need at least one qubit")
+    re, im = _rx_basis_planes(int(n_qubits))
+    return QuantumState(ComplexTensor(Tensor(re), Tensor(im)), int(n_qubits))
 
 
 def single_qubit_z_response(name: str, a: np.ndarray) -> np.ndarray:

@@ -10,6 +10,12 @@ Pipeline per forward pass, batched over all collocation points:
 
 Everything is differentiable twice, so the layer can sit inside a PINN
 whose loss contains input-derivatives of the network outputs.
+
+Every row shares the ansatz parameters, so on small circuits the layer
+runs the ansatz once per forward on the 2ⁿ basis rows instead of on
+every row: that gives the transfer matrix ``W(θ)``, and each row's final
+state is its real product-state magnitudes times ``W`` — one GEMM over
+the batch (see :meth:`QuantumLayer.transfer_matrix`).
 """
 
 from __future__ import annotations
@@ -21,8 +27,14 @@ from ..autodiff import Tensor, make_node, no_grad
 from ..nn.module import Module, Parameter
 from .ansatz import Ansatz, GateSpec, apply_ansatz, make_ansatz
 from .compile import compile_gates
-from .embedding import rx_product_state, scale_input
-from .measure import pauli_z_expectations
+from .complexnum import ComplexTensor
+from .embedding import (
+    rx_basis_state,
+    rx_magnitudes,
+    rx_product_state,
+    scale_input,
+)
+from .measure import pauli_z_expectations, row_z_expectations
 from .state import QuantumState, zero_state
 
 __all__ = [
@@ -38,6 +50,15 @@ INIT_STRATEGIES: tuple[str, ...] = ("reg", "zeros", "pi", "half_pi")
 #: Selectable gradient backends (see :mod:`repro.torq.adjoint` for the
 #: trade-offs between them).
 GRAD_METHODS: tuple[str, ...] = ("backprop", "adjoint", "parameter_shift")
+
+#: Largest circuit whose backprop forward runs through the transfer
+#: matrix.  Chosen by circuit size alone, never by batch: serving needs a
+#: row's float64 bits to be the same in every bucket, so every bucket
+#: must run the same ops.  At 4 strongly entangling layers and batch
+#: 1024 the transfer path wins the no-grad forward up to 9 qubits and
+#: loses from 10, while its second-order step wins at every size
+#: measured (``transfer_sweep`` in ``BENCH_torq.json``).
+_TRANSFER_MAX_QUBITS = 9
 
 
 def initial_circuit_params(
@@ -67,7 +88,17 @@ def initial_circuit_params(
 
 
 class QuantumLayer(Module):
-    """A parametrised quantum circuit as an ``n_qubits → n_qubits`` module."""
+    """A parametrised quantum circuit as an ``n_qubits → n_qubits`` module.
+
+    The backprop path of a compiled layer with at most
+    ``_TRANSFER_MAX_QUBITS`` (9) qubits runs every forward through the
+    transfer matrix (:meth:`transfer_matrix`): the ansatz runs on the 2ⁿ
+    basis rows only, and the batch sees a few wide GEMMs, in the forward,
+    in ``create_graph`` derivative passes and in the second-order
+    backward.  Larger circuits, ``compiled=False``, the adjoint and
+    parameter-shift backends and the float32 tier run the ansatz gate by
+    gate on every row.  The two paths agree to rounding, not bitwise.
+    """
 
     def __init__(
         self,
@@ -129,13 +160,56 @@ class QuantumLayer(Module):
         """Output width produced by this layer."""
         return self.n_qubits
 
-    def run_state(self, activations: Tensor) -> QuantumState:
-        """Encode activations and run the ansatz, returning the final state."""
+    def _check_activations(self, activations: Tensor) -> None:
         if activations.ndim != 2 or activations.shape[1] != self.n_qubits:
             raise ValueError(
                 f"expected activations of shape (batch, {self.n_qubits}), "
                 f"got {activations.shape}"
             )
+
+    @property
+    def uses_transfer_matrix(self) -> bool:
+        """Whether the backprop path runs through :meth:`transfer_matrix`."""
+        return (
+            self.grad_method == "backprop"
+            and self.compiled
+            and self.n_qubits <= _TRANSFER_MAX_QUBITS
+        )
+
+    def transfer_matrix(self) -> Tensor:
+        """``W(θ)``: the ansatz applied to every RX-phased basis row.
+
+        Row ``b`` holds the re|im parts of (−i)^popcount(b)·U(θ)|b⟩, so
+        ``W`` has shape ``(2ⁿ, 2·2ⁿ)``.  The RX product state of a batch
+        row is its real magnitudes (:func:`rx_magnitudes`) times the
+        phased basis rows, so its final state is ``magnitudes @ W``.  The
+        ansatz runs once, on :func:`rx_basis_state`, whatever the batch;
+        ``W`` depends on the parameters only, so a frozen model's
+        compiled forward folds it into a constant.
+        """
+        final = apply_ansatz(
+            rx_basis_state(self.n_qubits), self.ansatz, self.params,
+            compiled=self.compiled,
+        )
+        amps = final.amplitudes()
+        return ad.concatenate([amps.re, amps.im], axis=1)
+
+    def _final_rows(self, activations: Tensor) -> Tensor:
+        """Final states as re|im rows ``(batch, 2·2ⁿ)``: one GEMM."""
+        mag = rx_magnitudes(scale_input(self.scaling, activations))
+        return ad.matmul(mag, self.transfer_matrix())
+
+    def run_state(self, activations: Tensor) -> QuantumState:
+        """Encode activations and run the ansatz, returning the final state."""
+        self._check_activations(activations)
+        if self.uses_transfer_matrix:
+            rows = self._final_rows(activations)
+            dim = 2 ** self.n_qubits
+            shape = (rows.shape[0],) + (2,) * self.n_qubits
+            return QuantumState(ComplexTensor(
+                ad.reshape(rows[:, :dim], shape),
+                ad.reshape(rows[:, dim:], shape),
+            ), self.n_qubits)
         state = rx_product_state(scale_input(self.scaling, activations))
         return apply_ansatz(state, self.ansatz, self.params, compiled=self.compiled)
 
@@ -169,11 +243,7 @@ class QuantumLayer(Module):
         from .adjoint import adjoint_state_vjp
         from .shift import batched_state_shift_vjp
 
-        if activations.ndim != 2 or activations.shape[1] != self.n_qubits:
-            raise ValueError(
-                f"expected activations of shape (batch, {self.n_qubits}), "
-                f"got {activations.shape}"
-            )
+        self._check_activations(activations)
         n = self.n_qubits
         batch = activations.shape[0]
         gates = self.embedded_gate_sequence()
@@ -241,6 +311,11 @@ class QuantumLayer(Module):
         """Per-qubit ⟨Z⟩ readout, shape ``(batch, n_qubits)``."""
         if self.grad_method != "backprop":
             return self._forward_measured(activations)
+        if self.uses_transfer_matrix:
+            self._check_activations(activations)
+            return row_z_expectations(
+                self._final_rows(activations), self.n_qubits
+            )
         return pauli_z_expectations(self.run_state(activations))
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -8,6 +8,8 @@ sampling estimator is provided for hardware-realism experiments.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .. import autodiff as ad
@@ -16,6 +18,7 @@ from .state import QuantumState, _axis
 
 __all__ = [
     "pauli_z_expectations",
+    "row_z_expectations",
     "sampled_z_expectations",
     "marginal_probability",
     "pauli_string_expectation",
@@ -42,7 +45,9 @@ def pauli_z_expectations(state: QuantumState) -> Tensor:
     the paper's barren-plateau discussion.  The state is squared once and
     every qubit's marginal is reduced from that one |ψ|² array (the same
     reduction :func:`marginal_probability` performs, so the values match
-    it bit for bit).
+    it bit for bit).  States held as re|im rows (the transfer-matrix path
+    of :class:`~repro.torq.layer.QuantumLayer`) read out through
+    :func:`row_z_expectations` instead.
     """
     probs = state.tensor.abs2()
     outputs = []
@@ -50,6 +55,30 @@ def pauli_z_expectations(state: QuantumState) -> Tensor:
         marg = _marginal(probs, state.n_qubits, q)
         outputs.append(marg[:, 0] - marg[:, 1])
     return ad.stack(outputs, axis=1)
+
+
+@lru_cache(maxsize=None)
+def _z_signs(n_qubits: int) -> np.ndarray:
+    """``(2·2ⁿ, n)`` Z eigenvalues: row ``r`` of a re|im state row, column
+    ``q``, is +1 where qubit ``q`` (most significant first) of basis state
+    ``r mod 2ⁿ`` is 0 and −1 where it is 1."""
+    bits = (np.arange(2 ** n_qubits)[:, None]
+            >> np.arange(n_qubits - 1, -1, -1)) & 1
+    signs = np.tile(1.0 - 2.0 * bits, (2, 1))
+    signs.flags.writeable = False
+    return signs
+
+
+def row_z_expectations(rows: Tensor, n_qubits: int) -> Tensor:
+    """Analytic ⟨Z_q⟩ of states held as re|im rows, shape ``(batch, n)``.
+
+    ``rows`` is ``(batch, 2·2ⁿ)``: the real parts of the 2ⁿ amplitudes,
+    then the imaginary parts.  ⟨Z_q⟩ = Σ_b |ψ_b|² z_q(b) with z_q(b) = ±1,
+    so one GEMM of the squared rows against the ``(2ⁿ, n)`` sign matrix,
+    stacked once for the real and once for the imaginary half, reads out
+    every qubit and adds re² + im² on the way.  Its VJP is one GEMM too.
+    """
+    return ad.matmul(ad.square(rows), Tensor(_z_signs(n_qubits)))
 
 
 def sampled_z_expectations(

@@ -1,8 +1,9 @@
 """Tape replay runs in one liveness-planned ``lower.memplan`` arena.
 
-* A warm float64 serving tier holds its arenas and nothing else: no
-  executor keeps an op output past a replay, and the reported
-  ``arena_bytes`` is the real footprint.
+* A warm float64 serving tier holds its arenas and the folded constants
+  its schedules read, nothing else: no executor keeps an op output past
+  a replay or a folded intermediate past compilation, and the reported
+  ``arena_bytes`` and ``folded_bytes`` are the real footprint.
 * The replay that ``CompiledStep`` and ``CompiledForward`` validate
   against define-by-run already runs in the arena, so a wrong plan is
   caught on that replay and never served.
@@ -16,7 +17,7 @@ import pytest
 from repro import serve
 from repro import autodiff as ad
 from repro.autodiff import Tensor, backward, no_grad
-from repro.autodiff.tape import compile_step
+from repro.autodiff.tape import compile_forward, compile_step
 from repro.lower import memplan
 
 
@@ -46,6 +47,36 @@ def test_warm_float64_tier_holds_only_its_arenas(tmp_path):
     assert info["tape"]["disabled"] is None
     assert info["arena_bytes"] == sum(ex.buffer_bytes() for ex in executors)
     assert info["arena_bytes"] <= 4_000_000  # measured 2.9 MB
+    # One folded 128×256 transfer matrix per bucket (2.36 MB for nine),
+    # not the plan intermediates it folded from.
+    assert info["folded_bytes"] == info["tape"]["folded_bytes"]
+    assert info["folded_bytes"] <= 3_000_000
+
+
+def test_a_folded_chain_keeps_only_the_value_it_folds_to():
+    """A forward whose parameter-only chain folds to one matrix keeps
+    that matrix, not the chain's intermediates."""
+    rng = np.random.default_rng(5)
+    w = Tensor(rng.normal(size=(6, 4)))  # frozen weights: constants
+
+    def fn(a):
+        return Tensor(a) @ ad.tanh(ad.sin(w) * 2.0 + 1.0)
+
+    forward = compile_forward(fn, name="folded-chain")
+    a = rng.normal(size=(5, 6))
+    for _ in range(3):
+        out = forward(a)
+    assert forward.disabled is None
+    (ex,) = forward._cache.values()
+    assert ex.stats["folded"] == 4  # sin, mul, add, tanh
+    (held,) = [value for _slot, value in ex._value_binds]
+    matrix = np.tanh(np.sin(w.data) * 2.0 + 1.0)
+    assert np.array_equal(held, matrix)
+    assert [slot for slot, value in enumerate(ex._slots)
+            if value is not None] == [ex._value_binds[0][0]]
+    assert ex.stats["folded_bytes"] == matrix.nbytes
+    assert forward.cache_info()["folded_bytes"] == matrix.nbytes
+    np.testing.assert_allclose(out, a @ matrix, rtol=1e-14)
 
 
 def _one_slot_plan(specs):

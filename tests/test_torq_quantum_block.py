@@ -1,10 +1,12 @@
 """The QuantumLayer backprop kernels: product-state RX embedding, the
-one-square ⟨Z⟩ readout and the row GEMM of short-stride fused runs.
+one-square ⟨Z⟩ readout, the row GEMM of short-stride fused runs and the
+transfer matrix.
 
 Each kernel replaces a slower form that stays in the library as its
 oracle: ``angle_embedding(zero_state(...))`` for the product state,
-per-qubit :func:`marginal_probability` for the readout, and the broadcast
-block product for the row GEMM.
+per-qubit :func:`marginal_probability` for the readout, the broadcast
+block product for the row GEMM, and the gate-by-gate plan on every row
+for the transfer matrix.
 """
 
 import numpy as np
@@ -15,6 +17,7 @@ from repro.autodiff import Tensor, check_double_grad, check_grad, grad
 from repro.autodiff.tape import compile_step
 from repro.nn import Linear
 from repro.torq import (
+    ANSATZ_NAMES,
     QuantumLayer,
     angle_embedding,
     apply_ansatz,
@@ -22,9 +25,11 @@ from repro.torq import (
     marginal_probability,
     pauli_z_expectations,
     rx_product_state,
+    scale_input,
     zero_state,
 )
 from repro.torq import compile as torq_compile
+from repro.torq import layer as torq_layer
 from repro.torq.ansatz import GateSpec
 from repro.torq.complexnum import ComplexTensor
 
@@ -188,3 +193,110 @@ class TestCompiledQuantumStep:
             for g, rg in zip(grads, ref_grads):
                 np.testing.assert_array_equal(g, rg)
         assert not step.disabled
+
+    def test_paper_qpinn_step_replays_bitwise(self):
+        """The paper QPINN's fixed-grid loss (``scaling="pi"``: no clip)
+        compiles through the transfer matrix and replays bitwise."""
+        from repro.core.config import get_case
+        from repro.core.models import MaxwellQPINN
+
+        case = get_case("vacuum")
+        model = MaxwellQPINN(scaling="pi", rng=np.random.default_rng(0),
+                             t_max=case.t_max)
+        assert model.quantum.uses_transfer_matrix
+        loss_fn = case.make_loss(use_energy=True, curriculum=None)
+        grid = case.make_grid(3)
+        params = model.parameters()
+
+        def fn():
+            return loss_fn.loss_tensors(model, grid)
+
+        for p in params:
+            p.grad = None
+        loss, _ = fn()
+        ad.backward(loss, params)
+        ref_loss = float(loss.data)
+        ref_grads = [p.grad.copy() for p in params]
+        step = compile_step(fn, params)
+        for _ in range(3):
+            got_loss, grads, _ = step()
+            assert got_loss == ref_loss
+            for g, rg in zip(grads, ref_grads):
+                np.testing.assert_array_equal(g, rg)
+        assert step.disabled is None
+
+
+def _gate_by_gate(layer, acts):
+    """The layer's final state with the ansatz run on every row."""
+    state = rx_product_state(scale_input(layer.scaling, acts))
+    return apply_ansatz(state, layer.ansatz, layer.params)
+
+
+class TestTransferMatrix:
+    """``mag @ W`` against the gate-by-gate plan: equal to rounding."""
+
+    @pytest.mark.parametrize("ansatz", ANSATZ_NAMES)
+    @pytest.mark.parametrize("batch", [40, 300])  # below and above 2⁷
+    def test_matches_the_gate_by_gate_plan(self, ansatz, batch):
+        rng = np.random.default_rng(batch)
+        layer = QuantumLayer(n_qubits=7, n_layers=4, ansatz=ansatz, rng=rng)
+        assert layer.uses_transfer_matrix
+        a = rng.uniform(-0.95, 0.95, (batch, 7))
+        w = rng.normal(size=(batch, 7))
+
+        def derivatives(readout):
+            acts = Tensor(a, requires_grad=True)
+            z = readout(acts)
+            (dz,) = grad((z * w).sum(), [acts], create_graph=True)
+            (dp,) = grad((dz * dz).mean() + (z * z).mean(), [layer.params])
+            return z.data, dz.data, dp.data
+
+        dense = derivatives(layer)
+        gate = derivatives(
+            lambda acts: pauli_z_expectations(_gate_by_gate(layer, acts))
+        )
+        for got, want in zip(dense, gate):  # ⟨Z⟩, d⟨Z⟩/da, d²/dθ
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_run_state_is_the_final_state(self, rng):
+        layer = QuantumLayer(n_qubits=7, n_layers=2, rng=rng)
+        acts = Tensor(rng.uniform(-0.95, 0.95, (9, 7)))
+        got = layer.run_state(acts)
+        want = _gate_by_gate(layer, acts)
+        assert got.n_qubits == 7 and got.batch == 9
+        for g, e in ((got.tensor.re, want.tensor.re),
+                     (got.tensor.im, want.tensor.im)):
+            np.testing.assert_allclose(g.data, e.data, rtol=0, atol=1e-12)
+        with pytest.raises(ValueError):
+            layer.run_state(Tensor(np.zeros((3, 6))))
+
+    @staticmethod
+    def _plan_batches(monkeypatch, layer, batch):
+        """Row counts every ``ExecutionPlan.run`` sees in one forward."""
+        seen = []
+        run = torq_compile.ExecutionPlan.run
+
+        def recording(plan, state, resolve):
+            seen.append(state.batch)
+            return run(plan, state, resolve)
+
+        monkeypatch.setattr(torq_compile.ExecutionPlan, "run", recording)
+        acts = Tensor(np.random.default_rng(3).uniform(
+            -0.9, 0.9, (batch, layer.n_qubits)))
+        assert layer(acts).shape == (batch, layer.n_qubits)
+        return seen
+
+    def test_the_paper_layer_runs_the_ansatz_on_the_basis_rows(
+            self, monkeypatch):
+        from repro.core.models import MaxwellQPINN
+
+        layer = MaxwellQPINN(rng=np.random.default_rng(0)).quantum
+        assert layer.uses_transfer_matrix
+        assert self._plan_batches(monkeypatch, layer, 300) == [2 ** 7]
+
+    def test_larger_circuits_run_gate_by_gate(self, monkeypatch):
+        n = torq_layer._TRANSFER_MAX_QUBITS + 1
+        layer = QuantumLayer(n_qubits=n, n_layers=1,
+                             rng=np.random.default_rng(0))
+        assert not layer.uses_transfer_matrix
+        assert self._plan_batches(monkeypatch, layer, 3) == [3]
