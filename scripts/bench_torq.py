@@ -39,12 +39,16 @@ the parameter backward through them.
 ``--check-structure`` exits non-zero unless every fusing ansatz's compiled
 plan executes fewer kernel steps than gates, the paper layer runs its
 ansatz on the 2ⁿ basis rows of the transfer matrix only (whatever the
-batch), the residual step's graph at 64 points holds no more traced
-bytes than its budget, and its three ``create_graph`` passes record no
-more graph nodes than theirs (both deterministic sizes: they catch a
-return to the gate-by-gate plan on every row, to a ``grad()`` that
-differentiates every parameter on each pass, to gate-by-gate RX
-embedding or to a per-qubit |ψ|² readout); ``--check-adjoint`` exits
+batch), a whole ``MaxwellLoss`` call at 64 points runs it once (one
+``W`` for both forwards), one ``transfer_matrix()`` build records no
+more graph nodes than its budget (the gate table: per-gate builders
+recorded 1,144), the residual step's graph at 64 points holds no more
+traced bytes than its budget, and its three ``create_graph`` passes
+record no more graph nodes than theirs (all deterministic sizes: they
+catch a return to the gate-by-gate plan on every row, to per-gate
+matrix builders, to a ``grad()`` that differentiates every parameter on
+each pass, to gate-by-gate RX embedding or to a per-qubit |ψ|²
+readout); ``--check-adjoint`` exits
 non-zero unless an adjoint gradient performs exactly 2 plan sweeps
 (forward + reverse) where parameter-shift needs 2P+1 circuit columns;
 ``--check-lowering`` exits non-zero unless every lowered step of the six
@@ -72,6 +76,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro import autodiff as ad  # noqa: E402
 from repro import obs  # noqa: E402
 from repro.autodiff import backward  # noqa: E402
+from repro.core.config import get_case  # noqa: E402
 from repro.core.losses import forward_with_derivatives  # noqa: E402
 from repro.core.models import MaxwellQPINN  # noqa: E402
 from repro.lower import (  # noqa: E402
@@ -110,6 +115,9 @@ ANSATZ = "basic_entangling"
 GRAPH_BATCH = 64
 GRAPH_BUDGET_BYTES = 29_600_000
 GRAPH_NODE_BUDGET = 485
+#: Graph nodes of one paper-layer ``transfer_matrix()`` build: 176
+#: through the gate table (1,144 with per-gate builders), budget +15%.
+TRANSFER_NODE_BUDGET = 202
 #: ``transfer_sweep``: qubit counts and batch.  The second-order step
 #: runs up to ``TRANSFER_STEP_MAX_QUBITS`` only: the gate-by-gate graph
 #: holds 1.4 GB at 9 qubits and about doubles per qubit.
@@ -229,17 +237,12 @@ def residual_graph_bytes(batch: int, seed: int = 0) -> int:
     return int(held)
 
 
-def residual_pass_nodes(batch: int, seed: int = 0) -> int:
-    """Graph nodes the residual step's three ``create_graph`` passes record.
-
-    Nodes made during ``forward_with_derivatives`` minus those of the
-    fields alone, counted where every op records its node
-    (``repro.autodiff.ops.make_node``), so a cotangent a pass computes
-    and then drops counts too.
-    """
+def _graph_nodes(fn) -> int:
+    """Graph nodes ``fn()`` records, counted where every op records its
+    node (``repro.autodiff.ops.make_node``), so a cotangent a pass
+    computes and then drops counts too."""
     from repro.autodiff import ops
 
-    model, coords = _paper_model(batch, seed)
     make_node = ops.make_node
     made = 0
 
@@ -249,19 +252,29 @@ def residual_pass_nodes(batch: int, seed: int = 0) -> int:
         made += node.requires_grad
         return node
 
-    def count(fn) -> int:
-        nonlocal made
-        made = 0
-        ops.make_node = counting
-        try:
-            fn(model, *coords())
-        finally:
-            ops.make_node = make_node
-        return made
+    ops.make_node = counting
+    try:
+        fn()
+    finally:
+        ops.make_node = make_node
+    return made
 
-    return count(forward_with_derivatives) - count(
-        lambda m, x, y, t: m.fields(x, y, t)
-    )
+
+def residual_pass_nodes(batch: int, seed: int = 0) -> int:
+    """Graph nodes the residual step's three ``create_graph`` passes
+    record: those of ``forward_with_derivatives`` minus those of the
+    fields alone."""
+    model, coords = _paper_model(batch, seed)
+    return _graph_nodes(
+        lambda: forward_with_derivatives(model, *coords())
+    ) - _graph_nodes(lambda: model.fields(*coords()))
+
+
+def transfer_build_nodes(seed: int = 0) -> int:
+    """Graph nodes one ``transfer_matrix()`` build of the paper layer
+    records."""
+    layer = MaxwellQPINN(rng=np.random.default_rng(seed)).quantum
+    return _graph_nodes(layer.transfer_matrix)
 
 
 def bench_paper_residual_step(batch: int, reps: int, seed: int = 0) -> dict:
@@ -274,10 +287,12 @@ def bench_paper_residual_step(batch: int, reps: int, seed: int = 0) -> dict:
         "graph_batch": GRAPH_BATCH,
         "graph_bytes": residual_graph_bytes(GRAPH_BATCH, seed),
         "graph_pass_nodes": residual_pass_nodes(GRAPH_BATCH, seed),
+        "transfer_build_nodes": transfer_build_nodes(seed),
     }
     print(f"  batch {batch}: {step_s*1e3:.0f} ms; graph at {GRAPH_BATCH} "
           f"points holds {row['graph_bytes']/1e6:.1f} MB, its create_graph "
-          f"passes record {row['graph_pass_nodes']} nodes")
+          f"passes record {row['graph_pass_nodes']} nodes; one W build "
+          f"records {row['transfer_build_nodes']}")
     return row
 
 
@@ -340,6 +355,23 @@ def bench_transfer_sweep(qubits, batch: int, step_max: int, reps: int,
     return rows
 
 
+def _plan_rows(fn) -> list:
+    """The row count of every ``ExecutionPlan.run`` during ``fn()``."""
+    seen = []
+    run = torq_compile.ExecutionPlan.run
+
+    def recording(plan, state, resolve):
+        seen.append(state.batch)
+        return run(plan, state, resolve)
+
+    torq_compile.ExecutionPlan.run = recording
+    try:
+        fn()
+    finally:
+        torq_compile.ExecutionPlan.run = run
+    return seen
+
+
 def check_transfer_path() -> tuple[bool, list]:
     """Whether the paper layer runs its ansatz on the 2ⁿ basis rows only.
 
@@ -349,21 +381,23 @@ def check_transfer_path() -> tuple[bool, list]:
     gate-by-gate plan runs it on the batch.
     """
     layer = MaxwellQPINN(rng=np.random.default_rng(0)).quantum
-    seen = []
-    run = torq_compile.ExecutionPlan.run
-
-    def recording(plan, state, resolve):
-        seen.append(state.batch)
-        return run(plan, state, resolve)
-
     acts = ad.Tensor(np.random.default_rng(1).uniform(
         -0.9, 0.9, (GRAPH_BATCH, layer.n_qubits)))
-    torq_compile.ExecutionPlan.run = recording
-    try:
-        layer(acts)
-    finally:
-        torq_compile.ExecutionPlan.run = run
+    seen = _plan_rows(lambda: layer(acts))
     return seen == [2 ** layer.n_qubits], seen
+
+
+def check_loss_transfer() -> tuple[bool, list]:
+    """Whether one ``MaxwellLoss`` call on ``GRAPH_BATCH`` (4³) points
+    runs the paper layer's plan once, on 2ⁿ rows: its derivative-bearing
+    and its mirror/IC forwards share one ``W``."""
+    case = get_case("vacuum")
+    model = MaxwellQPINN(rng=np.random.default_rng(0), t_max=case.t_max)
+    loss_fn = case.make_loss(use_energy=True)
+    grid = case.make_grid(round(GRAPH_BATCH ** (1 / 3)))
+    assert grid.n_points == GRAPH_BATCH
+    seen = _plan_rows(lambda: loss_fn(model, grid))
+    return seen == [2 ** model.quantum.n_qubits], seen
 
 
 def bench_parameter_shift(
@@ -859,6 +893,21 @@ def main(argv=None) -> int:
             return 1
         print(f"transfer check passed: the paper layer's plan ran once, "
               f"on the {seen[0]} basis rows, for {GRAPH_BATCH} points")
+        ok, seen = check_loss_transfer()
+        if not ok:
+            print(f"TRANSFER CHECK FAILED: one MaxwellLoss call at "
+                  f"{GRAPH_BATCH} points ran the paper layer's plan on "
+                  f"{seen} rows, not once on the {2 ** N_QUBITS} basis rows")
+            return 1
+        print(f"transfer check passed: one MaxwellLoss call at "
+              f"{GRAPH_BATCH} points ran the plan once, on {seen[0]} rows")
+        nodes = residual_row["transfer_build_nodes"]
+        if nodes > TRANSFER_NODE_BUDGET:
+            print(f"TRANSFER CHECK FAILED: one transfer_matrix() build "
+                  f"records {nodes} nodes > {TRANSFER_NODE_BUDGET}")
+            return 1
+        print(f"transfer check passed: one transfer_matrix() build "
+              f"records {nodes} nodes <= {TRANSFER_NODE_BUDGET}")
         held = residual_row["graph_bytes"]
         if held > GRAPH_BUDGET_BYTES:
             print(f"GRAPH CHECK FAILED: residual graph at {GRAPH_BATCH} "

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..maxwell.energy import bh_indicator, normalized_energy, total_energy
-from .metrics import evaluate_fields
+from .metrics import _L2_BATCH, evaluate_fields
 
 __all__ = [
     "model_energy_series",
@@ -43,21 +43,23 @@ def model_energy_series(
     """U_θ(t) sampled on a uniform space grid at ``n_times`` instants.
 
     ``eps_fn(x, y)`` supplies the permittivity map (defaults to vacuum).
-    Returns ``(times, energies)``.
+    Returns ``(times, energies)``.  All slices go through one
+    :func:`~repro.core.metrics.evaluate_fields` call, in the L2
+    evaluation's chunk size, so a quantum layer builds its transfer
+    matrix once.
     """
     spacing = 2.0 / n_space
     axis = -1.0 + spacing * np.arange(n_space)
     xx, yy = np.meshgrid(axis, axis, indexing="ij")
     eps = np.ones_like(xx) if eps_fn is None else eps_fn(xx, yy)
     times = np.linspace(0.0, t_max, n_times)
-    energies = np.empty(n_times)
-    for k, tk in enumerate(times):
-        tcol = np.full(xx.size, tk)
-        ez, hx, hy = evaluate_fields(model, xx.ravel(), yy.ravel(), tcol)
-        energies[k] = total_energy(
-            ez.reshape(xx.shape), hx.reshape(xx.shape), hy.reshape(xx.shape),
-            eps, cell_area=spacing * spacing,
-        )
+    fields = evaluate_fields(
+        model, np.tile(xx.ravel(), n_times), np.tile(yy.ravel(), n_times),
+        np.repeat(times, xx.size), batch_size=_L2_BATCH,
+    )
+    shape = (n_times, *xx.shape)
+    energies = total_energy(*(f.reshape(shape) for f in fields), eps,
+                            cell_area=spacing * spacing)
     return times, energies
 
 

@@ -14,9 +14,11 @@ Terms:
   mitigates the black-hole failure mode,
 * ``L_tot = L_phys + 10 L_IC + 10 L_sym + 10 L_energy`` (Eq. 26).
 
-Performance: the main collocation set, both mirrored copies, and the
-initial-condition plane are concatenated into *one* batched forward pass
-(one autodiff graph instead of four), and the residuals reuse one set of
+Performance: a loss call makes two batched forward passes instead of
+four: the main collocation set with its derivatives, and one value-only
+pass over both mirrored copies and the initial-condition plane.  Both run
+in one :func:`~repro.torq.layer.transfer_scope`, so a quantum layer's
+transfer matrix is built once per call.  The residuals reuse one set of
 first derivatives obtained with ``create_graph=True`` so the parameter
 gradient flows through them (double backward) exactly as PyTorch would in
 the paper's stack.
@@ -40,6 +42,7 @@ from ..maxwell.tez import (
     residual_faraday_x,
     residual_faraday_y,
 )
+from ..torq.layer import transfer_scope
 from .collocation import CollocationGrid
 from .weighting import TemporalCurriculum
 
@@ -326,6 +329,10 @@ class MaxwellLoss:
         self, model, grid: CollocationGrid, epoch: int = 0
     ) -> tuple[Tensor, dict[str, float]]:
         """Total loss (Eq. 26) and a float breakdown for logging."""
+        with transfer_scope():
+            return self._call(model, grid, epoch)
+
+    def _call(self, model, grid, epoch):
         weights = None
         if self.curriculum is not None:
             weights = grid.bin_weights_vector(self.curriculum.weights(epoch))
@@ -415,5 +422,6 @@ class MaxwellLoss:
                 "use __call__ for the stateful weighting modes"
             )
         x, y, t = grid.coords()
-        main = forward_with_derivatives(model, x, y, t)
-        return self._terms_from_bundle(model, main, grid, None)
+        with transfer_scope():
+            main = forward_with_derivatives(model, x, y, t)
+            return self._terms_from_bundle(model, main, grid, None)

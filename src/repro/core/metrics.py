@@ -12,6 +12,7 @@ import numpy as np
 
 from ..autodiff import Tensor, no_grad
 from ..solvers.maxwell_ref import ReferenceSolution
+from ..torq.layer import transfer_scope
 
 __all__ = ["evaluate_fields", "l2_relative_error", "l2_relative_error_fields"]
 
@@ -26,7 +27,11 @@ _L2_BATCH = 2048
 def evaluate_fields(
     model, x: np.ndarray, y: np.ndarray, t: np.ndarray, batch_size: int = 16384
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Evaluate (E_z, H_x, H_y) at flat query points without autodiff."""
+    """Evaluate (E_z, H_x, H_y) at flat query points without autodiff.
+
+    Every chunk shares one transfer matrix per quantum layer
+    (:func:`~repro.torq.layer.transfer_scope`).
+    """
     x = np.asarray(x, dtype=np.float64).reshape(-1, 1)
     y = np.asarray(y, dtype=np.float64).reshape(-1, 1)
     t = np.asarray(t, dtype=np.float64).reshape(-1, 1)
@@ -34,7 +39,7 @@ def evaluate_fields(
     ez = np.empty(n)
     hx = np.empty(n)
     hy = np.empty(n)
-    with no_grad():
+    with no_grad(), transfer_scope():
         for start in range(0, n, batch_size):
             sl = slice(start, min(start + batch_size, n))
             e, a, b = model.fields(Tensor(x[sl]), Tensor(y[sl]), Tensor(t[sl]))

@@ -9,7 +9,9 @@ sweep over *split real/imaginary planes* (two float32 arrays of shape
 parameter-space algebra (2×2 factor matrices, prefix/suffix products,
 gradient contractions against the overlap matrix) stays float64, so the
 deviation from the float64 seed plan is bounded by the documented
-budgets (:mod:`repro.lower.budget`).
+budgets (:mod:`repro.lower.budget`).  The factor matrices come from the
+gate table of the seed steps (one cos and one sin per sweep), as in the
+seed plan's adjoint sweep.
 
 Every lowered step is one of three kernels, reading the precomputed
 index and factor fields of its seed step (the two modules evolve
@@ -53,7 +55,7 @@ import numpy as np
 from .. import obs
 from ..torq import compile as torq_compile
 from ..torq.adjoint import _GradientSums, _z_weight_mask_into
-from ..torq.compile import _np_angle, _np_dagger, _np_factor_mats, _row_gemm
+from ..torq.compile import _np_angle, _overlap_grad, _real_block, _row_gemm
 from ..torq.state import zero_planes_into
 from .memplan import Arena, BufferSpec, plan_buffers
 
@@ -61,31 +63,6 @@ __all__ = ["LoweredPlan", "PlannedExecution", "Planes"]
 
 _RD = np.dtype(np.float32)
 _CD = np.dtype(np.complex64)
-
-
-def _compose_factors(factors, resolve) -> np.ndarray:
-    """A fused run's complex 2×2 unitary composed in float64 from its
-    factor list (``(2, 2)``, or ``(batch, 2, 2)`` for per-batch angles)."""
-    u = None
-    for kind, payload in factors:
-        if kind == "const":
-            f = payload
-        else:
-            f, _ = _np_factor_mats(kind, _np_angle(resolve, payload))
-        u = f if u is None else np.matmul(f, u)
-    return u
-
-
-def _block44(u: np.ndarray) -> np.ndarray:
-    """Real block form ``[[Ur, −Ui], [Ui, Ur]]`` of a complex 2×2 (or
-    per-batch ``(B, 2, 2)``) matrix, ready to broadcast through matmul."""
-    ur, ui = u.real, u.imag
-    top = np.concatenate([ur, -ui], axis=-1)
-    bot = np.concatenate([ui, ur], axis=-1)
-    m = np.concatenate([top, bot], axis=-2)
-    if m.ndim == 3:
-        return m.reshape(-1, 1, 4, 4)
-    return m
 
 
 # ----------------------------------------------------------------------
@@ -113,14 +90,12 @@ class _Fused(_Step):
         m = seed._const_m
         self._const_m = None if m is None else m.astype(_RD)
 
-    def matrix(self, resolve) -> np.ndarray:
-        """The float32 block matrix: the float64 factors composed
-        numerically and cast once."""
+    def matrix(self, gates) -> np.ndarray:
+        """The float32 block matrix: the run's float64 unitary from the
+        gate table ``gates``, cast once."""
         if self._const_m is not None:
             return self._const_m
-        return _block44(_compose_factors(self.seed._factors, resolve)).astype(
-            _RD
-        )
+        return _real_block(gates.unitary(self.seed)).astype(_RD)
 
 
 class _Phase(_Step):
@@ -189,6 +164,9 @@ class LoweredPlan:
         self.plan = plan
         self.n_qubits = plan.n_qubits
         self.steps = [_lower_step(s, plan.n_qubits) for s in plan.steps]
+        # The gate table of the lowered steps' seeds (a lone gate's seed
+        # is the one-gate fused step it was rebuilt as).
+        self._table = torq_compile._GateTable(tuple(s.seed for s in self.steps))
         self._planned: dict[int, PlannedExecution] = {}
 
     def planned_execution(self, batch: int) -> "PlannedExecution":
@@ -461,8 +439,9 @@ class PlannedExecution:
                     pass
         else:
             self._begin()
+            gates = self.lowered._table.numpy(resolve)
             for i, step in enumerate(self.lowered.steps):
-                self._fwd_step(i, step, resolve)
+                self._fwd_step(i, step, gates)
         return Planes(*self.final_planes(), self.runs)
 
     def forward_steps(self, resolve):
@@ -470,12 +449,13 @@ class PlannedExecution:
         planes (arena views, valid until the next step runs)."""
         self._begin()
         reg = obs.metrics() if obs.is_profiling() else None
+        gates = self.lowered._table.numpy(resolve)
         for i, step in enumerate(self.lowered.steps):
             if reg is not None:
                 with reg.timer("lower.planned.apply", kind=step.kind).time():
-                    self._fwd_step(i, step, resolve)
+                    self._fwd_step(i, step, gates)
             else:
-                self._fwd_step(i, step, resolve)
+                self._fwd_step(i, step, gates)
             yield self._full[i + 1]
 
     def _begin(self) -> None:
@@ -491,18 +471,18 @@ class PlannedExecution:
             and planes[0] is self.final_planes()[0]
         )
 
-    def _fwd_step(self, i, step, resolve):
+    def _fwd_step(self, i, step, gates):
         kind = step.kind
         if kind == "fused_1q":
-            self._fwd_fused(i, step, resolve)
+            self._fwd_fused(i, step, gates)
         elif kind == "phase_mask":
-            self._fwd_phase(i, step, resolve)
+            self._fwd_phase(i, step, gates.resolve)
         else:
             self._fwd_perm(i, step)
 
     # -- fused single-qubit runs --------------------------------------
-    def _fwd_fused(self, i, step, resolve):
-        m = step.matrix(resolve)
+    def _fwd_fused(self, i, step, gates):
+        m = step.matrix(gates)
         if _row_gemm(m, self._ctx[i]["post"]):
             self._fused_cols(i, m)
         else:
@@ -630,36 +610,25 @@ class PlannedExecution:
         _z_weight_mask_into(weights, self.n_qubits, self._mask64)
         np.copyto(self._mask32, self._mask64.reshape(self.batch, self.dim))
         np.multiply(psi, self._mask32, out=mu)
+        gates = self.lowered._table.numpy(resolve)
         for j in range(K - 1, -1, -1):
             step = steps[j]
             kind = step.kind
             if kind == "fused_1q":
-                self._adj_fused(j, step, resolve, accumulate)
+                self._adj_fused(j, step, gates, accumulate)
             elif kind == "phase_mask":
                 self._adj_phase(j, step, resolve, accumulate)
             else:
                 self._adj_perm(j, step)
 
-    def _adj_fused(self, j, step, resolve, accumulate):
+    def _adj_fused(self, j, step, gates, accumulate):
         s = step.seed
         ctx = self._adj_ctx[j]
         if s._const_np_dag is not None:
-            udag = s._const_np_dag
-            mats = prefixes = None
+            udag, derivatives = s._const_np_dag, None
         else:
-            eye = np.eye(2, dtype=np.complex128)
-            mats = []
-            for kind, payload in s._factors:
-                if kind == "const":
-                    mats.append((payload, None, None))
-                else:
-                    u, du = _np_factor_mats(kind, _np_angle(resolve, payload))
-                    mats.append((u, du, payload))
-            prefixes = [eye]
-            for u, _, _ in mats:
-                prefixes.append(np.matmul(u, prefixes[-1]))
-            udag = _np_dagger(prefixes[-1])
-        m44 = _block44(udag).astype(_RD)
+            udag, derivatives = gates.derivatives(s)
+        m44 = _real_block(udag).astype(_RD)
         if m44.ndim == 4:
             m44 = m44.reshape(-1, 4, 4)
         pz, mz = ctx["in_psi"], ctx["in_mu"]
@@ -684,7 +653,7 @@ class PlannedExecution:
         omz.real[:, :, 1] = Qm[:, 1]
         omz.imag[:, :, 0] = Qm[:, 2]
         omz.imag[:, :, 1] = Qm[:, 3]
-        if mats is None:
+        if derivatives is None:
             return
         # Overlap e_bij = Σ_R conj(μ)[b,i,R]·ψ_prev[b,j,R], assembled
         # from one real batched GEMM over the packed rows
@@ -693,17 +662,8 @@ class PlannedExecution:
         er = E[:, :2, :2] + E[:, 2:, 2:]
         ei = E[:, :2, 2:] - E[:, 2:, :2]
         e = (er + 1j * ei).astype(np.complex128)
-        suffix = np.eye(2, dtype=np.complex128)
-        for t in range(len(mats) - 1, -1, -1):
-            u, du, ref = mats[t]
-            if ref is not None:
-                d = np.matmul(suffix, np.matmul(du, prefixes[t]))
-                if d.ndim == 2:
-                    g = 2.0 * np.real(np.einsum("ij,bij->b", d, e))
-                else:
-                    g = 2.0 * np.real(np.einsum("bij,bij->b", d, e))
-                accumulate(ref, g)
-            suffix = np.matmul(suffix, u)
+        for ref, d in derivatives:
+            accumulate(ref, _overlap_grad(d, e))
 
     def _adj_phase(self, j, step, resolve, accumulate):
         s = step.seed

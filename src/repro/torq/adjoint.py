@@ -35,8 +35,9 @@ via ``QuantumLayer(grad_method=...)``:
   (``create_graph=True``) must use backprop.
 
 The fused plan steps of :mod:`repro.torq.compile` each implement
-``adjoint_step(psi, mu, resolve, accumulate)`` — the exact inverse of the
-step applied to both carriers, plus per-parameter derivative contributions:
+``adjoint_step(psi, mu, gates, accumulate)`` — the exact inverse of the
+step applied to both carriers, plus per-parameter derivative contributions
+(``gates`` is the plan's gate table evaluated once for the sweep):
 fused single-qubit runs differentiate factor-by-factor through a 2×2
 prefix/suffix decomposition against a per-batch overlap matrix computed
 once per step; diagonal phase masks and CRZ use the diagonal-generator
@@ -201,17 +202,18 @@ def adjoint_state_vjp(
         v = values[i]
         return getattr(v, "data", v)
 
+    gates = plan._table.numpy(resolve_np)
     if profiling:
         reg.counter("torq.adjoint.sweep", direction="reverse").inc()
         with reg.scope("torq.adjoint.run", n_qubits=n_qubits):
             for step in reversed(plan.steps):
                 with reg.timer("torq.adjoint.step", kind=step.kind).time():
                     psi, mu = step.adjoint_step(
-                        psi, mu, resolve_np, grads.accumulate
+                        psi, mu, gates, grads.accumulate
                     )
     else:
         for step in reversed(plan.steps):
-            psi, mu = step.adjoint_step(psi, mu, resolve_np, grads.accumulate)
+            psi, mu = step.adjoint_step(psi, mu, gates, grads.accumulate)
     return grads.gradients()
 
 

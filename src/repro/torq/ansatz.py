@@ -25,7 +25,7 @@ from typing import Iterator, Sequence
 
 from .. import obs
 from ..autodiff import Tensor, as_tensor
-from .compile import ExecutionPlan, compile_gates
+from .compile import ExecutionPlan, _resolver, compile_gates
 from .state import (
     QuantumState,
     apply_cnot,
@@ -252,13 +252,6 @@ def _apply_gate(state: QuantumState, gate: GateSpec, resolve) -> QuantumState:
     raise ValueError(f"unknown gate {gate.name!r}")  # pragma: no cover
 
 
-def _param_resolver(params: Tensor):
-    """Flat-index accessor for 1-D (shared) or 2-D (per-batch) parameters."""
-    if params.ndim == 1:
-        return lambda i: params[i]
-    return lambda i: params[:, i]
-
-
 def apply_ansatz(
     state: QuantumState,
     ansatz: Ansatz,
@@ -283,9 +276,10 @@ def apply_ansatz(
         raise ValueError(
             f"expected {ansatz.param_count} parameters, got shape {params.shape}"
         )
-    resolve = _param_resolver(params)
     if compiled:
-        return ansatz.execution_plan().run(state, resolve)
+        # The plan gathers every angle it needs from the flat tensor.
+        return ansatz.execution_plan().run(state, params)
+    resolve, _ = _resolver(params)
     if obs.is_profiling():
         reg = obs.metrics()
         reg.histogram("torq.circuit.batch").observe(state.batch)

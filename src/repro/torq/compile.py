@@ -10,9 +10,10 @@ three fusion passes along the way:
 * **single-qubit fusion** — runs of single-qubit gates on the same qubit
   (allowing exact commutation past gates on disjoint qubits) collapse into
   one 2×2 unitary.  Constant gates (H/X/Y/Z) are folded numerically at
-  compile time; parameterized gates (RX/RY/RZ/Rot) contribute symbolic
-  matrix entries that are composed with zero-term pruning at call time, so
-  the state-sized work is a single general gate application;
+  compile time; parameterized gates (RX/RY/RZ/Rot) become rotation
+  factors of the plan's gate table, which builds every run's block from
+  one cos and one sin of all the angles per execution, so the
+  state-sized work is a single general gate application;
 
 * **diagonal fusion** — runs of diagonal gates (Z/RZ/CRZ, which all
   commute) collapse into one phase mask: the shift angles accumulate into
@@ -52,6 +53,7 @@ inside compiled plans.
 
 from __future__ import annotations
 
+import functools
 import threading
 from collections import OrderedDict
 from typing import Callable, Sequence
@@ -88,105 +90,6 @@ _CONST_MATS = {
 }
 
 
-# ----------------------------------------------------------------------
-# Symbolic 2×2 matrix entries
-#
-# An entry is a ``(re, im)`` pair whose components are ``None`` (an exact
-# structural zero), a Python float (compile-time constant), or a Tensor
-# (parameter-dependent, possibly per-batch).  Products and sums prune
-# zero terms, so composing rotation matrices — which are mostly zeros —
-# emits only the graph nodes that carry information.
-# ----------------------------------------------------------------------
-
-def _r_mul(a, b):
-    if a is None or b is None:
-        return None
-    if isinstance(a, float) and isinstance(b, float):
-        return a * b
-    return a * b
-
-
-def _r_add(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a + b
-
-
-def _r_neg(a):
-    return None if a is None else -a
-
-
-def _e_mul(x, y):
-    xr, xi = x
-    yr, yi = y
-    return (
-        _r_add(_r_mul(xr, yr), _r_neg(_r_mul(xi, yi))),
-        _r_add(_r_mul(xr, yi), _r_mul(xi, yr)),
-    )
-
-
-def _e_add(x, y):
-    return (_r_add(x[0], y[0]), _r_add(x[1], y[1]))
-
-
-def _mat_mul(a, b):
-    """2×2 product A·B of entry 4-tuples ``(e00, e01, e10, e11)``."""
-    a00, a01, a10, a11 = a
-    b00, b01, b10, b11 = b
-    return (
-        _e_add(_e_mul(a00, b00), _e_mul(a01, b10)),
-        _e_add(_e_mul(a00, b01), _e_mul(a01, b11)),
-        _e_add(_e_mul(a10, b00), _e_mul(a11, b10)),
-        _e_add(_e_mul(a10, b01), _e_mul(a11, b11)),
-    )
-
-
-def _const_entries(mat: np.ndarray):
-    """Entry 4-tuple for a constant complex 2×2 matrix (zeros → None)."""
-    def entry(z):
-        re, im = float(z.real), float(z.imag)
-        return (re if re != 0.0 else None, im if im != 0.0 else None)
-
-    return (entry(mat[0, 0]), entry(mat[0, 1]), entry(mat[1, 0]), entry(mat[1, 1]))
-
-
-def _e_amp(e, a: ComplexTensor):
-    """``e * a`` for an entry against a complex amplitude block (or None)."""
-    er, ei = e
-    if er is None and ei is None:
-        return None
-    if ei is None:
-        if isinstance(er, float):
-            if er == 1.0:
-                return a
-            if er == -1.0:
-                return -a
-        return ComplexTensor(a.re * er, a.im * er)
-    if er is None:
-        if isinstance(ei, float):
-            if ei == 1.0:
-                return a.mul_i()
-            if ei == -1.0:
-                return ComplexTensor(a.im, -a.re)
-        return ComplexTensor(-(a.im * ei), a.re * ei)
-    return ComplexTensor(a.re * er - a.im * ei, a.re * ei + a.im * er)
-
-
-def _row_apply(ea, eb, a: ComplexTensor, b: ComplexTensor) -> ComplexTensor:
-    """``ea*a + eb*b`` — one output row of a 2×2 gate application."""
-    x = _e_amp(ea, a)
-    y = _e_amp(eb, b)
-    if x is None:
-        if y is None:  # pragma: no cover - impossible for a unitary row
-            return ComplexTensor(a.re * 0.0, a.im * 0.0)
-        return y
-    if y is None:
-        return x
-    return x + y
-
-
 def _angle(resolve: Callable, ref: int, bshape: tuple) -> Tensor:
     """Resolve one flat parameter to a broadcast-ready angle tensor.
 
@@ -201,58 +104,45 @@ def _angle(resolve: Callable, ref: int, bshape: tuple) -> Tensor:
     return ad.reshape(theta, (theta.shape[0],) + bshape)
 
 
-# -- symbolic matrix builders for parameterized single-qubit gates -------
-
-def _builder_rx(ref: int, bshape: tuple):
-    def build(resolve):
-        half = _angle(resolve, ref, bshape) * 0.5
-        c, ns = ad.cos(half), -ad.sin(half)
-        return ((c, None), (None, ns), (None, ns), (c, None))
-
-    return build
+#: Generators of the rotation factors: ``R(θ) = cos(θ/2)·I + sin(θ/2)·G``.
+_GENERATORS = {
+    "rx": np.array([[0.0, -1.0j], [-1.0j, 0.0]]),
+    "ry": np.array([[0.0, -1.0], [1.0, 0.0]], dtype=np.complex128),
+    "rz": np.array([[-1.0j, 0.0], [0.0, 1.0j]]),
+}
+_EYE2 = np.eye(2, dtype=np.complex128)
 
 
-def _builder_ry(ref: int, bshape: tuple):
-    def build(resolve):
-        half = _angle(resolve, ref, bshape) * 0.5
-        c, s = ad.cos(half), ad.sin(half)
-        return ((c, None), (-s, None), (s, None), (c, None))
+def _real_block(u: np.ndarray) -> np.ndarray:
+    """Real 4×4 block form ``[[Ur, −Ui], [Ui, Ur]]`` of a complex 2×2 (or
+    per-batch ``(B, 2, 2)``) matrix, ready to broadcast through matmul.
 
-    return build
-
-
-def _builder_rz(ref: int, bshape: tuple):
-    def build(resolve):
-        half = _angle(resolve, ref, bshape) * 0.5
-        c, s = ad.cos(half), ad.sin(half)
-        return ((c, -s), (None, None), (None, None), (c, s))
-
-    return build
+    Acting on the packed real vector ``(a0re, a1re, a0im, a1im)`` it
+    reproduces the complex 2×2 application as one real matrix product.
+    """
+    ur, ui = u.real, u.imag
+    top = np.concatenate([ur, -ui], axis=-1)
+    bot = np.concatenate([ui, ur], axis=-1)
+    m = np.concatenate([top, bot], axis=-2)
+    if m.ndim == 3:
+        return m.reshape(-1, 1, 4, 4)
+    return m
 
 
-def _builder_rot(refs: tuple, bshape: tuple):
-    a_ref, b_ref, g_ref = refs
-
-    def build(resolve):
-        alpha = _angle(resolve, a_ref, bshape)
-        beta = _angle(resolve, b_ref, bshape)
-        gamma = _angle(resolve, g_ref, bshape)
-        plus = (alpha + gamma) * 0.5
-        minus = (alpha - gamma) * 0.5
-        c, s = ad.cos(beta * 0.5), ad.sin(beta * 0.5)
-        cp, sp = ad.cos(plus), ad.sin(plus)
-        cm, sm = ad.cos(minus), ad.sin(minus)
-        return (
-            (cp * c, -(sp * c)),
-            (-(cm * s), -(sm * s)),
-            (cm * s, -(sm * s)),
-            (cp * c, sp * c),
-        )
-
-    return build
+#: Per rotation kind, the sign of each entry of its real block ``c·I +
+#: s·G``: the block forms of ``I`` and ``G`` never share an entry, so
+#: every entry is ``c`` (the diagonal), ``±s`` or 0.
+_SIGNS = {k: np.eye(4) + _real_block(g) for k, g in _GENERATORS.items()}
+_ON_COS = np.eye(4, dtype=bool)
 
 
-_PARAM_BUILDERS = {"rx": _builder_rx, "ry": _builder_ry, "rz": _builder_rz}
+def _factor_maps(kinds):
+    """Gather index and sign, ``(F, 4, 4)``, of the real blocks of the
+    rotations ``kinds`` from their ``concatenate([cos, sin])`` (``2F``)."""
+    f = np.arange(len(kinds))[:, None, None]
+    return (np.where(_ON_COS, f, len(kinds) + f),
+            np.stack([_SIGNS[k] for k in kinds]) if kinds
+            else np.zeros((0, 4, 4)))
 
 
 # ----------------------------------------------------------------------
@@ -267,66 +157,19 @@ _PARAM_BUILDERS = {"rx": _builder_rx, "ry": _builder_ry, "rz": _builder_rz}
 # Python overhead of the graph path would otherwise dominate.
 #
 # Each parameterized single-qubit factor (RX/RY/RZ; Rot decomposes into
-# RZ·RY·RZ) has a closed-form derivative matrix.  The gradient of a
-# weighted ⟨Z⟩ readout w.r.t. one factor angle is 2·Re⟨μ|D|ψ⟩ where D is
-# the derivative of the *whole* fused step's unitary — suffix·dU·prefix —
-# and ⟨μ|·|ψ⟩ reduces to a per-batch 2×2 overlap matrix E computed ONCE
-# per step, so every extra parameter costs only 2×2 numeric algebra.
+# RZ·RY·RZ) has a closed-form derivative matrix, dU(θ) = ½·U(θ+π), which
+# the plan's gate table (:class:`_NumpyGates`) gives with U from one cos
+# and one sin per sweep.  The gradient of a weighted ⟨Z⟩ readout w.r.t.
+# one factor angle is 2·Re⟨μ|D|ψ⟩ where D is the derivative of the
+# *whole* fused step's unitary — suffix·dU·prefix — and ⟨μ|·|ψ⟩ reduces
+# to a per-batch 2×2 overlap matrix E computed ONCE per step, so every
+# extra parameter costs only 2×2 numeric algebra.
 # ----------------------------------------------------------------------
 
 def _np_angle(resolve, ref: int) -> np.ndarray:
     """Resolve one flat parameter to a raw float scalar or ``(batch,)``."""
     theta = resolve(ref)
     return np.asarray(getattr(theta, "data", theta), dtype=np.float64)
-
-
-def _np_factor_mats(name: str, theta: np.ndarray):
-    """``(U, dU/dθ)`` complex matrices for one primitive rotation factor.
-
-    Shapes are ``(2, 2)`` for a scalar angle and ``(batch, 2, 2)`` for a
-    per-batch angle vector.
-    """
-    half = theta * 0.5
-    c, s = np.cos(half), np.sin(half)
-    u = np.zeros(theta.shape + (2, 2), dtype=np.complex128)
-    du = np.zeros_like(u)
-    if name == "rx":
-        u[..., 0, 0] = c
-        u[..., 1, 1] = c
-        u[..., 0, 1] = -1j * s
-        u[..., 1, 0] = -1j * s
-        du[..., 0, 0] = -0.5 * s
-        du[..., 1, 1] = -0.5 * s
-        du[..., 0, 1] = -0.5j * c
-        du[..., 1, 0] = -0.5j * c
-    elif name == "ry":
-        u[..., 0, 0] = c
-        u[..., 1, 1] = c
-        u[..., 0, 1] = -s
-        u[..., 1, 0] = s
-        du[..., 0, 0] = -0.5 * s
-        du[..., 1, 1] = -0.5 * s
-        du[..., 0, 1] = -0.5 * c
-        du[..., 1, 0] = 0.5 * c
-    else:  # rz
-        u[..., 0, 0] = c - 1j * s
-        u[..., 1, 1] = c + 1j * s
-        du[..., 0, 0] = -0.5 * s - 0.5j * c
-        du[..., 1, 1] = -0.5 * s + 0.5j * c
-    return u, du
-
-
-def _np_dagger(u: np.ndarray) -> np.ndarray:
-    """Conjugate transpose U† — the exact inverse of a unitary 2×2."""
-    return np.conj(np.swapaxes(u, -1, -2))
-
-
-def _np_apply_packed(packed: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Apply a 2×2 (or per-batch ``(B, 2, 2)``) matrix to a state packed
-    as ``(batch, pre, 2, post)`` on the target qubit axis."""
-    if u.ndim == 2:
-        return np.einsum("ij,bpjq->bpiq", u, packed)
-    return np.einsum("bij,bpjq->bpiq", u, packed)
 
 
 # ----------------------------------------------------------------------
@@ -417,9 +260,11 @@ def _bind_layouts(steps: tuple, n_qubits: int):
 
 
 # ----------------------------------------------------------------------
-# Plan steps.  Each step maps ``(state, resolve) -> state`` with every
+# Plan steps.  Each step maps ``(state, operand) -> state`` with every
 # index precomputed at compile time: packed steps (``packed = True``) on
-# the packed real tensor, the others on ComplexTensor planes.
+# the packed real tensor, the others on ComplexTensor planes.  A fused
+# step's operand is its block from the gate table, any other step's the
+# ``resolve`` callable.
 # ----------------------------------------------------------------------
 
 def _c_contig(arr: np.ndarray) -> np.ndarray:
@@ -445,44 +290,6 @@ def _half_indices(n_qubits: int, qubit: int) -> tuple[tuple, tuple, int]:
     idx0[axis] = 0
     idx1[axis] = 1
     return tuple(idx0), tuple(idx1), axis
-
-
-def _block_matrix(u):
-    """Real 4×4 block form ``[[Ur, −Ui], [Ui, Ur]]`` of 2×2 entry tuple ``u``.
-
-    Acting on the packed real vector ``(a0re, a1re, a0im, a1im)`` this
-    reproduces the complex 2×2 application as ONE matrix product.  Returns
-    a constant ndarray when every entry is known at compile time, else a
-    stacked tensor of shape ``(4, 4)`` (scalar params) or ``(batch, 1, 4,
-    4)`` (per-batch params) ready to broadcast through ``matmul``.
-    """
-    e00, e01, e10, e11 = u
-    r = (e00[0], e01[0], e10[0], e11[0])
-    i = (e00[1], e01[1], e10[1], e11[1])
-    slots = (
-        (r[0], r[1], _r_neg(i[0]), _r_neg(i[1])),
-        (r[2], r[3], _r_neg(i[2]), _r_neg(i[3])),
-        (i[0], i[1], r[0], r[1]),
-        (i[2], i[3], r[2], r[3]),
-    )
-    tensors = [v for row in slots for v in row if isinstance(v, Tensor)]
-    if not tensors:
-        return np.array(
-            [[0.0 if v is None else v for v in row] for row in slots]
-        )
-    batch = next((t.shape[0] for t in tensors if t.ndim == 1), None)
-
-    def lift(v):
-        t = as_tensor(0.0 if v is None else v)
-        if batch is not None and t.ndim == 0:
-            return ad.broadcast_to(t, (batch,))
-        return t
-
-    rows = [ad.stack([lift(v) for v in row], axis=-1) for row in slots]
-    mat = ad.stack(rows, axis=-2)
-    if batch is not None:
-        return ad.reshape(mat, (-1, 1, 4, 4))
-    return mat
 
 
 def _row_gemm(m, post: int) -> bool:
@@ -513,7 +320,9 @@ class _FusedSingleQubitStep:
     stride, as one ``(batch·pre·post, 4)`` row GEMM (:func:`_row_gemm`).
     The step transposes/reshapes the state it receives into that layout
     and emits the product in the layout the shared-parameter (training)
-    path runs, ``order``.
+    path runs, ``order``.  A step with rotation factors is called with
+    its block from the plan's :class:`_GateTable`; a constant run with
+    its compile-time block ``_const_m``.
     """
 
     kind = "fused_1q"
@@ -534,12 +343,10 @@ class _FusedSingleQubitStep:
         }
         self.order = self._orders[_row_gemm(np.eye(4), post)]
         self._to = self._back = None
-        # Consecutive constant gates fold numerically at compile time;
-        # parameterized gates contribute call-time symbolic builders.  The
-        # parallel ``factors`` list carries the same composition at
-        # rotation-primitive granularity (Rot → RZ·RY·RZ) so the adjoint
-        # sweep can differentiate each angle with the prefix/suffix trick.
-        parts: list = []
+        # The run at rotation-primitive granularity (Rot → RZ·RY·RZ), in
+        # application order: consecutive constant gates fold numerically
+        # at compile time into one ``("const", U)`` factor, every rotation
+        # is a ``(kind, flat parameter index)`` factor of the gate table.
         factors: list[tuple] = []
         pending: np.ndarray | None = None
         for g in gates:
@@ -548,32 +355,19 @@ class _FusedSingleQubitStep:
                 pending = mat if pending is None else mat @ pending
                 continue
             if pending is not None:
-                parts.append(_const_entries(pending))
                 factors.append(("const", pending.copy()))
                 pending = None
             if g.name == "rot":
-                parts.append(_builder_rot(g.params, ()))
-                a_ref, b_ref, g_ref = g.params
-                factors.append(("rz", a_ref))
-                factors.append(("ry", b_ref))
-                factors.append(("rz", g_ref))
+                factors.extend(zip(("rz", "ry", "rz"), g.params))
             else:
-                parts.append(_PARAM_BUILDERS[g.name](g.params[0], ()))
                 factors.append((g.name, g.params[0]))
         if pending is not None:
-            parts.append(_const_entries(pending))
             factors.append(("const", pending.copy()))
-        self._parts = tuple(parts)
         self._factors = tuple(factors)
-        self._const_m = (
-            _c_contig(_block_matrix(parts[0]))
-            if len(parts) == 1 and not callable(parts[0])
-            else None
-        )
+        const = len(factors) == 1 and factors[0][0] == "const"
+        self._const_m = _c_contig(_real_block(factors[0][1])) if const else None
         self._const_np_dag = (
-            _c_contig(factors[0][1].conj().T)
-            if self._const_m is not None
-            else None
+            _c_contig(factors[0][1].conj().T) if const else None
         )
 
     def bind(self, order_in: tuple, order_next: tuple) -> tuple:
@@ -586,15 +380,8 @@ class _FusedSingleQubitStep:
         self._back = {r: _axes(o, self.order) for r, o in self._orders.items()}
         return self.order
 
-    def __call__(self, state: Tensor, resolve) -> Tensor:
-        if self._const_m is not None:
-            m = self._const_m
-        else:
-            mats = [p(resolve) if callable(p) else p for p in self._parts]
-            u = mats[0]
-            for um in mats[1:]:
-                u = _mat_mul(um, u)
-            m = _block_matrix(u)
+    def __call__(self, state: Tensor, m) -> Tensor:
+        """Apply block ``m``: ``(4, 4)``, or ``(batch, 1, 4, 4)``."""
         rows = _row_gemm(m, self._post)
         x = _relayout(state, self._to[rows])
         if rows:
@@ -603,52 +390,49 @@ class _FusedSingleQubitStep:
             out = ad.matmul(m, ad.reshape(x, self._gemm_shape))
         return _relayout(ad.reshape(out, self._state_shape), self._back[rows])
 
-    def adjoint_step(self, psi, mu, resolve, accumulate):
+    def adjoint_step(self, psi, mu, gates, accumulate):
         """Un-apply the step from ψ and μ, accumulating per-angle grads.
 
         ``psi`` is the raw complex state *after* the step (ψ_k) and ``mu``
         the observable-applied bra carrier (both ``np.complex128``, tape
-        free); returns ``(ψ_{k-1}, μ_{k-1})`` and calls ``accumulate(ref,
-        g)`` with the per-batch contribution ``2·Re⟨μ_k|∂U/∂θ_ref|ψ_{k-1}⟩``
-        for every owned parameter.
+        free); ``gates`` is the sweep's :class:`_NumpyGates`.  Returns
+        ``(ψ_{k-1}, μ_{k-1})`` and calls ``accumulate(ref, g)`` with the
+        per-batch contribution ``2·Re⟨μ_k|∂U/∂θ_ref|ψ_{k-1}⟩`` for every
+        owned parameter.
         """
-        shape = psi.shape
-        pp = psi.reshape(self._pack_shape)
-        mp = mu.reshape(self._pack_shape)
         if self._const_np_dag is not None:
-            return (
-                _np_apply_packed(pp, self._const_np_dag).reshape(shape),
-                _np_apply_packed(mp, self._const_np_dag).reshape(shape),
-            )
-        eye = np.eye(2, dtype=np.complex128)
-        mats = []
-        for kind, payload in self._factors:
-            if kind == "const":
-                mats.append((payload, None, None))
-            else:
-                u, du = _np_factor_mats(kind, _np_angle(resolve, payload))
-                mats.append((u, du, payload))
-        prefixes = [eye]
-        for u, _, _ in mats:
-            prefixes.append(np.matmul(u, prefixes[-1]))
-        udag = _np_dagger(prefixes[-1])
-        psi_prev = _np_apply_packed(pp, udag)
-        mu_prev = _np_apply_packed(mp, udag)
-        # Per-batch 2×2 overlap E_ij = Σ conj(μ_k)_i · (ψ_{k-1})_j, shared
-        # by every angle of the run.
+            udag, derivatives = self._const_np_dag, ()
+        else:
+            udag, derivatives = gates.derivatives(self)
+        return _unapply(self._pack_shape, psi, mu, udag, derivatives,
+                        accumulate)
+
+
+def _unapply(pack_shape, psi, mu, udag, derivatives, accumulate):
+    """Apply U† (``(2, 2)`` or per-batch ``(B, 2, 2)``) to ψ and μ,
+    packed as ``(batch, pre, 2, post)`` on its qubit, and accumulate
+    ``2·Re⟨μ_k|D|ψ_{k-1}⟩`` for every ``(ref, D)`` of ``derivatives``."""
+    shape = psi.shape
+    pp = psi.reshape(pack_shape)
+    mp = mu.reshape(pack_shape)
+    spec = "ij,bpjq->bpiq" if udag.ndim == 2 else "bij,bpjq->bpiq"
+    psi_prev = np.einsum(spec, udag, pp)
+    mu_prev = np.einsum(spec, udag, mp)
+    if derivatives:
+        # Per-batch 2×2 overlap E_ij = Σ conj(μ_k)_i · (ψ_{k-1})_j,
+        # shared by every angle of the run.
         e = np.einsum("bpik,bpjk->bij", np.conj(mp), psi_prev)
-        suffix = eye
-        for j in range(len(mats) - 1, -1, -1):
-            u, du, ref = mats[j]
-            if ref is not None:
-                d = np.matmul(suffix, np.matmul(du, prefixes[j]))
-                if d.ndim == 2:
-                    g = 2.0 * np.real(np.einsum("ij,bij->b", d, e))
-                else:
-                    g = 2.0 * np.real(np.einsum("bij,bij->b", d, e))
-                accumulate(ref, g)
-            suffix = np.matmul(suffix, u)
-        return psi_prev.reshape(shape), mu_prev.reshape(shape)
+        for ref, d in derivatives:
+            accumulate(ref, _overlap_grad(d, e))
+    return psi_prev.reshape(shape), mu_prev.reshape(shape)
+
+
+def _overlap_grad(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """``2·Re Σ_ij D_ij·E_bij`` per batch row, for a shared ``(2, 2)`` or
+    per-batch ``(B, 2, 2)`` derivative ``D`` against the overlap ``E``."""
+    if d.ndim == 2:
+        return 2.0 * np.real(np.einsum("ij,bij->b", d, e))
+    return 2.0 * np.real(np.einsum("bij,bij->b", d, e))
 
 
 class _PhaseMaskStep:
@@ -728,7 +512,7 @@ class _PhaseMaskStep:
             mask = mask * self._const
         return tensor * mask
 
-    def adjoint_step(self, psi, mu, resolve, accumulate):
+    def adjoint_step(self, psi, mu, gates, accumulate):
         """Un-apply the mask; grads follow from ∂U/∂θ_t = i·C_t·U, so ALL
         terms together cost one ``(B, dim) @ (dim, T)`` product of
         ``Im⟨μ|ψ_k⟩`` against the precomputed coefficient rows."""
@@ -740,7 +524,7 @@ class _PhaseMaskStep:
             g = 2.0 * (w @ self._coeff_flat.T)
             for t, ref in enumerate(self._term_refs):
                 accumulate(ref, g[:, t])
-            vals = [_np_angle(resolve, ref) for ref in self._term_refs]
+            vals = [_np_angle(gates.resolve, ref) for ref in self._term_refs]
             if any(v.ndim for v in vals):
                 batch = pf.shape[0]
                 thetas = np.stack(
@@ -812,7 +596,7 @@ class _PermutationStep:
         flat = ad.reshape(state, self._packed_shape)
         return ad.reshape(ad.permute_last(flat, self._index), self._state_shape)
 
-    def adjoint_step(self, psi, mu, resolve, accumulate):
+    def adjoint_step(self, psi, mu, gates, accumulate):
         """Parameter-free: un-relabel both states with the inverse gather.
 
         ``np.take`` rather than fancy indexing: ``a[:, idx]`` iterates
@@ -843,10 +627,16 @@ class _SingleGateStep:
         self._gate = gate  # the lowered tier rebuilds it as a kernel step
         self._name = gate.name
         self._params = gate.params
+        # A lone RX/RY/RZ's adjoint reads U and dU from the gate table.
+        self._factors = (
+            ((gate.name, gate.params[0]),) if gate.name in _GENERATORS else ()
+        )
         n = n_qubits
         if len(gate.qubits) == 1:
-            self._idx0, self._idx1, self._axis = _half_indices(n, gate.qubits[0])
+            q = gate.qubits[0]
+            self._idx0, self._idx1, self._axis = _half_indices(n, q)
             self._bshape = (1,) * (n - 1)
+            self._pack_shape = (-1, 2 ** q, 2, 2 ** (n - 1 - q))
         else:
             control, target = gate.qubits
             self._idx0, self._idx1, self._axis = _half_indices(n, control)
@@ -902,11 +692,7 @@ class _SingleGateStep:
             c, s = ad.cos(half), ad.sin(half)
             n0 = ComplexTensor(a0.re * c + a0.im * s, a0.im * c - a0.re * s)
             n1 = ComplexTensor(a1.re * c - a1.im * s, a1.im * c + a1.re * s)
-        elif name == "rot":
-            u = _builder_rot(self._params, self._bshape)(resolve)
-            n0 = _row_apply(u[0], u[1], a0, a1)
-            n1 = _row_apply(u[2], u[3], a0, a1)
-        else:  # pragma: no cover - closed gate set
+        else:  # pragma: no cover - closed gate set; a lone Rot is fused
             raise ValueError(f"unknown gate {name!r}")
         return cplx.stack([n0, n1], axis=self._axis)
 
@@ -933,23 +719,7 @@ class _SingleGateStep:
             return np.stack([-1j * a1, 1j * a0], axis=self._axis)
         return np.stack([a0, -a1], axis=self._axis)  # z
 
-    def _np_apply_2x2(self, t: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Apply a 2×2 (or per-batch) complex matrix on this step's qubit."""
-        a0 = t[self._idx0]
-        a1 = t[self._idx1]
-        if u.ndim == 3:
-            shp = (-1,) + self._bshape
-            u00 = u[:, 0, 0].reshape(shp)
-            u01 = u[:, 0, 1].reshape(shp)
-            u10 = u[:, 1, 0].reshape(shp)
-            u11 = u[:, 1, 1].reshape(shp)
-        else:
-            u00, u01, u10, u11 = u[0, 0], u[0, 1], u[1, 0], u[1, 1]
-        return np.stack(
-            [u00 * a0 + u01 * a1, u10 * a0 + u11 * a1], axis=self._axis
-        )
-
-    def adjoint_step(self, psi, mu, resolve, accumulate):
+    def adjoint_step(self, psi, mu, gates, accumulate):
         """Un-apply one gate; rotation angles get the ⟨μ|dU|ψ⟩ overlap
         gradient, CRZ the diagonal-generator rule, constants only invert."""
         name = self._name
@@ -967,7 +737,7 @@ class _SingleGateStep:
             w1 = w[self._tidx1]
             axes = tuple(range(1, w0.ndim))
             accumulate(self._params[0], (w1 - w0).sum(axis=axes))
-            half = _np_angle(resolve, self._params[0]) * 0.5
+            half = _np_angle(gates.resolve, self._params[0]) * 0.5
             if half.ndim:
                 half = half.reshape((-1,) + self._bshape)
             e_pos = np.cos(half) + 1j * np.sin(half)
@@ -981,21 +751,242 @@ class _SingleGateStep:
                 out.append(np.stack([c0, c1], axis=self._axis))
             return out[0], out[1]
         # rx / ry / rz (lone rot gates compile to the fused step)
-        u, du = _np_factor_mats(name, _np_angle(resolve, self._params[0]))
-        psi_prev = self._np_apply_2x2(psi, _np_dagger(u))
-        mu_prev = self._np_apply_2x2(mu, _np_dagger(u))
-        b = psi.shape[0]
-        m = np.stack([mu[self._idx0], mu[self._idx1]], axis=1).reshape(b, 2, -1)
-        p = np.stack(
-            [psi_prev[self._idx0], psi_prev[self._idx1]], axis=1
-        ).reshape(b, 2, -1)
-        e = np.einsum("bik,bjk->bij", np.conj(m), p)
-        if du.ndim == 2:
-            g = 2.0 * np.real(np.einsum("ij,bij->b", du, e))
-        else:
-            g = 2.0 * np.real(np.einsum("bij,bij->b", du, e))
-        accumulate(self._params[0], g)
-        return psi_prev, mu_prev
+        udag, derivatives = gates.derivatives(self)
+        return _unapply(self._pack_shape, psi, mu, udag, derivatives,
+                        accumulate)
+
+
+# ----------------------------------------------------------------------
+# The gate table: the one place fused-step blocks come from angles.
+# Every rotation factor of its fused runs and lone RX/RY/RZ gates is
+# listed once, when the plan compiles, with its kind and flat parameter
+# index.  A run gathers the angles, takes one cos and one sin of the half
+# angles, and builds every fused block from those two arrays.  The
+# adjoint sweeps read lone rotations' U and dU from the table too; a
+# lone rotation's autodiff forward (`_SingleGateStep`) takes its own.
+# ----------------------------------------------------------------------
+
+def _resolver(resolve):
+    """``(callable, flat tensor or None)`` for a plan's ``resolve``: a
+    ``ref -> value`` callable, or the flat parameter tensor itself
+    (``(P,)`` shared or ``(batch, P)`` per batch), which the table
+    gathers in one op."""
+    if callable(resolve):
+        return resolve, None
+    params = as_tensor(resolve)
+    if params.ndim == 1:
+        return (lambda i: params[i]), params
+    return (lambda i: params[:, i]), params
+
+
+def _cos_sin(angles: Tensor) -> Tensor:
+    """``concatenate([cos(θ/2), sin(θ/2)])`` along the factor axis."""
+    half = angles * 0.5
+    return ad.concatenate([ad.cos(half), ad.sin(half)], axis=-1)
+
+
+def _rotation(c, s, kind: str) -> np.ndarray:
+    """``c·I + s·G``: a factor's complex 2×2 at half-angle cosine ``c``
+    and sine ``s`` (scalars, or ``(B, 1, 1)``).  Its derivative in the
+    angle is ``dU(θ) = ½·U(θ+π) = ½·_rotation(−s, c)``."""
+    return c * _EYE2 + s * _GENERATORS[kind]
+
+
+class _GateTable:
+    """A plan's rotation factors, evaluated together per run.
+
+    The autodiff side (:meth:`operands`) builds the blocks the fused
+    steps multiply with.  Shared angles build every block at once: one
+    gather of the angles, one cos and one sin, one gather of the
+    ``(L, S, 4, 4)`` factor blocks of the ``S`` fused runs (each padded
+    to the longest run, ``L`` factors, with identities) from the cos|sin
+    vector, then ``L − 1`` batched matmuls.  Per-batch angles (batched
+    parameter shift) build each run's block when the plan reaches it,
+    from that run's angles alone, so no per-row array outlives its run.
+    The NumPy side (:meth:`numpy`) gives the adjoint sweeps and the
+    lowered tier their factor matrices.
+    """
+
+    def __init__(self, steps: tuple):
+        self._steps = steps
+        self._start, refs = {}, []
+        for step in steps:
+            self._start[id(step)] = len(refs)
+            refs += [p for k, p in getattr(step, "_factors", ()) if k != "const"]
+        self._refs = tuple(refs)
+
+    @functools.cached_property
+    def _maps(self) -> "_BlockMaps":
+        # Built on first use: a lowered plan never runs the autodiff side.
+        return _BlockMaps(self._steps)
+
+    def operands(self, resolve):
+        """Yield each step's operand in plan order: a fused run its block
+        (a constant run its compile-time ``_const_m``), any other step
+        the ``ref -> value`` resolver."""
+        call, params = _resolver(resolve)
+        blocks = self._maps.blocks(call, params)
+        for step in self._steps:
+            if step.kind != "fused_1q":
+                yield call
+            elif step._const_m is not None:
+                yield step._const_m
+            else:
+                yield next(blocks)
+
+    def numpy(self, resolve) -> "_NumpyGates":
+        """The table for one NumPy sweep over these steps."""
+        return _NumpyGates(self, resolve)
+
+
+class _BlockMaps:
+    """Where every fused run's block reads the cos|sin vector of its
+    plan's rotations, fixed at compile time (see :class:`_GateTable`)."""
+
+    def __init__(self, steps: tuple):
+        runs = [s for s in steps if s.kind == "fused_1q" and s._const_m is None]
+        rotations = [f for s in runs for f in s._factors if f[0] != "const"]
+        n = len(rotations)
+        self.refs = tuple(ref for _, ref in rotations)
+        self.ref_index = np.asarray(self.refs, dtype=np.intp)
+        index_all, sign_all = _factor_maps([kind for kind, _ in rotations])
+        width = max((len(s._factors) for s in runs), default=0)
+        index = np.zeros((width, len(runs), 4, 4), dtype=np.intp)
+        sign = np.zeros(index.shape)
+        const = np.zeros(index.shape)
+        const[:] = np.eye(4)  # pads every run to ``width`` factors
+        self.runs, first = [], 0
+        for k, step in enumerate(runs):
+            consts = tuple(None if kind != "const" else _real_block(u)
+                           for kind, u in step._factors)
+            pos = [i for i, c in enumerate(consts) if c is None]
+            cols = slice(first, first + len(pos))
+            index[pos, k], sign[pos, k] = index_all[cols], sign_all[cols]
+            for i, c in enumerate(consts):
+                const[i, k] = 0.0 if c is None else c
+            # The same entries of the run's own cos|sin (2·len(pos) wide).
+            local = np.where(_ON_COS, index_all[cols] - first,
+                             index_all[cols] - n - first + len(pos))
+            self.runs.append((consts, cols, self.ref_index[cols], local,
+                              sign_all[cols]))
+            first = cols.stop
+        self.index, self.sign = _c_contig(index), _c_contig(sign)
+        self.const = _c_contig(const) if const.any() else None
+
+    def blocks(self, call, params):
+        """The fused runs' blocks, in order (see :class:`_GateTable`)."""
+        if params is None:
+            values = [as_tensor(call(ref)) for ref in self.refs]
+            if all(v.ndim == 0 for v in values):
+                yield from self._shared(ad.stack(values))
+                return
+        elif params.ndim == 1:
+            yield from self._shared(ad.getitem(params, self.ref_index))
+            return
+        for consts, cols, refs, index, sign in self.runs:
+            if params is None:
+                angles = _stack_angles(values[cols])
+            else:
+                angles = ad.getitem(params, (slice(None), refs))
+            yield _run_block(angles, consts, index, sign)
+
+    def _shared(self, angles: Tensor):
+        t = ad.getitem(_cos_sin(angles), self.index) * self.sign
+        if self.const is not None:
+            t = t + self.const
+        m = t[0]
+        for pos in range(1, t.shape[0]):
+            m = ad.matmul(t[pos], m)
+        for k in range(len(self.runs)):
+            yield m[k]
+
+
+def _stack_angles(values: list) -> Tensor:
+    """One run's resolved angles as ``(k,)``, or ``(batch, k)`` when any
+    is per batch (the shared ones broadcast)."""
+    if any(v.ndim > 1 for v in values):
+        raise ValueError("angles must be scalar or per-batch 1-D")
+    batch = next((v.shape[0] for v in values if v.ndim), None)
+    if batch is None:
+        return ad.stack(values)
+    return ad.stack(
+        [v if v.ndim else ad.broadcast_to(v, (batch,)) for v in values], axis=1
+    )
+
+
+def _run_block(angles: Tensor, consts: tuple, index, sign):
+    """One fused run's block from its own angles: ``(4, 4)`` for ``(k,)``
+    angles, ``(batch, 1, 4, 4)`` for ``(batch, k)``.  ``consts`` lists
+    the run's factors in order, None for a rotation (the next column)."""
+    rows = angles.ndim == 2
+    p = ad.getitem(_cos_sin(angles), (slice(None), index) if rows else index)
+    p = p * sign
+    m, j = None, 0
+    for const in consts:
+        if const is None:
+            const = p[:, j] if rows else p[j]
+            j += 1
+        m = const if m is None else ad.matmul(const, m)
+    return ad.reshape(m, (-1, 1, 4, 4)) if rows else m
+
+
+class _NumpyGates:
+    """The gate table of one NumPy sweep (the adjoint sweeps, the lowered
+    float32 forward): one cos and one sin of every rotation factor's half
+    angle, in float64, and each step's factor matrices built from them.
+    ``resolve`` stays available to steps with other parameters."""
+
+    def __init__(self, table: _GateTable, resolve):
+        self.resolve = resolve
+        self._start = table._start
+        thetas = [_np_angle(resolve, ref) for ref in table._refs]
+        half = np.concatenate([t.reshape(-1) for t in thetas] + [[]]) * 0.5
+        self._cos, self._sin = np.cos(half), np.sin(half)
+        # Factor f's values: [bounds[f], bounds[f + 1]) of cos and sin,
+        # one for a shared angle, one per row for a per-batch one.
+        self._bounds = np.cumsum([0] + [t.size for t in thetas]).tolist()
+        self._batched = [t.ndim == 1 for t in thetas]
+
+    def _factors(self, step):
+        """``(U, dU, ref)`` per factor of ``step`` in application order;
+        a constant factor's dU and ref are None."""
+        f = self._start[id(step)]
+        for kind, payload in step._factors:
+            if kind == "const":
+                yield payload, None, None
+                continue
+            span = slice(self._bounds[f], self._bounds[f + 1])
+            shape = (-1, 1, 1) if self._batched[f] else (1, 1)
+            c = self._cos[span].reshape(shape)
+            s = self._sin[span].reshape(shape)
+            f += 1
+            yield _rotation(c, s, kind), 0.5 * _rotation(-s, c, kind), payload
+
+    def unitary(self, step) -> np.ndarray:
+        """``step``'s composed complex unitary: ``(2, 2)``, or
+        ``(batch, 2, 2)`` when an angle is per batch."""
+        u = None
+        for f, _, _ in self._factors(step):
+            u = f if u is None else np.matmul(f, u)
+        return u
+
+    def derivatives(self, step):
+        """``(U†, [(ref, D), ...])``: the composed unitary's inverse and,
+        from the last rotation factor to the first, the derivative of U
+        in that factor's angle, ``D = suffix·dU·prefix``."""
+        mats = list(self._factors(step))
+        prefixes = [_EYE2]
+        for u, _, _ in mats:
+            prefixes.append(np.matmul(u, prefixes[-1]))
+        derivatives = []
+        suffix = _EYE2
+        for (u, du, ref), prefix in zip(reversed(mats), reversed(prefixes[:-1])):
+            if ref is not None:
+                derivatives.append(
+                    (ref, np.matmul(suffix, np.matmul(du, prefix)))
+                )
+            suffix = np.matmul(suffix, u)
+        return np.conj(np.swapaxes(prefixes[-1], -1, -2)), derivatives
 
 
 # ----------------------------------------------------------------------
@@ -1082,6 +1073,7 @@ class ExecutionPlan:
         self.n_qubits = n_qubits
         self.n_gates = n_gates
         self._converts, self._exit = _bind_layouts(steps, n_qubits)
+        self._table = _GateTable(steps)
 
     @property
     def num_steps(self) -> int:
@@ -1105,7 +1097,10 @@ class ExecutionPlan:
         ``resolve`` maps a flat parameter index to its value: a float, a
         0-d tensor, or a per-batch 1-D tensor (which is how batched
         parameter-shift executes every shifted parameter set at once).
-        Under :func:`repro.obs.profile` the same steps run, each timed.
+        It may also be the flat parameter tensor itself — ``(P,)``
+        shared or ``(batch, P)`` per batch — which the gate table then
+        gathers in one op.  Under :func:`repro.obs.profile` the same
+        steps run, each timed.
         """
         from .state import QuantumState  # deferred: state does not import us
 
@@ -1136,19 +1131,22 @@ class ExecutionPlan:
 
     def _walk(self, x, resolve, reg):
         """The step loop: yields ``(step, state)`` after each step, timing
-        each one into ``reg`` when given."""
+        each one into ``reg`` when given.  Every step is called with its
+        operand from the gate table (:meth:`_GateTable.operands`)."""
+        operands = self._table.operands(resolve)
         for step, convert in zip(self.steps, self._converts):
             if convert is not None:
                 x = convert(x)
+            operand = next(operands)
             if reg is None:
-                x = step(x, resolve)
+                x = step(x, operand)
             else:
                 for name in step.gates:
                     reg.counter("torq.gates", gate=name).inc()
                 reg.counter("torq.plan.steps", kind=step.kind).inc()
                 label = step.gates[0] if step.n_gates == 1 else step.kind
                 with reg.timer("torq.apply", gate=label).time():
-                    x = step(x, resolve)
+                    x = step(x, operand)
             yield step, x
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

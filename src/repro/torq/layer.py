@@ -15,10 +15,16 @@ Every row shares the ansatz parameters, so on small circuits the layer
 runs the ansatz once per forward on the 2ⁿ basis rows instead of on
 every row: that gives the transfer matrix ``W(θ)``, and each row's final
 state is its real product-state magnitudes times ``W`` — one GEMM over
-the batch (see :meth:`QuantumLayer.transfer_matrix`).
+the batch (see :meth:`QuantumLayer.transfer_matrix`).  Library code that
+evaluates one model several times at the same parameters — a loss call's
+two forwards, a diagnostic's chunks — does so inside
+:func:`transfer_scope`, which builds each layer's ``W`` once.
 """
 
 from __future__ import annotations
+
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -59,6 +65,35 @@ GRAD_METHODS: tuple[str, ...] = ("backprop", "adjoint", "parameter_shift")
 #: loses from 10, while its second-order step wins at every size
 #: measured (``transfer_sweep`` in ``BENCH_torq.json``).
 _TRANSFER_MAX_QUBITS = 9
+
+#: The open :func:`transfer_scope` of each thread: ``cache`` maps
+#: ``(id(layer), grad mode)`` to ``(layer, W)``, or is None outside one.
+_scope = threading.local()
+
+
+@contextmanager
+def transfer_scope():
+    """Build each layer's transfer matrix at most once while open.
+
+    Inside the scope :meth:`QuantumLayer.transfer_matrix` builds ``W``
+    once per layer and grad mode and then returns the same tensor, so
+    every forward of the scope shares it (and a backward sums the
+    cotangents of all its uses).  Library code enters it around work
+    that runs at fixed parameters: one loss call
+    (:class:`repro.core.losses.MaxwellLoss`), which returns before the
+    backward and the optimizer, and the L2 and I_BH diagnostics.  It is
+    a scope, not a cache: nothing outlives it, so no parameter update —
+    Adam writes ``p.data`` in place — can meet a stale ``W``.  A nested
+    entry reuses the outer scope; each thread has its own.
+    """
+    if getattr(_scope, "cache", None) is not None:
+        yield
+        return
+    _scope.cache = {}
+    try:
+        yield
+    finally:
+        _scope.cache = None
 
 
 def initial_circuit_params(
@@ -185,8 +220,18 @@ class QuantumLayer(Module):
         phased basis rows, so its final state is ``magnitudes @ W``.  The
         ansatz runs once, on :func:`rx_basis_state`, whatever the batch;
         ``W`` depends on the parameters only, so a frozen model's
-        compiled forward folds it into a constant.
+        compiled forward folds it into a constant.  Inside a
+        :func:`transfer_scope` it is built once per grad mode.
         """
+        cache = getattr(_scope, "cache", None)
+        if cache is None:
+            return self._build_transfer_matrix()
+        key = (id(self), ad.is_grad_enabled())
+        if key not in cache:  # kept with W, the layer's id stays unique
+            cache[key] = (self, self._build_transfer_matrix())
+        return cache[key][1]
+
+    def _build_transfer_matrix(self) -> Tensor:
         final = apply_ansatz(
             rx_basis_state(self.n_qubits), self.ansatz, self.params,
             compiled=self.compiled,

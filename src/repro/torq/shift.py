@@ -204,8 +204,7 @@ def batched_state_shift_vjp(
         plan = compile_gates(gates, n_qubits)
     with no_grad():
         t = Tensor(stacked)
-        state = plan.run(zero_state(stacked.shape[0], n_qubits),
-                         lambda i: t[:, i])
+        state = plan.run(zero_state(stacked.shape[0], n_qubits), t)
         z = pauli_z_expectations(state).data
     s = (z.reshape(len(rows), batch, n_qubits) * weights[None]).sum(axis=2)
     grad = np.zeros((n_params, batch))

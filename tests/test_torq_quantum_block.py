@@ -9,6 +9,9 @@ block product for the row GEMM, and the gate-by-gate plan on every row
 for the transfer matrix.
 """
 
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from repro import autodiff as ad
 from repro.autodiff import Tensor, check_double_grad, check_grad, grad
 from repro.autodiff.tape import compile_step
 from repro.nn import Linear
+from repro.optim import Adam
 from repro.torq import (
     ANSATZ_NAMES,
     QuantumLayer,
@@ -32,6 +36,8 @@ from repro.torq import compile as torq_compile
 from repro.torq import layer as torq_layer
 from repro.torq.ansatz import GateSpec
 from repro.torq.complexnum import ComplexTensor
+from repro.torq.reference import NaiveSimulator
+from repro.torq.shift import batched_state_shift_vjp
 
 
 def _assert_states_equal(a, b):
@@ -102,12 +108,14 @@ class TestOneSquareReadout:
 
 
 def _fused_rot(n_qubits, qubit):
-    """A lone Rot step reading the canonical packed order."""
+    """A lone Rot step reading the canonical packed order, and the block
+    its one-step gate table builds from a resolver."""
     step = torq_compile._FusedSingleQubitStep(
         [GateSpec("rot", (qubit,), (0, 1, 2))], qubit, n_qubits
     )
     step.bind(tuple(range(n_qubits + 2)), None)
-    return step
+    table = torq_compile._GateTable((step,))
+    return step, lambda resolve: next(table.operands(resolve))
 
 
 class TestRowGemm:
@@ -129,12 +137,12 @@ class TestRowGemm:
         angles = [Tensor(v) for v in rng.uniform(-3, 3, 3)]
         packed = torq_compile._pack(state)
         for qubit in range(n):
-            step = _fused_rot(n, qubit)
+            step, block = _fused_rot(n, qubit)
             unpack = torq_compile._Unpack(step.order)
-            rows = unpack(step(packed, lambda i: angles[i]))
+            rows = unpack(step(packed, block(lambda i: angles[i])))
             with monkeypatch.context() as mp:
                 mp.setattr(torq_compile, "_row_gemm", lambda m, post: False)
-                bcast = unpack(step(packed, lambda i: angles[i]))
+                bcast = unpack(step(packed, block(lambda i: angles[i])))
             post = 2 ** (n - 1 - qubit)
             for got, want in ((rows.re, bcast.re), (rows.im, bcast.im)):
                 if post == 1:
@@ -226,10 +234,21 @@ class TestCompiledQuantumStep:
         assert step.disabled is None
 
 
-def _gate_by_gate(layer, acts):
-    """The layer's final state with the ansatz run on every row."""
+def _gate_by_gate(layer, acts, compiled=True):
+    """The layer's final state with the ansatz run on every row: the
+    compiled plan, or the interpreted per-gate path."""
     state = rx_product_state(scale_input(layer.scaling, acts))
-    return apply_ansatz(state, layer.ansatz, layer.params)
+    return apply_ansatz(state, layer.ansatz, layer.params, compiled=compiled)
+
+
+def _derivatives(layer, readout, a, w):
+    """⟨Z⟩, d⟨Z⟩/da (``create_graph``) and the second-order parameter
+    gradient of a loss on both."""
+    acts = Tensor(a, requires_grad=True)
+    z = readout(acts)
+    (dz,) = grad((z * w).sum(), [acts], create_graph=True)
+    (dp,) = grad((dz * dz).mean() + (z * z).mean(), [layer.params])
+    return z.data, dz.data, dp.data
 
 
 class TestTransferMatrix:
@@ -243,20 +262,36 @@ class TestTransferMatrix:
         assert layer.uses_transfer_matrix
         a = rng.uniform(-0.95, 0.95, (batch, 7))
         w = rng.normal(size=(batch, 7))
-
-        def derivatives(readout):
-            acts = Tensor(a, requires_grad=True)
-            z = readout(acts)
-            (dz,) = grad((z * w).sum(), [acts], create_graph=True)
-            (dp,) = grad((dz * dz).mean() + (z * z).mean(), [layer.params])
-            return z.data, dz.data, dp.data
-
-        dense = derivatives(layer)
-        gate = derivatives(
-            lambda acts: pauli_z_expectations(_gate_by_gate(layer, acts))
+        dense = _derivatives(layer, layer, a, w)
+        gate = _derivatives(
+            layer,
+            lambda acts: pauli_z_expectations(_gate_by_gate(layer, acts)),
+            a, w,
         )
         for got, want in zip(dense, gate):  # ⟨Z⟩, d⟨Z⟩/da, d²/dθ
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("ansatz", ANSATZ_NAMES)
+    def test_matches_the_interpreted_path_and_the_dense_oracle(self, ansatz):
+        """W's blocks come from the gate table; the interpreted per-gate
+        path and ``torq.reference`` keep their own arithmetic."""
+        rng = np.random.default_rng(11)
+        layer = QuantumLayer(n_qubits=7, n_layers=2, ansatz=ansatz, rng=rng)
+        a = rng.uniform(-0.95, 0.95, (5, 7))
+        w = rng.normal(size=(5, 7))
+        table = _derivatives(layer, layer, a, w)
+        interpreted = _derivatives(
+            layer,
+            lambda acts: pauli_z_expectations(
+                _gate_by_gate(layer, acts, compiled=False)),
+            a, w,
+        )
+        for got, want in zip(table, interpreted):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        oracle = NaiveSimulator(layer.ansatz, scaling=layer.scaling)
+        np.testing.assert_allclose(
+            table[0], oracle.forward(a, layer.params.data), rtol=0, atol=1e-12
+        )
 
     def test_run_state_is_the_final_state(self, rng):
         layer = QuantumLayer(n_qubits=7, n_layers=2, rng=rng)
@@ -300,3 +335,135 @@ class TestTransferMatrix:
                              rng=np.random.default_rng(0))
         assert not layer.uses_transfer_matrix
         assert self._plan_batches(monkeypatch, layer, 3) == [3]
+
+
+def _record_plan_runs(monkeypatch):
+    """Row counts of every ``ExecutionPlan.run`` from here on."""
+    seen = []
+    run = torq_compile.ExecutionPlan.run
+
+    def recording(plan, state, resolve):
+        seen.append(state.batch)
+        return run(plan, state, resolve)
+
+    monkeypatch.setattr(torq_compile.ExecutionPlan, "run", recording)
+    return seen
+
+
+def _paper_case():
+    from repro.core.config import get_case
+    from repro.core.models import MaxwellQPINN
+
+    case = get_case("vacuum")
+    model = MaxwellQPINN(rng=np.random.default_rng(0), t_max=case.t_max)
+    return case, model
+
+
+class TestTransferScope:
+    """One W per loss call and per diagnostic, never across an update."""
+
+    def test_a_loss_call_runs_the_plan_once(self, monkeypatch):
+        case, model = _paper_case()
+        loss_fn = case.make_loss(use_energy=True)
+        grid = case.make_grid(3)
+        seen = _record_plan_runs(monkeypatch)
+        loss, _ = loss_fn(model, grid)
+        assert seen == [2 ** 7]
+        ad.backward(loss, model.parameters())  # both uses' cotangents
+        assert model.quantum.params.grad is not None
+        seen.clear()
+        loss_fn.loss_tensors(model, grid)
+        assert seen == [2 ** 7]
+
+    def test_diagnostics_build_w_once(self, monkeypatch):
+        from repro.core.blackhole import model_bh_indicator
+        from repro.core.config import make_reference
+        from repro.core.metrics import _L2_BATCH, l2_relative_error
+
+        case, model = _paper_case()
+        reference = make_reference(case, n=16, n_snapshots=5)
+        seen = _record_plan_runs(monkeypatch)
+        l2_relative_error(model, reference, n_space=16, n_time=10)
+        assert 16 * 16 * 10 > _L2_BATCH  # more than one chunk
+        assert seen == [2 ** 7]
+        seen.clear()
+        model_bh_indicator(model, case.t_max, n_space=8, n_times=6)
+        assert seen == [2 ** 7]
+
+    def test_a_loss_after_an_adam_step_sees_the_update(self):
+        """Adam writes ``p.data`` in place; the next call rebuilds W."""
+        from repro.core.models import MaxwellQPINN
+
+        case, model = _paper_case()
+        loss_fn = case.make_loss(use_energy=True)
+        grid = case.make_grid(3)
+        params = model.parameters()
+        opt = Adam(params, lr=0.05)
+        loss, _ = loss_fn(model, grid)
+        ad.backward(loss, params)
+        opt.step()
+        second, _ = loss_fn(model, grid)
+        fresh = MaxwellQPINN(rng=np.random.default_rng(0), t_max=case.t_max)
+        for p, q in zip(fresh.parameters(), params):
+            p.data[...] = q.data
+        want, _ = loss_fn(fresh, grid)
+        assert float(second.data) == float(want.data)
+        assert float(second.data) != float(loss.data)
+
+    def test_scopes_nest_and_stay_per_thread(self):
+        layer = QuantumLayer(n_qubits=3, n_layers=1,
+                             rng=np.random.default_rng(0))
+        with torq_layer.transfer_scope():
+            w = layer.transfer_matrix()
+            with torq_layer.transfer_scope():
+                assert layer.transfer_matrix() is w
+            assert layer.transfer_matrix() is w  # the inner exit keeps it
+            with ad.no_grad():
+                assert layer.transfer_matrix() is not w  # per grad mode
+            other = {}
+            thread = threading.Thread(
+                target=lambda: other.update(w=layer.transfer_matrix()))
+            thread.start()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+            assert other["w"] is not w
+            np.testing.assert_array_equal(other["w"].data, w.data)
+        assert layer.transfer_matrix() is not w
+
+
+class TestGateTable:
+    """Every fused block of a plan comes from one cos and one sin."""
+
+    def test_a_w_build_takes_one_cos_and_one_sin(self, monkeypatch):
+        _, model = _paper_case()
+        layer = model.quantum
+        calls = []
+        for name in ("cos", "sin"):
+            fn = getattr(ad, name)
+            monkeypatch.setattr(
+                ad, name, lambda a, fn=fn, name=name: calls.append(name) or fn(a)
+            )
+        layer.transfer_matrix()
+        assert sorted(calls) == ["cos", "sin"]
+
+    def test_batched_shift_forward_peak_does_not_grow(self):
+        """Per-batch angles build each run's block from that run's own
+        angles, so no per-row cos|sin array outlives its run.  The bound
+        is the 7-qubit batched parameter-shift replay's (182 rows) peak
+        with per-gate block builders, 1.316 MB; the table peaks at
+        1.293 MB, and a run-wide cos|sin array at 1.67 MB."""
+        layer = QuantumLayer(n_qubits=7, n_layers=4,
+                             rng=np.random.default_rng(1))
+        gates = layer.embedded_gate_sequence()
+        acts = np.random.default_rng(2).uniform(-0.9, 0.9, (1, 7))
+        values = [Tensor(acts[:, q]) for q in range(7)]
+        values += [float(v) for v in layer.params.data]
+        weights = np.ones((1, 7))
+        batched_state_shift_vjp(gates, 7, values, weights)  # warm caches
+        tracemalloc.start()
+        try:
+            batched_state_shift_vjp(gates, 7, values, weights)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1_320_000
