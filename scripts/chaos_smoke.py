@@ -20,12 +20,6 @@ Runs the :mod:`repro.resilience` fault-injection scenarios against real
                          and still reproduces the uninterrupted run.
 * **failed-write**     — a checkpoint write raises mid-run; training
                          continues and the next cadence point succeeds.
-* **campaign-kill-resume** — a 2-job campaign has both workers SIGKILLed
-                         mid-training and the supervisor killed after the
-                         first job completes; a fresh ``run_campaign``
-                         against the same workdir replays the journal and
-                         finishes, and the report's deterministic payload
-                         is byte-identical to a never-killed campaign.
 
 A scenario that *raises* is recorded as failed (with the traceback tail)
 instead of aborting the smoke run, so the report always covers every
@@ -41,7 +35,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import sys
 import tempfile
 import warnings
@@ -158,55 +151,6 @@ def scenario_failed_write(workdir: Path) -> dict:
             "later_checkpoint_valid": bool(resumable)}
 
 
-def scenario_campaign_kill_resume(workdir: Path) -> dict:
-    from repro.campaign import (
-        CampaignChaos,
-        CampaignConfig,
-        CampaignSpec,
-        SupervisorKilled,
-        deterministic_payload,
-        run_campaign,
-    )
-
-    spec = CampaignSpec(
-        name="chaos-smoke", runner="pde", seeds=(0, 1),
-        configs={"sch": {"problem": "schrodinger"}},
-        base={"epochs": 8, "n_collocation": 32, "n_data": 8,
-              "hidden": 12, "resample_every": 4},
-    )
-    clean = run_campaign(spec, CampaignConfig(
-        workdir=workdir / "campaign-clean", workers=2,
-        heartbeat_timeout_s=300.0))
-
-    chaos_cfg = CampaignConfig(
-        workdir=workdir / "campaign-chaos", workers=2,
-        heartbeat_timeout_s=300.0, backoff_base_s=0.01,
-        chaos=CampaignChaos(
-            kill_at={"sch-s0": {0: 3}, "sch-s1": {0: 5, 1: 6}},
-            kill_supervisor_after_done=1,
-        ),
-    )
-    supervisor_died = False
-    try:
-        run_campaign(spec, chaos_cfg)
-    except SupervisorKilled:
-        supervisor_died = True
-    resumed = run_campaign(spec, CampaignConfig(
-        workdir=workdir / "campaign-chaos", workers=2,
-        heartbeat_timeout_s=300.0, backoff_base_s=0.01))
-
-    bitwise = deterministic_payload(clean) == deterministic_payload(resumed)
-    attempts = {j: v["attempts"]
-                for j, v in resumed["execution"]["per_job"].items()}
-    ok = (supervisor_died and bitwise and resumed["status"] == "complete"
-          and sum(attempts.values()) > len(attempts))
-    return {"passed": bool(ok),
-            "supervisor_died": supervisor_died,
-            "bitwise_payload": bool(bitwise),
-            "status": resumed["status"],
-            "attempts": attempts}
-
-
 def run_scenario(fn, *args) -> dict:
     """One scenario, crash-proofed: a raise is a failure, not an abort."""
     import traceback
@@ -242,13 +186,11 @@ def main(argv=None) -> int:
             scenario_corrupt_fallback, workdir)
         scenarios["failed-write"] = run_scenario(
             scenario_failed_write, workdir)
-        scenarios["campaign-kill-resume"] = run_scenario(
-            scenario_campaign_kill_resume, workdir)
 
     counters = sorted(
         (s for s in obs.metrics().snapshot()
          if s["kind"] == "counter"
-         and s["name"].startswith(("resilience.", "campaign."))),
+         and s["name"].startswith("resilience.")),
         key=lambda s: s["name"],
     )
     all_passed = all(s["passed"] for s in scenarios.values())
@@ -269,5 +211,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    multiprocessing.set_start_method("spawn")
     sys.exit(main())

@@ -27,7 +27,14 @@ Cases:
   ``QuantumLayer`` with ``grad_method="adjoint"`` and
   ``"parameter_shift"`` on the six ansätze;
 * ``schrodinger_step`` — the compiled (tape-replayed) Schrödinger PINN
-  training step, loss and gradients, at float64 and float32.
+  training step, loss and gradients, at float64 and float32;
+* ``loop_configurations`` — short ``TrainLoop`` runs of the Schrödinger
+  ``PDETrainer`` and a small Maxwell ``Trainer``, each compiled,
+  uncompiled, at float32, with sentinel rollback and skip, stopped by a
+  non-finite step without a sentinel and by ``epoch_hook``, and
+  preempted or SIGTERMed then resumed from a checkpoint; plus Maxwell
+  curriculum, RBA, mini-batch, L-BFGS and gradient-clip runs and a
+  small QPINN: losses, gradient norms, stop epochs, final parameters.
 
 ``--toy`` runs every case small (3 epochs at 4³ points, fewer sizes) in
 well under a minute; CI runs it against the parent commit.
@@ -188,6 +195,99 @@ def schrodinger_step():
     return values
 
 
+def loop_configurations():
+    import os
+    import signal
+    import tempfile
+
+    from repro.core import CollocationGrid, Trainer, TrainerConfig, get_case
+    from repro.core.models import MaxwellPINN, MaxwellQPINN
+    from repro.core.weighting import TemporalCurriculum
+    from repro.pde import GenericPINN, PDETrainer, PDETrainerConfig
+    from repro.pde.problems import SchrodingerProblem
+    from repro.resilience import ChaosInjector, SentinelConfig
+
+    epochs = 6 if toy else 9
+    cut = epochs // 2  # the epoch a hook stop, preemption or SIGTERM ends
+
+    def schrodinger(**kw):
+        model = GenericPINN(2, 2, hidden=16, n_hidden=2,
+                            rng=np.random.default_rng(0))
+        cfg = PDETrainerConfig(epochs=epochs, eval_every=0, n_collocation=32,
+                               n_data=8, resample_every=4, seed=0, **kw)
+        return PDETrainer(model, SchrodingerProblem(), cfg)
+
+    def maxwell(model=None, curriculum=None, rba=None, **kw):
+        if model is None:
+            model = MaxwellPINN(depth=2, hidden=12, rff_features=6,
+                                rng=np.random.default_rng(0))
+        loss = get_case("vacuum").make_loss(use_energy=True,
+                                            curriculum=curriculum)
+        loss.rba = rba
+        cfg = TrainerConfig(epochs=epochs, eval_every=0, **kw)
+        return Trainer(model, loss, CollocationGrid(n=4, t_max=1.5),
+                       config=cfg)
+
+    def run(make, action=None, **kw):
+        """Loss and gradient-norm series, stop epochs, final parameters."""
+        norms = []
+
+        def hook(epoch, loss, grad_norm, grad_variance):
+            norms.append(grad_norm)
+            return None if action is None else action(epoch)
+
+        trainer = make(epoch_hook=hook, **kw)
+        result = trainer.train()
+        rec = getattr(result, "history", result)
+        stops = (rec.stop_epoch, rec.early_stop_epoch, result.interrupted)
+        return {"loss": rec.loss, "grad_norm": norms,
+                "stops": [-1 if s is None else int(s) for s in stops],
+                "params": np.concatenate(
+                    [p.data.ravel() for p in trainer.model.parameters()])}
+
+    def resumed(make, action=None, **kw):
+        """A run interrupted at ``cut``, then resumed from its checkpoint."""
+        with tempfile.TemporaryDirectory() as ckpt:
+            first = run(make, action, checkpoint_dir=ckpt, **kw)
+            second = run(make, checkpoint_dir=ckpt, resume_from="auto")
+        return {k: v if k == "params" else np.concatenate([first[k], v])
+                for k, v in second.items()}
+
+    def sigterm(epoch):
+        if epoch == cut:
+            os.kill(os.getpid(), signal.SIGTERM)
+
+    runs = {}
+    for name, make in (("schrodinger", schrodinger), ("maxwell", maxwell)):
+        for label, kw in {
+            "compiled": {},
+            "uncompiled": {"compile_step": False},
+            "float32": {"precision": "float32"},
+            "rollback": {"sentinel": SentinelConfig(policy="rollback"),
+                         "chaos": ChaosInjector(nan_grad_at=(2,))},
+            "skip": {"sentinel": SentinelConfig(policy="skip"),
+                     "chaos": ChaosInjector(nan_grad_at=(2,))},
+            "nan_stop": {"chaos": ChaosInjector(corrupt_params_at=(2,))},
+        }.items():
+            runs[f"{name}.{label}"] = run(make, **kw)
+        runs[f"{name}.hook_stop"] = run(
+            make, lambda epoch: "stop" if epoch == cut else None)
+        runs[f"{name}.preempt_resume"] = resumed(
+            make, chaos=ChaosInjector(preempt_at=cut))
+        runs[f"{name}.sigterm_resume"] = resumed(make, sigterm)
+    runs["maxwell.curriculum"] = run(
+        maxwell, curriculum=TemporalCurriculum(ramp_epochs=epochs))
+    runs["maxwell.rba"] = run(maxwell, rba="auto")
+    runs["maxwell.minibatch"] = run(maxwell, batch_points=32)
+    runs["maxwell.lbfgs"] = run(maxwell, lbfgs_epochs=2)
+    runs["maxwell.clip"] = run(maxwell, clip_grad_norm=0.1)
+    runs["qpinn"] = run(maxwell, model=MaxwellQPINN(
+        n_qubits=3, n_layers=2, hidden=8, rff_features=4,
+        n_classical_hidden=1, rng=np.random.default_rng(0)))
+    return {f"{config}.{k}": v for config, values in runs.items()
+            for k, v in values.items()}
+
+
 CASES = {
     "qpinn_trajectory": lambda: trajectory("strongly_entangling"),
     "pinn_trajectory": lambda: trajectory("regular"),
@@ -195,13 +295,15 @@ CASES = {
     "frozen_predictions": frozen_predictions,
     "ansatz_gradients": ansatz_gradients,
     "schrodinger_step": schrodinger_step,
+    "loop_configurations": loop_configurations,
 }
 np.savez(out, **{k: np.asarray(v, dtype=np.float64)
                  for k, v in CASES[case]().items()})
 '''
 
 CASES = ("qpinn_trajectory", "pinn_trajectory", "residual_step",
-         "frozen_predictions", "ansatz_gradients", "schrodinger_step")
+         "frozen_predictions", "ansatz_gradients", "schrodinger_step",
+         "loop_configurations")
 
 
 def extract(rev: str, dest: Path) -> Path:
@@ -233,9 +335,12 @@ def run_case(tree: Path, case: str, runner: Path, out: Path,
 
 def deviation(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     """Largest ``|a − b|``, absolute and relative to the array's largest
-    magnitude (entries that round to zero have no relative scale)."""
-    diff = float(np.abs(a - b).max(initial=0.0))
-    scale = float(np.maximum(np.abs(a), np.abs(b)).max(initial=0.0))
+    magnitude (entries that round to zero have no relative scale).  A NaN
+    in both trees (a recorded non-finite step) is no deviation."""
+    same_nan = np.isnan(a) & np.isnan(b)
+    diff = float(np.where(same_nan, 0.0, np.abs(a - b)).max(initial=0.0))
+    scale = float(np.where(same_nan, 0.0, np.maximum(np.abs(a), np.abs(b)))
+                  .max(initial=0.0))
     return diff, (diff / scale if scale > 0 else 0.0)
 
 
@@ -246,7 +351,8 @@ def compare(case: str, mine: dict, theirs: dict) -> tuple[bool, list[str]]:
     bad = [k for k in mine if mine[k].shape != theirs[k].shape]
     if bad:
         return False, [f"  shapes differ: {bad}"]
-    bitwise = all(np.array_equal(mine[k], theirs[k]) for k in mine)
+    bitwise = all(np.array_equal(mine[k], theirs[k], equal_nan=True)
+                  for k in mine)
     devs = [deviation(mine[k], theirs[k]) for k in mine]
     lines = [f"  bitwise {'yes' if bitwise else 'no'}; largest deviation "
              f"{max(d[0] for d in devs):.2g} absolute, "

@@ -24,19 +24,16 @@ PACKAGES = [
     "repro.report",
     "repro.obs",
     "repro.resilience",
-    "repro.campaign",
 ]
 
 # Packages whose full module docstring doubles as a usage guide; include it
 # verbatim instead of just the first line.
-FULL_INTRO = {"repro.obs", "repro.resilience", "repro.lower",
-              "repro.campaign"}
+FULL_INTRO = {"repro.obs", "repro.resilience", "repro.lower"}
 
 # Optional human-readable section titles.
 TITLES = {"repro.obs": "Observability",
           "repro.resilience": "Resilience & checkpointing",
-          "repro.lower": "Lowering & precision tiers",
-          "repro.campaign": "Campaign orchestration"}
+          "repro.lower": "Lowering & precision tiers"}
 
 # Guide sections emitted right after their parent package: submodules whose
 # full docstring is a usage guide in its own right.
@@ -52,11 +49,6 @@ GUIDE_SECTIONS = {
         ("Error budgets", "repro.lower.budget"),
         ("Memory planning", "repro.lower.memplan"),
         ("In-place planned execution", "repro.lower.inplace"),
-    ],
-    "repro.campaign": [
-        ("Journal semantics", "repro.campaign.journal"),
-        ("Failure handling & retry policy", "repro.campaign.supervisor"),
-        ("Online failure-mode monitoring", "repro.campaign.monitor"),
     ],
 }
 

@@ -72,9 +72,8 @@ class LoopConfig:
     #: per-epoch observer ``hook(epoch, loss, grad_norm, grad_variance)``
     #: called at the end of every epoch; a truthy return stops training
     #: cleanly after the epoch's checkpoint cadence (a returned string is
-    #: recorded as the stop reason).  Used by
-    #: :class:`repro.campaign.CampaignMonitor` for online
-    #: black-hole/barren-plateau detection.
+    #: recorded as the stop reason).  ``perfbench`` times epochs
+    #: with it.
     epoch_hook: "object | None" = None
 
 

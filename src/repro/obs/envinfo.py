@@ -1,7 +1,7 @@
 """Runtime environment fingerprints for benchmark reports.
 
 Benchmark JSON artifacts (``BENCH_torq.json``, ``BENCH_autodiff.json``,
-``BENCH_campaign.json``) are committed and compared across machines and PRs,
+``BENCH_serve.json``) are committed and compared across machines and PRs,
 so every report carries an ``environment`` block answering "what ran
 this": interpreter and NumPy versions, the physical CPU model, the BLAS
 NumPy was built against, the usable core count and the peak RSS.  A
@@ -101,9 +101,9 @@ def peak_rss_bytes() -> int:
 def _available_cpus() -> int:
     """CPUs this process may actually use (affinity-aware, 0 unknown).
 
-    Worker-pool numbers (``BENCH_campaign.json``) are meaningless
-    without the core budget they ran under — a cgroup-pinned CI runner reports the same
-    ``cpu`` model string as a 64-core box.
+    Timings are meaningless without the core budget they ran under — a
+    cgroup-pinned CI runner reports the same ``cpu`` model string as a
+    64-core box.
     """
     try:
         import os

@@ -57,8 +57,8 @@ class PDETrainingResult:
     #: sentinel configured): the offending epoch and an actionable diagnostic.
     stop_epoch: int | None = None
     stop_reason: str | None = None
-    #: set when ``config.epoch_hook`` requested a clean early stop (e.g.
-    #: a campaign monitor early-stopping a doomed run).
+    #: set when ``config.epoch_hook`` requested a clean early stop: the
+    #: epoch and the hook's reason (``"epoch_hook"`` for a non-string).
     early_stop_epoch: int | None = None
     early_stop_reason: str | None = None
 

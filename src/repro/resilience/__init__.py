@@ -1,6 +1,6 @@
 """``repro.resilience`` — fault-tolerant training runtime.
 
-Long QPINN campaigns fail in three characteristic ways: the loss
+Long QPINN runs fail in three characteristic ways: the loss
 suddenly diverges (the paper's "black-hole" collapse events), the
 process is preempted or crashes, and artifacts on disk rot or truncate.
 This package makes all three survivable:

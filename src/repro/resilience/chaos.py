@@ -21,8 +21,6 @@ checksum-validation and fall-back-to-previous-checkpoint paths.
 
 from __future__ import annotations
 
-import os
-import signal
 from pathlib import Path
 
 import numpy as np
@@ -66,31 +64,20 @@ class ChaosInjector:
     fail_writes:
         Zero-based indices of checkpoint *write attempts* that raise
         :class:`InjectedIOError` before any byte reaches disk.
-    sigterm_at:
-        Steps at which the process sends itself a real SIGTERM at the
-        end of the step.  With :class:`~repro.resilience.GracefulShutdown`
-        active this exercises the clean boundary-interrupt path (final
-        checkpoint, ``interrupted=True``) through the genuine signal
-        machinery rather than a raised exception.
-    sigkill_end_at:
-        Steps at which the process SIGKILLs *itself* at the end of the
-        step, from :meth:`end_step` — an uncatchable death with no
-        cleanup, as close to a real OOM-kill as a test can get.  Because
-        it fires *before* the epoch's cadence checkpoint is written, the
-        newest archive on disk predates the killed step: exactly the
-        progress-losing kill a campaign worker must absorb and replay.
+
+    A real SIGTERM needs no knob: an ``epoch_hook`` that signals its own
+    process runs at the same step boundary (see
+    ``tests/test_resilience_chaos.py``).
     """
 
     def __init__(self, nan_grad_at=(), inf_loss_grad_at=(),
                  corrupt_params_at=(), preempt_at: int | None = None,
-                 fail_writes=(), sigterm_at=(), sigkill_end_at=()):
+                 fail_writes=()):
         self.nan_grad_at = frozenset(nan_grad_at)
         self.inf_loss_grad_at = frozenset(inf_loss_grad_at)
         self.corrupt_params_at = frozenset(corrupt_params_at)
         self.preempt_at = preempt_at
         self.fail_writes = frozenset(fail_writes)
-        self.sigterm_at = frozenset(sigterm_at)
-        self.sigkill_end_at = frozenset(sigkill_end_at)
         self.counts = {
             "nan_grads": 0,
             "inf_grads": 0,
@@ -98,8 +85,6 @@ class ChaosInjector:
             "preemptions": 0,
             "failed_writes": 0,
             "write_attempts": 0,
-            "sigkills": 0,
-            "sigterms": 0,
         }
 
     # ------------------------------------------------------------------
@@ -129,12 +114,6 @@ class ChaosInjector:
 
     def end_step(self, epoch: int) -> None:
         """Called once the step is fully complete."""
-        if epoch in self.sigkill_end_at:
-            self.counts["sigkills"] += 1
-            os.kill(os.getpid(), signal.SIGKILL)
-        if epoch in self.sigterm_at:
-            self.counts["sigterms"] += 1
-            os.kill(os.getpid(), signal.SIGTERM)
         if self.preempt_at is not None and epoch == self.preempt_at:
             self.counts["preemptions"] += 1
             raise SimulatedPreemption(f"simulated preemption after step {epoch}")

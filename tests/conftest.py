@@ -13,26 +13,13 @@ settings.register_profile(
 )
 settings.load_profile("repro")
 
-#: ceiling for one @pytest.mark.slow test when pytest-timeout is present
-#: (CI installs it); locally the campaign's heartbeat timeout is what
-#: keeps a dead worker from hanging the suite.
-SLOW_TEST_TIMEOUT_S = 300
-
 
 def pytest_configure(config):
     config.addinivalue_line(
         "markers",
-        "slow: multi-process / long-running test (CI applies a "
-        f"{SLOW_TEST_TIMEOUT_S}s timeout via pytest-timeout)",
+        "slow: long-running test that bounds its own subprocess with a "
+        "timeout",
     )
-
-
-def pytest_collection_modifyitems(config, items):
-    if not config.pluginmanager.hasplugin("timeout"):
-        return
-    for item in items:
-        if "slow" in item.keywords and "timeout" not in item.keywords:
-            item.add_marker(pytest.mark.timeout(SLOW_TEST_TIMEOUT_S))
 
 
 @pytest.fixture

@@ -1,10 +1,9 @@
-"""Unit tests for repro.campaign: spec, journal, queue, monitor, report.
+"""Safety nets a long unattended training campaign relies on.
 
-The multi-process crash-convergence proofs live in
-``test_campaign_chaos.py``; everything here is single-process and fast.
+A failed checkpoint write is counted and logged without stopping the run,
+and ``GracefulShutdown`` defers the first SIGINT but not a second one.
 """
 
-import json
 import logging
 import signal
 
@@ -12,23 +11,6 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.campaign import (
-    DONE,
-    FAILED,
-    PENDING,
-    CampaignMonitor,
-    CampaignSpec,
-    Journal,
-    JournalCorruptError,
-    JobQueue,
-    MonitorConfig,
-    build_report,
-    canonical_json,
-    deterministic_payload,
-    read_telemetry,
-)
-from repro.campaign.supervisor import _backoff, _pin_spec, CampaignConfig
-from repro.campaign.worker import _full_loss_series, resolve_runner
 
 
 @pytest.fixture(autouse=True)
@@ -37,346 +19,6 @@ def _fresh_metrics():
     yield
 
 
-def tiny_spec(**kw):
-    defaults = dict(
-        name="t", runner="pde", seeds=(0, 1),
-        configs={"a": {}, "b": {"hidden": 8}},
-        base={"epochs": 4},
-    )
-    defaults.update(kw)
-    return CampaignSpec(**defaults)
-
-
-# ----------------------------------------------------------------------
-# CampaignSpec
-# ----------------------------------------------------------------------
-class TestSpec:
-    def test_job_expansion_is_deterministic(self):
-        jobs = tiny_spec().jobs()
-        assert [j.job_id for j in jobs] == ["a-s0", "a-s1", "b-s0", "b-s1"]
-        assert jobs == tiny_spec().jobs()
-
-    def test_overrides_merge_over_base(self):
-        jobs = tiny_spec().jobs()
-        by_id = {j.job_id: j for j in jobs}
-        assert by_id["a-s0"].params == {"epochs": 4}
-        assert by_id["b-s0"].params == {"epochs": 4, "hidden": 8}
-
-    def test_fingerprint_stable_and_content_sensitive(self):
-        assert tiny_spec().fingerprint() == tiny_spec().fingerprint()
-        assert (tiny_spec().fingerprint()
-                != tiny_spec(seeds=(0, 2)).fingerprint())
-
-    def test_round_trips_through_json(self):
-        spec = tiny_spec()
-        clone = CampaignSpec.from_dict(
-            json.loads(canonical_json(spec.to_dict())))
-        assert clone == spec
-        assert clone.fingerprint() == spec.fingerprint()
-
-    @pytest.mark.parametrize("kw", [
-        {"seeds": ()},
-        {"seeds": (1, 1)},
-        {"configs": {}},
-        {"configs": {"bad name": {}}},
-        {"name": "no/slashes"},
-    ])
-    def test_validation_rejects(self, kw):
-        with pytest.raises(ValueError):
-            tiny_spec(**kw)
-
-
-# ----------------------------------------------------------------------
-# Journal
-# ----------------------------------------------------------------------
-class TestJournal:
-    def test_append_replay_round_trip(self, tmp_path):
-        j = Journal(tmp_path / "j.jsonl")
-        records = [{"t": "start", "job": "a", "attempt": i}
-                   for i in range(3)]
-        for rec in records:
-            j.append(rec)
-        assert j.replay() == records
-
-    def test_torn_tail_is_dropped(self, tmp_path):
-        j = Journal(tmp_path / "j.jsonl")
-        j.append({"t": "start", "job": "a"})
-        with open(j.path, "a") as fh:
-            fh.write('{"t": "done", "jo')  # crash mid-append
-        assert j.replay() == [{"t": "start", "job": "a"}]
-        assert obs.metrics().counter(
-            "campaign.journal.torn_tail").value == 1
-
-    def test_mid_file_corruption_raises(self, tmp_path):
-        j = Journal(tmp_path / "j.jsonl")
-        j.append({"t": "start", "job": "a"})
-        with open(j.path, "a") as fh:
-            fh.write("garbage\n")
-        j.append({"t": "done", "job": "a"})
-        with pytest.raises(JournalCorruptError):
-            j.replay()
-
-    def test_missing_file_is_empty(self, tmp_path):
-        assert Journal(tmp_path / "nope.jsonl").replay() == []
-
-
-# ----------------------------------------------------------------------
-# JobQueue
-# ----------------------------------------------------------------------
-class TestQueue:
-    def make_queue(self, tmp_path):
-        return JobQueue(Journal(tmp_path / "j.jsonl"), tiny_spec().jobs())
-
-    def test_fresh_queue_all_pending(self, tmp_path):
-        q = self.make_queue(tmp_path)
-        assert q.counts() == {PENDING: 4, "running": 0, DONE: 0, FAILED: 0}
-        assert [j.spec.job_id for j in q.claimable(0.0)] == [
-            "a-s0", "a-s1", "b-s0", "b-s1"]
-
-    def test_transitions_survive_replay(self, tmp_path):
-        q = self.make_queue(tmp_path)
-        q.mark_start("a-s0")
-        q.mark_done("a-s0", {"final_loss": 1.0}, wall_s=2.0)
-        q.mark_start("a-s1")
-        q.mark_retry("a-s1", "boom", backoff_s=0.0)
-        q.mark_start("b-s0")
-        q.mark_failed("b-s0", "dead")
-        q2 = self.make_queue(tmp_path)  # replays the same journal
-        assert q2.jobs["a-s0"].status == DONE
-        assert q2.jobs["a-s0"].result == {"final_loss": 1.0}
-        assert q2.jobs["a-s1"].status == PENDING
-        assert q2.jobs["a-s1"].failures == 1
-        assert q2.jobs["a-s1"].attempts == 1
-        assert q2.jobs["b-s0"].status == FAILED
-        assert q2.jobs["b-s0"].error == "dead"
-
-    def test_running_jobs_heal_to_pending_on_replay(self, tmp_path):
-        q = self.make_queue(tmp_path)
-        q.mark_start("a-s0")  # supervisor dies here
-        q2 = self.make_queue(tmp_path)
-        assert q2.jobs["a-s0"].status == PENDING
-        assert q2.jobs["a-s0"].attempts == 1
-        assert obs.metrics().counter("campaign.queue.healed").value == 1
-
-    def test_interrupted_does_not_burn_retry_budget(self, tmp_path):
-        q = self.make_queue(tmp_path)
-        q.mark_start("a-s0")
-        q.mark_interrupted("a-s0")
-        q2 = self.make_queue(tmp_path)
-        assert q2.jobs["a-s0"].status == PENDING
-        assert q2.jobs["a-s0"].failures == 0
-        assert q2.jobs["a-s0"].attempts == 1
-
-    def test_backoff_gates_claimability(self, tmp_path):
-        import time
-
-        q = self.make_queue(tmp_path)
-        q.mark_start("a-s0")
-        q.mark_retry("a-s0", "boom", backoff_s=60.0)
-        now = time.monotonic()
-        claimable = [j.spec.job_id for j in q.claimable(now)]
-        assert "a-s0" not in claimable
-        assert q.next_wakeup(now) == pytest.approx(60.0, abs=1.0)
-        assert "a-s0" in [j.spec.job_id for j in q.claimable(now + 61.0)]
-
-    def test_orphan_journal_records_are_ignored(self, tmp_path):
-        j = Journal(tmp_path / "j.jsonl")
-        j.append({"t": "done", "job": "not-in-spec", "result": {}})
-        q = JobQueue(j, tiny_spec().jobs())
-        assert q.counts()[PENDING] == 4
-        assert obs.metrics().counter("campaign.journal.orphans").value == 1
-
-    def test_finished_requires_all_terminal(self, tmp_path):
-        q = self.make_queue(tmp_path)
-        assert not q.finished
-        for jid in ("a-s0", "a-s1", "b-s0"):
-            q.mark_start(jid)
-            q.mark_done(jid, {})
-        q.mark_start("b-s1")
-        q.mark_failed("b-s1", "dead")
-        assert q.finished
-
-
-def test_backoff_is_exponential_and_capped():
-    cfg = CampaignConfig(backoff_base_s=0.1, backoff_factor=2.0,
-                         backoff_max_s=0.5)
-    assert _backoff(cfg, 1) == pytest.approx(0.1)
-    assert _backoff(cfg, 2) == pytest.approx(0.2)
-    assert _backoff(cfg, 3) == pytest.approx(0.4)
-    assert _backoff(cfg, 4) == pytest.approx(0.5)  # capped
-
-
-def test_spec_pin_refuses_mismatched_campaign(tmp_path):
-    _pin_spec(tmp_path, tiny_spec())
-    _pin_spec(tmp_path, tiny_spec())  # same spec: fine
-    with pytest.raises(RuntimeError, match="fingerprint"):
-        _pin_spec(tmp_path, tiny_spec(seeds=(0, 2)))
-
-
-# ----------------------------------------------------------------------
-# CampaignMonitor
-# ----------------------------------------------------------------------
-class _FakeOpt:
-    def __init__(self, lr=1e-3):
-        self.lr = lr
-
-
-class TestMonitor:
-    def feed(self, monitor, variances, losses=None):
-        verdicts = []
-        for epoch, var in enumerate(variances):
-            loss = losses[epoch] if losses else 1.0
-            verdicts.append(monitor.observe(epoch, loss, 1.0, var))
-        return verdicts
-
-    def test_healthy_run_never_fires(self):
-        m = CampaignMonitor(MonitorConfig(window=3, min_epochs=3))
-        self.feed(m, [1e-3] * 12)
-        assert m.decision is None
-        assert m.as_record()["verdict"] == "healthy"
-
-    def test_barren_plateau_detection(self):
-        cfg = MonitorConfig(window=3, min_epochs=3, var_floor=1e-10)
-        m = CampaignMonitor(cfg)
-        self.feed(m, [1e-15] * 5)
-        assert m.decision["verdict"] == "barren_plateau"
-        assert m.decision["epoch"] == 2  # first full window
-        assert obs.metrics().counter(
-            "campaign.monitor.barren_plateau").value == 1
-
-    def test_black_hole_detection_needs_prior_signal(self):
-        cfg = MonitorConfig(window=3, min_epochs=3, var_floor=1e-10,
-                            collapse_ratio=1e3)
-        m = CampaignMonitor(cfg)
-        # healthy signal then a 10^6 collapse (still above var_floor)
-        self.feed(m, [1e-2] * 5 + [1e-8] * 3)
-        assert m.decision["verdict"] == "black_hole"
-        assert m.decision["epoch"] == 7
-
-    def test_no_verdict_before_min_epochs(self):
-        cfg = MonitorConfig(window=2, min_epochs=8, var_floor=1e-10)
-        m = CampaignMonitor(cfg)
-        self.feed(m, [1e-15] * 7)
-        assert m.decision is None
-
-    def test_early_stop_action_returns_reason(self):
-        cfg = MonitorConfig(window=2, min_epochs=2, var_floor=1e-10,
-                            action="early_stop")
-        m = CampaignMonitor(cfg)
-        verdicts = self.feed(m, [1e-15] * 4)
-        assert verdicts[0] is False
-        assert "barren_plateau" in verdicts[-1]
-
-    def test_preload_replay_matches_online(self):
-        cfg = MonitorConfig(window=3, min_epochs=3, var_floor=1e-10,
-                            collapse_ratio=1e3, action="record")
-        series = [(e, 1.0, 1.0, v)
-                  for e, v in enumerate([1e-2] * 5 + [1e-8] * 4)]
-        online = CampaignMonitor(cfg)
-        for row in series:
-            online.observe(*row)
-        replayed = CampaignMonitor(cfg)
-        replayed.preload(series)
-        assert replayed.decision == online.decision
-
-    def test_lr_cut_is_idempotent_across_replay(self):
-        cfg = MonitorConfig(window=2, min_epochs=2, var_floor=1e-10,
-                            action="lr_cut", lr_cut_factor=0.5)
-        series = [(e, 1.0, 1.0, 1e-15) for e in range(4)]
-        opt = _FakeOpt(lr=1e-3)
-        first = CampaignMonitor(cfg, optimizer=opt)
-        first.preload(series)
-        assert opt.lr == pytest.approx(5e-4)
-        # A resumed attempt replays the same series against the *cut* lr
-        # (Adam persists lr in its state): assignment must not compound.
-        second = CampaignMonitor(cfg, optimizer=opt)
-        second._base_lr = 1e-3  # base captured at original attach
-        second.preload(series)
-        assert opt.lr == pytest.approx(5e-4)
-
-    def test_action_validation(self):
-        with pytest.raises(ValueError):
-            MonitorConfig(action="explode")
-        with pytest.raises(ValueError):
-            MonitorConfig(window=0)
-
-    def test_config_round_trip(self):
-        cfg = MonitorConfig(action="lr_cut", window=4)
-        assert MonitorConfig.from_dict(cfg.to_dict()) == cfg
-
-
-# ----------------------------------------------------------------------
-# Report
-# ----------------------------------------------------------------------
-class TestReport:
-    def build(self, tmp_path, fail_one=False):
-        spec = tiny_spec()
-        q = JobQueue(Journal(tmp_path / "j.jsonl"), spec.jobs())
-        for i, jid in enumerate(["a-s0", "a-s1", "b-s0", "b-s1"]):
-            q.mark_start(jid)
-            if fail_one and jid == "b-s1":
-                q.mark_failed(jid, "injected", wall_s=1.0)
-            else:
-                q.mark_done(jid, {"final_loss": float(i)}, wall_s=1.0)
-        return spec, q
-
-    def test_complete_campaign(self, tmp_path):
-        spec, q = self.build(tmp_path)
-        report = build_report(spec, q, elapsed_s=4.0, workers=2)
-        assert report["status"] == "complete"
-        assert [r["job_id"] for r in report["results"]] == [
-            "a-s0", "a-s1", "b-s0", "b-s1"]
-        assert report["failures"] == []
-
-    def test_partial_campaign_names_failed_jobs(self, tmp_path):
-        spec, q = self.build(tmp_path, fail_one=True)
-        report = build_report(spec, q)
-        assert report["status"] == "partial"
-        assert report["failures"] == [{
-            "job_id": "b-s1", "config": "b", "seed": 1,
-            "error": "injected"}]
-        assert report["counts"][FAILED] == 1
-
-    def test_deterministic_payload_excludes_execution(self, tmp_path):
-        spec, q = self.build(tmp_path)
-        a = build_report(spec, q, elapsed_s=1.0, workers=1)
-        b = build_report(spec, q, elapsed_s=99.0, workers=8)
-        assert a["execution"] != b["execution"]
-        assert deterministic_payload(a) == deterministic_payload(b)
-
-
-# ----------------------------------------------------------------------
-# Worker helpers
-# ----------------------------------------------------------------------
-class TestWorkerHelpers:
-    def test_read_telemetry_last_wins_and_torn_tail(self, tmp_path):
-        path = tmp_path / "telemetry.jsonl"
-        with open(path, "w") as fh:
-            fh.write(json.dumps([0, 5.0, 1.0, 0.1]) + "\n")
-            fh.write(json.dumps([1, 4.0, 1.0, 0.1]) + "\n")
-            # resumed attempt replays epoch 1 bitwise, then crashes
-            fh.write(json.dumps([1, 4.0, 1.0, 0.1]) + "\n")
-            fh.write('[2, 3.')
-        rows = read_telemetry(path)
-        assert sorted(rows) == [0, 1]
-        assert rows[1] == (4.0, 1.0, 0.1)
-
-    def test_full_loss_series_rejects_gaps(self):
-        with pytest.raises(RuntimeError, match="gaps"):
-            _full_loss_series({0: (1.0, 0, 0), 2: (0.5, 0, 0)})
-        assert _full_loss_series(
-            {0: (1.0, 0, 0), 1: (0.5, 0, 0)}) == [1.0, 0.5]
-
-    def test_resolve_runner_builtins_and_dotted(self):
-        assert resolve_runner("pde").__name__ == "run_pde_job"
-        assert resolve_runner("json:loads") is json.loads
-        with pytest.raises(KeyError):
-            resolve_runner("nope")
-
-
-# ----------------------------------------------------------------------
-# Satellite: CheckpointManager surfaces failed writes
-# ----------------------------------------------------------------------
 def test_checkpoint_write_failure_counted_and_logged(tmp_path, caplog):
     from repro.optim import Adam
     from repro.pde import GenericPINN
@@ -401,9 +43,6 @@ def test_checkpoint_write_failure_counted_and_logged(tmp_path, caplog):
     assert manager.resume() is not None
 
 
-# ----------------------------------------------------------------------
-# Satellite: GracefulShutdown second-signal hard exit
-# ----------------------------------------------------------------------
 def test_graceful_shutdown_second_sigint_raises():
     from repro.resilience import GracefulShutdown
 
@@ -413,12 +52,3 @@ def test_graceful_shutdown_second_sigint_raises():
         # The operator's second Ctrl-C must not be deferred again.
         with pytest.raises(KeyboardInterrupt):
             shutdown._handler(signal.SIGINT, None)
-
-
-def test_graceful_shutdown_second_sigterm_does_not_raise():
-    from repro.resilience import GracefulShutdown
-
-    with GracefulShutdown() as shutdown:
-        shutdown._handler(signal.SIGTERM, None)
-        shutdown._handler(signal.SIGTERM, None)  # idempotent, no raise
-        assert shutdown.requested

@@ -156,6 +156,29 @@ class TestPreemptAndResume:
         r2 = second.train()
         assert r2.history.learning_rate[-1] == ref.history.learning_rate[-1]
 
+    def test_sigterm_stops_at_the_epoch_boundary_and_resumes_bitwise(
+            self, tmp_path):
+        reference = pde_trainer()
+        reference.train()
+
+        def sigterm_on_epoch_4(epoch, loss, grad_norm, grad_variance):
+            if epoch == 4:
+                os.kill(os.getpid(), signal.SIGTERM)
+
+        first = pde_trainer(checkpoint_dir=tmp_path,
+                            epoch_hook=sigterm_on_epoch_4)
+        r1 = first.train()
+        assert r1.interrupted
+        assert len(r1.loss) == 5
+        assert r1.early_stop_epoch is None
+
+        second = pde_trainer(checkpoint_dir=tmp_path, resume_from="auto")
+        r2 = second.train()
+        assert not r2.interrupted
+        assert len(r2.loss) == 4  # epochs 5..8
+        for a, b in zip(params_of(reference), params_of(second)):
+            np.testing.assert_array_equal(a, b)
+
     def test_resume_from_auto_with_empty_dir_trains_fresh(self, tmp_path):
         trainer = pde_trainer(checkpoint_dir=tmp_path, resume_from="auto")
         result = trainer.train()
@@ -227,6 +250,13 @@ class TestGracefulShutdown:
             assert shutdown.requested
             with pytest.raises(KeyboardInterrupt):
                 signal.raise_signal(signal.SIGINT)
+
+    def test_second_sigterm_does_not_raise(self):
+        with GracefulShutdown() as shutdown:
+            os.kill(os.getpid(), signal.SIGTERM)
+            os.kill(os.getpid(), signal.SIGTERM)  # idempotent, no raise
+            assert shutdown.requested
+            assert shutdown.signum == signal.SIGTERM
 
     def test_handlers_restored_on_exit(self):
         before = signal.getsignal(signal.SIGTERM)
