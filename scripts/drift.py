@@ -187,7 +187,7 @@ def schrodinger_step():
                     + 10.0 * problem.data_terms(model, *arrs[k:]))
 
         step = compile_step(fn, model.parameters(), precision=precision)
-        for _ in range(3):  # trace, validated replay, frozen replay
+        for _ in range(3):  # trace, validated replay, steady replay
             loss, grads, _ = step(*arrays)
         values[precision + ".loss"] = loss
         for i, g in enumerate(grads):

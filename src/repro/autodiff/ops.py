@@ -34,6 +34,29 @@ __all__ = [
 #: time, so rebinding the attributes instruments the whole engine.
 PROFILED_OPS = tuple(__all__)
 
+
+def rebind_ops(make) -> dict:
+    """Rebind every op in :data:`PROFILED_OPS` to ``make(name, fn)``.
+
+    Rebinds this module's attribute and the ``repro.autodiff`` re-export
+    (where it still points at the same function), so op-to-op calls,
+    ``Tensor`` operators and user code all reach the new binding — the
+    mechanism of the profiler and of the tape tracer.  Returns the
+    previous bindings; ``rebind_ops(lambda name, _fn: previous[name])``
+    restores them.
+    """
+    from .. import autodiff as package
+
+    module = globals()
+    previous: dict = {}
+    for name in PROFILED_OPS:
+        fn = previous[name] = module[name]
+        module[name] = new = make(name, fn)
+        if getattr(package, name, None) is fn:
+            setattr(package, name, new)
+    return previous
+
+
 #: operations whose VJP closures capture data-dependent constants (masks,
 #: signs, argmax positions) frozen at forward time.  Replaying a recorded
 #: call would reuse stale constants, so :mod:`repro.autodiff.tape` falls

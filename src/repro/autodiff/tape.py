@@ -10,9 +10,10 @@ simulator: record once, replay many times.
 
 **Lifecycle.**  :func:`trace` executes one training step — forward,
 residual derivatives, and the backward pass — with every public op in
-:mod:`repro.autodiff.ops` temporarily wrapped (the same attribute-rebind
-mechanism :mod:`repro.obs.profile` uses, so VJP closures and ``Tensor``
-operator methods are captured too).  Each op call is appended to a flat
+:mod:`repro.autodiff.ops` temporarily wrapped (the attribute rebind of
+:func:`repro.autodiff.ops.rebind_ops`, which :mod:`repro.obs.profile`
+also uses, so VJP closures and ``Tensor`` operator methods are captured
+as well).  Each op call is appended to a flat
 :class:`Tape` entry list: op kind, input/output *slot* ids, and static
 kwargs.  Because the backward pass itself runs under the recorder, the
 tape already contains the complete backward schedule — double-backward
@@ -52,23 +53,25 @@ replays an executor thus holds its arena and those constants only
 steady-state replay performs **zero** graph-node allocations —
 ``scripts/bench_pde.py --check-alloc`` asserts exactly that in CI.
 
-After the first (interpreted) replay the executor *freezes* the
-schedule into generated straight-line Python — one kernel call per
-line, with arena views, constants, and parameter tensors bound in the
-function's namespace and a ``del`` after each local's last read —
-removing the interpreter's per-entry dispatch (tuple unpacking,
-argument-list building, mode branching) entirely.  The generated
-function is verified bitwise against the interpreted schedule on its
-first use and dropped permanently on any mismatch, so the freeze is an
-invisible optimisation, never a correctness risk.
+**Replay.**  When the tape compiles, the executor generates its
+schedule as straight-line Python — one kernel call per line, with arena
+views, constants, and parameter tensors bound in the function's
+namespace and a ``del`` after each local's last read — so a replay
+makes the schedule's NumPy calls and no per-entry dispatch.  Every
+replay runs that function, the first one (checked against
+define-by-run) included; an error while generating it raises
+:class:`TapeFallback`.
 
 **Entry point.**  :func:`compile_step` wraps a step function
 ``fn(*arrays) -> loss`` (or ``(loss, {name: Tensor})`` for logged
 components) into a :class:`CompiledStep`.  Calling it returns
 ``(loss, grads, aux)`` where ``grads`` holds ``d loss / d p`` for every
-parameter.  Executors are cached per input *structure key* (the tuple of
-input shapes/dtypes, like ``plan_cache_info()`` in TorQ), so a resampled
-collocation size re-traces automatically instead of erroring.
+parameter.  :func:`compile_forward` builds the same class in
+forward-only mode for inference (no backward schedule, row-stable
+kernels; calling it returns the output array).  Executors are cached
+per input *structure key* (the tuple of input shapes/dtypes, like
+``plan_cache_info()`` in TorQ), so a resampled collocation size
+re-traces automatically instead of erroring.
 
 **Correctness contract.**  Inputs that change between calls must be
 passed as ``arrays``; parameters are read live through their ``.data`` on
@@ -80,11 +83,13 @@ outside the recorded op set (e.g. TorQ's analytic-gradient layers) raise
 :class:`TapeFallback` during tracing.
 
 **Fallback semantics.**  A :class:`CompiledStep` never raises on
-unsupported structure: tracing failures, validation mismatches, and any
-replay error permanently revert the step to define-by-run.  The first
-replay after every (re-)trace is additionally validated against a fresh
-define-by-run evaluation to ``tol`` (default ``1e-12``; replays are
-designed to be bitwise identical).
+unsupported structure: tracing and code-generation failures, validation
+mismatches, and any replay error permanently revert the step to
+define-by-run, with the reason in ``disabled`` and a count in
+``autodiff.tape.fallbacks``.  The first replay after every (re-)trace is
+validated against a fresh define-by-run evaluation to ``1e-12``
+(replays are designed to be bitwise identical); a NaN on one side only
+is a mismatch, a NaN on both sides is equal.
 
 **Observability.**  While :func:`repro.obs.profile` is active, cache
 events are published to the global metrics registry as counters
@@ -105,7 +110,7 @@ gradients, and aux arrays are promoted back to float64 so callers (the
 optimiser, validation) never see tier dtypes.  Validation for the tier
 compares against a fresh float64 define-by-run step under the
 *normalised* tolerance of :func:`repro.lower.budget.tape_budget`
-(``max|r - d| / (1 + max|d|)``) instead of the bitwise default, and the
+(``max|r - d| / (1 + max|d|)``) instead of the bitwise one, and the
 executor cache key incorporates the tier so the same step can serve both
 precisions side by side.  The default ``precision="float64"`` path is
 untouched — bitwise identical to the seed replay.
@@ -120,7 +125,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ops import DATA_DEPENDENT_OPS, PROFILED_OPS, _is_basic_index
+from .ops import DATA_DEPENDENT_OPS, _is_basic_index, rebind_ops
 from .tensor import Tensor, as_tensor
 from .tensor import grad as _grad
 
@@ -129,7 +134,6 @@ __all__ = [
     "Tape",
     "TapeExecutor",
     "CompiledStep",
-    "CompiledForward",
     "compile_step",
     "compile_forward",
     "trace",
@@ -143,6 +147,14 @@ class TapeFallback(RuntimeError):
 #: replay precision tiers (mirrors ``repro.lower.PRECISION_TIERS``
 #: without importing it — :mod:`repro.lower` depends on this package).
 _PRECISION_TIERS = ("float64", "float32")
+
+
+def _check_precision(precision: str) -> None:
+    if precision not in _PRECISION_TIERS:
+        raise ValueError(
+            f"unknown precision tier {precision!r}; "
+            f"available: {_PRECISION_TIERS}"
+        )
 
 
 def _cast_f32(a):
@@ -468,6 +480,13 @@ def _k_tensor_sum_rowstable(a, axis=None, keepdims=False, out=None):
     return out
 
 
+#: the kernels a forward-only (serving) replay swaps in, by op name.
+_ROW_STABLE = {
+    "matmul": _k_matmul_rowstable,
+    "tensor_sum": _k_tensor_sum_rowstable,
+}
+
+
 #: unary elementwise kernels safe to collapse into a ``__fused_chain``:
 #: each is a pure ufunc (or ufunc expression) for which running in place
 #: on its own input is exact.
@@ -624,34 +643,7 @@ def _wrap_for_trace(name: str, fn):
         tracer.record(name, args, kwargs, out)
         return out
 
-    traced.__tape_original__ = fn
     return traced
-
-
-def _install_shims() -> dict:
-    from . import ops as ops_mod
-    import repro.autodiff as ad_pkg
-
-    originals: dict[str, object] = {}
-    for name in PROFILED_OPS:
-        fn = getattr(ops_mod, name)
-        originals[name] = fn
-        wrapped = _wrap_for_trace(name, fn)
-        setattr(ops_mod, name, wrapped)
-        if getattr(ad_pkg, name, None) is fn:
-            setattr(ad_pkg, name, wrapped)
-    return originals
-
-
-def _uninstall_shims(originals: dict) -> None:
-    from . import ops as ops_mod
-    import repro.autodiff as ad_pkg
-
-    for name, fn in originals.items():
-        wrapped = getattr(ops_mod, name)
-        setattr(ops_mod, name, fn)
-        if getattr(ad_pkg, name, None) is wrapped:
-            setattr(ad_pkg, name, fn)
 
 
 def _split_output(out):
@@ -690,11 +682,9 @@ class Tape:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def compile(self, precision: str = "float64", forward_only: bool | None = None,
-                row_stable: bool = False) -> "TapeExecutor":
-        """Optimise and preplan the tape into a :class:`TapeExecutor`."""
-        return TapeExecutor(self, precision=precision,
-                            forward_only=forward_only, row_stable=row_stable)
+    def compile(self, precision: str = "float64") -> "TapeExecutor":
+        """Optimise, preplan and generate the tape's :class:`TapeExecutor`."""
+        return TapeExecutor(self, precision=precision)
 
 
 def trace(fn, arrays: Sequence[np.ndarray], params: Sequence[Tensor],
@@ -721,7 +711,7 @@ def trace(fn, arrays: Sequence[np.ndarray], params: Sequence[Tensor],
     params = list(params)
     with _trace_lock:
         tracer = _Tracer(arrays, params, forward_only=forward_only)
-        originals = _install_shims()
+        originals = rebind_ops(_wrap_for_trace)
         _tls.tracer = tracer
         try:
             loss, aux = _split_output(fn(*arrays))
@@ -730,7 +720,7 @@ def trace(fn, arrays: Sequence[np.ndarray], params: Sequence[Tensor],
             )
         finally:
             _tls.tracer = None
-            _uninstall_shims(originals)
+            rebind_ops(lambda name, _traced: originals[name])
     loss_ref = tracer.output_ref(loss)
     if loss_ref[0] != "slot":
         raise TapeFallback("loss does not depend on any recorded op")
@@ -928,39 +918,31 @@ def _arena_layout(layout, f32: bool) -> tuple:
 
 
 class TapeExecutor:
-    """Replays an optimised tape as preplanned raw NumPy kernel calls.
+    """Replays an optimised tape through generated straight-line Python.
 
-    Every ``out=`` and scratch buffer is a view into one liveness-planned
-    :class:`repro.lower.memplan.Arena` (module docstring, **Memory**), so
-    between replays the executor holds its arena and the folded constants
-    its schedule reads, and nothing else: ``stats`` reports the two as
-    ``arena_bytes`` and ``folded_bytes``.  Returned outputs are arena
-    views, only valid until the next replay — copy before mutating or
-    keeping them.
+    Compiling runs the passes, plans every ``out=`` and scratch buffer
+    into one liveness-planned :class:`repro.lower.memplan.Arena` (module
+    docstring, **Memory**), and generates the replay function that every
+    replay runs.  Between replays the executor holds its arena and the
+    folded constants its schedule reads, and nothing else: ``stats``
+    reports the two as ``arena_bytes`` and ``folded_bytes``.  Returned
+    outputs are arena views, only valid until the next replay — copy
+    before mutating or keeping them.
+
+    A forward-only tape (the serving path) replays *row-stable*: every
+    2-D ``matmul`` and per-row ``tensor_sum`` runs its batch-invariant
+    kernel (:func:`_k_matmul_rowstable`, :func:`_k_tensor_sum_rowstable`),
+    so each output row is bitwise the same whatever batch it rides in.
+    A training tape replays the define-by-run kernels.
     """
 
-    def __init__(self, tape: Tape, precision: str = "float64",
-                 forward_only: bool | None = None, row_stable: bool = False):
-        if precision not in _PRECISION_TIERS:
-            raise ValueError(
-                f"unknown precision tier {precision!r}; "
-                f"available: {_PRECISION_TIERS}"
-            )
+    def __init__(self, tape: Tape, precision: str = "float64"):
+        _check_precision(precision)
         self.precision = str(precision)
-        if forward_only is None:
-            forward_only = tape.forward_only
-        self.forward_only = bool(forward_only)
-        self.row_stable = bool(row_stable)
+        self.forward_only = tape.forward_only
         cast = _cast_f32 if precision == "float32" else None
-        self._cast = cast
         binds = list(tape.binds)
-        # Inference mode: gradient refs are not outputs, so DCE drops the
-        # whole backward schedule (and its buffers) — a tape traced for
-        # training replays forward-only without any grad allocations.
-        self.loss_ref = tape.loss_ref
-        self.grad_refs = [] if self.forward_only else tape.grad_refs
-        self.aux_refs = tape.aux_refs
-        outputs = _output_slots(self)
+        outputs = _output_slots(tape)
         entries = _dce(tape.entries, outputs)
         recorded = len(tape.entries)
         after_dce = len(entries)
@@ -968,17 +950,18 @@ class TapeExecutor:
         # oracle's, demoted *once* below, so the tier loses precision only
         # in the dynamic part of the schedule.
         entries, folded = _fold_constants(entries, binds)
-        if self.row_stable:
+        if self.forward_only:
             # The mul+sum fused kernels embed the plain batch-shaped
-            # ``.sum`` whose accumulation order this mode exists to pin
+            # ``.sum`` whose accumulation order row-stable replay pins
             # down; leave sums unfused so they route through the
             # row-stable reduction kernel below.
             fused = 0
         else:
             entries, fused = _fuse(entries, outputs)
         entries, chained = _fuse_chains(entries, outputs)
-        # A folded value is kept only if the schedule or an output reads
-        # it: a folded chain's intermediates die here, at compile time.
+        # A folded value or a leaf is bound only if the schedule or an
+        # output reads it: a folded chain's intermediates die here, at
+        # compile time.
         read = set(outputs)
         for entry in entries:
             read.update(ref for is_slot, ref in entry.template if is_slot)
@@ -993,23 +976,15 @@ class TapeExecutor:
             "forward_only": self.forward_only,
         }
         self.needs_validation = True
-        self._slots: list = [None] * len(binds)
         dyn: list[tuple] = []
         values: list[tuple] = []
         for slot, (kind, payload) in enumerate(binds):
+            if kind == "op" or slot not in read:
+                continue  # op slots are filled by the schedule
             if kind == "value":
-                if slot not in read:
-                    continue
-                if cast is not None:
-                    payload = cast(payload)
-                self._slots[slot] = payload
-                values.append((slot, payload))
-            elif kind == "input":
-                dyn.append((slot, True, payload))
-            elif kind in ("param", "const"):
-                dyn.append((slot, False, payload))
-            # ("op", None) slots are filled by the schedule.
-        self._dyn_binds = tuple(dyn)
+                values.append((slot, payload if cast is None else cast(payload)))
+            else:
+                dyn.append((slot, kind == "input", payload))
         self._value_binds = tuple(values)
         self.stats["folded_bytes"] = sum(
             np.asarray(v).nbytes for _slot, v in values
@@ -1020,11 +995,8 @@ class TapeExecutor:
                 fn, mode = _FUSED_KERNELS[entry.name], 2
             else:
                 fn, mode = KERNELS[entry.name]
-                if self.row_stable:
-                    if entry.name == "matmul":
-                        fn = _k_matmul_rowstable
-                    elif entry.name == "tensor_sum":
-                        fn = _k_tensor_sum_rowstable
+                if self.forward_only:
+                    fn = _ROW_STABLE.get(entry.name, fn)
             template = entry.template
             if cast is not None:
                 # Inline literal operands (as_tensor coercions) are f64
@@ -1035,33 +1007,30 @@ class TapeExecutor:
                     for is_slot, ref in template
                 )
             schedule.append((fn, template, entry.static, entry.out_slot, mode))
-        self._schedule = tuple(schedule)
-        self._plan_memory(entries, outputs)
-        # Frozen straight-line replay function (built after the first
-        # interpreted replay, then verified bitwise against the
-        # interpreter once before taking over).
-        self._fast = None
-        self._fast_checked = False
-        self._fast_failed = False
+        frees = self._plan_memory(entries, schedule, outputs, dyn)
+        try:
+            self._replay = self._generate(tape, dyn, schedule, frees, cast)
+        except Exception as exc:
+            raise TapeFallback(f"replay codegen failed: {exc!r}") from exc
 
-    def _plan_memory(self, entries: list, outputs: set) -> None:
+    def _plan_memory(self, entries: list, schedule: list, outputs: set,
+                     dyn: list) -> list:
         """Liveness-plan the replay buffers into one arena.
 
         A buffer is live from the entry that writes it to the last entry
         that reads it or a view of it; a buffer behind a tape output
-        stays live to the end.  Every other slot a replay fills (fresh
-        kernel results, per-replay tier casts) is dropped after its last
-        read (``_frees``) or, for outputs, once they are resolved
-        (``_tail``).
+        stays live to the end.  Returns, per entry, the slots a replay
+        fills (fresh kernel results, per-replay leaf reads) whose last
+        read it is, so the generated replay drops them there.
         """
         from ..lower.memplan import Arena, BufferSpec, plan_buffers
 
-        end = len(self._schedule)
+        end = len(schedule)
         roots: dict[int, tuple] = {}  # slot -> buffers it may alias
         last: dict[int, int] = {}     # buffer (its entry index) -> last read
         last_read: dict[int, int] = {}
         for i, (entry, (_fn, template, _static, out_slot, mode)) in enumerate(
-            zip(entries, self._schedule)
+            zip(entries, schedule)
         ):
             for is_slot, ref in template:
                 if is_slot:
@@ -1078,10 +1047,8 @@ class TapeExecutor:
             last_read[ref] = end
             for buf in roots.get(ref, ()):
                 last[buf] = end
-        layouts = {
-            i: _arena_layout(entries[i].layout, self._cast is not None)
-            for i in last
-        }
+        f32 = self.precision == "float32"
+        layouts = {i: _arena_layout(entries[i].layout, f32) for i in last}
         plan = plan_buffers([
             BufferSpec(f"e{i}", layout[3], i, last[i])
             for i, layout in layouts.items()
@@ -1093,20 +1060,18 @@ class TapeExecutor:
                 self._arena.strided_view(f"e{i}", shape, dtype, strides)
                 if nbytes else self._arena.view(f"e{i}", shape, dtype)
             )
-        transient = {slot for slot, _is_input, _p in self._dyn_binds}
-        transient.update(out_slot for *_, out_slot, _mode in self._schedule)
+        transient = {slot for slot, _is_input, _payload in dyn}
+        transient.update(out_slot for *_, out_slot, _mode in schedule)
         frees: list[list] = [[] for _ in range(end)]
         for ref, i in last_read.items():
             if i < end and ref in transient:
                 frees[i].append(ref)
-                transient.discard(ref)
-        self._frees = tuple(tuple(f) for f in frees)
-        self._tail = tuple(transient)
         self.stats.update(
             buffers=len(layouts),
             arena_bytes=plan.total_bytes,
             unplanned_bytes=plan.naive_bytes,
         )
+        return frees
 
     def buffer_bytes(self) -> int:
         """Bytes the executor holds for replay: its arena.
@@ -1118,104 +1083,17 @@ class TapeExecutor:
         return self._arena.total_bytes
 
     def replay(self, arrays: Sequence[np.ndarray]):
-        """Execute the schedule; returns ``(loss, grads, aux)``."""
-        fast = self._fast
-        if fast is not None:
-            if self._fast_checked:
-                return fast(arrays)
-            return self._check_fast(arrays)
-        result = self._interp(arrays)
-        if not self._fast_failed:
-            try:
-                self._build_fast()
-            except Exception:  # pragma: no cover - codegen is best-effort
-                self._fast_failed = True
-                self._fast = None
-        return result
+        """Run the generated schedule; returns ``(loss, grads, aux)``."""
+        return self._replay(arrays)
 
-    def _interp(self, arrays: Sequence[np.ndarray]):
-        """Interpreted schedule walk (first replay and codegen fallback)."""
-        slots = self._slots
-        cast = self._cast
-        if cast is None:
-            for slot, is_input, payload in self._dyn_binds:
-                slots[slot] = arrays[payload] if is_input else payload.data
-        else:
-            for slot, is_input, payload in self._dyn_binds:
-                slots[slot] = cast(
-                    arrays[payload] if is_input else payload.data
-                )
-        bufs, frees = self._bufs, self._frees
-        for i, (fn, template, static, out_slot, mode) in enumerate(self._schedule):
-            vals = [slots[ref] if is_slot else ref for is_slot, ref in template]
-            if mode == 1:
-                slots[out_slot] = fn(*vals, out=bufs[i], **static)
-            elif mode == 0:
-                slots[out_slot] = fn(*vals, **static)
-            else:
-                slots[out_slot] = fn(vals, static, bufs[i])
-            for ref in frees[i]:
-                slots[ref] = None
-        loss = self._resolve(self.loss_ref)
-        if self.forward_only:
-            if cast is not None:
-                loss = _promote_f64(loss)
-        else:
-            loss = float(loss)
-        grads = [self._resolve(ref) for ref in self.grad_refs]
-        aux = {k: self._resolve(ref) for k, ref in self.aux_refs.items()}
-        if cast is not None:
-            grads = [_promote_f64(g) for g in grads]
-            aux = {k: _promote_f64(v) for k, v in aux.items()}
-        for ref in self._tail:
-            slots[ref] = None
-        return loss, grads, aux
-
-    def _resolve(self, ref):
-        kind, payload = ref
-        return self._slots[payload] if kind == "slot" else payload
-
-    def _check_fast(self, arrays: Sequence[np.ndarray]):
-        """First frozen replay: verify it bitwise against the interpreter."""
-        loss_i, grads_i, aux_i = self._interp(arrays)
-        if self.forward_only:
-            # The forward output is an executor-owned buffer; copy it
-            # before the frozen replay overwrites it.
-            loss_i = np.array(loss_i, copy=True)
-        grads_i = [np.array(g, copy=True) for g in grads_i]
-        aux_i = {k: np.array(v, copy=True) for k, v in aux_i.items()}
-        try:
-            loss_f, grads_f, aux_f = self._fast(arrays)
-            ok = (
-                (np.array_equal(loss_f, loss_i, equal_nan=True)
-                 if self.forward_only else loss_f == loss_i)
-                and all(
-                    np.array_equal(a, b, equal_nan=True)
-                    for a, b in zip(grads_f, grads_i)
-                )
-                and all(
-                    np.array_equal(aux_f[k], v, equal_nan=True)
-                    for k, v in aux_i.items()
-                )
-            )
-        except Exception:  # pragma: no cover - codegen is best-effort
-            ok = False
-        if ok:
-            self._fast_checked = True
-            return loss_f, grads_f, aux_f
-        self._fast = None
-        self._fast_failed = True
-        return loss_i, grads_i, aux_i
-
-    def _build_fast(self) -> None:
-        """Freeze the schedule into generated straight-line Python.
+    def _generate(self, tape: Tape, dyn: list, schedule: list, frees: list,
+                  cast) -> Callable:
+        """Generate the straight-line replay function.
 
         Emits one source line per kernel call — arena views, static
         values, constants, and parameter tensors are bound in the
         generated function's global namespace — plus a ``del`` of every
-        local after its last read, and compiles it.  The result makes
-        exactly the same NumPy calls as :meth:`_interp`, minus all of the
-        per-entry dispatch work.
+        local after its last read, and compiles it.
         """
         ns: dict = {}
         names: dict[int, str] = {}
@@ -1229,9 +1107,8 @@ class TapeExecutor:
                 names[key] = name
             return name
 
-        cast = self._cast
         lines = ["def _replay(arrays):"]
-        for slot, is_input, payload in self._dyn_binds:
+        for slot, is_input, payload in dyn:
             src = (f"arrays[{payload}]" if is_input
                    else f"{bind(payload, 't')}.data")
             if cast is not None:
@@ -1239,9 +1116,7 @@ class TapeExecutor:
             lines.append(f"    s{slot} = {src}")
         for slot, value in self._value_binds:
             lines.append(f"    s{slot} = {bind(value, 'c')}")
-        for i, (fn, template, static, out_slot, mode) in enumerate(
-            self._schedule
-        ):
+        for i, (fn, template, static, out_slot, mode) in enumerate(schedule):
             fname = bind(fn, "f")
             args = ", ".join(
                 f"s{ref}" if is_slot else bind(ref, "k")
@@ -1263,9 +1138,9 @@ class TapeExecutor:
                 lines.append(
                     f"    s{out_slot} = {fname}(({args},), {sname}, {bname})"
                 )
-            if self._frees[i]:
+            if frees[i]:
                 lines.append(
-                    "    del " + ", ".join(f"s{ref}" for ref in self._frees[i])
+                    "    del " + ", ".join(f"s{ref}" for ref in frees[i])
                 )
 
         def ref_expr(ref) -> str:
@@ -1278,20 +1153,25 @@ class TapeExecutor:
                 expr = f"{bind(_promote_f64, 'g')}({expr})"
             return expr
 
-        grads = ", ".join(out_expr(r) for r in self.grad_refs)
+        grads = ", ".join(out_expr(r) for r in tape.grad_refs)
         aux = ", ".join(
-            f"{k!r}: {out_expr(r)}" for k, r in self.aux_refs.items()
+            f"{k!r}: {out_expr(r)}" for k, r in tape.aux_refs.items()
         )
-        loss_expr = (out_expr(self.loss_ref) if self.forward_only
-                     else f"float({ref_expr(self.loss_ref)})")
+        loss_expr = (out_expr(tape.loss_ref) if self.forward_only
+                     else f"float({ref_expr(tape.loss_ref)})")
         lines.append(f"    return {loss_expr}, [{grads}], {{{aux}}}")
         exec(compile("\n".join(lines), "<tape-codegen>", "exec"), ns)
-        self._fast = ns["_replay"]
+        return ns["_replay"]
 
 
 # ----------------------------------------------------------------------
 # The user-facing compiled step
 # ----------------------------------------------------------------------
+
+#: validation tolerance of a float64 replay (designed to be bitwise) and
+#: the floor under a reduced-precision tier's ``tape_budget``.
+_TOL = 1e-12
+
 
 def _executor_info(cache: OrderedDict) -> dict:
     """The executor fields of ``cache_info()``: ``buffer_bytes`` (every
@@ -1309,15 +1189,47 @@ def _executor_info(cache: OrderedDict) -> dict:
     return info
 
 
-class CompiledStep:
-    """A training step compiled on first call and replayed thereafter.
+def _deviation(r, d, normalize: bool) -> float:
+    """Largest ``|r - d|`` of a replayed against a define-by-run output.
 
-    Calling the step with positional input arrays returns
+    ``inf`` on a shape mismatch or a NaN on one side only; a NaN on both
+    sides counts as equal.  With ``normalize`` (reduced-precision tiers)
+    the error is divided by ``1 + max|d|`` — relative for large values,
+    absolute near zero — to match the ``tape_budget`` contract.
+    """
+    r, d = np.asarray(r), np.asarray(d)
+    if r.shape != d.shape:
+        return float("inf")
+    nan_d = np.isnan(d)
+    same = (r == d) | (np.isnan(r) & nan_d)
+    with np.errstate(invalid="ignore"):
+        err = float(np.max(np.abs(np.subtract(r, d)), where=~same,
+                           initial=0.0))
+    if err != err:  # a NaN on one side only
+        return float("inf")
+    if normalize:
+        err /= 1.0 + float(np.max(np.abs(d), where=~nan_d, initial=0.0))
+    return err
+
+
+class CompiledStep:
+    """A step function compiled on first call and replayed thereafter.
+
+    Built by :func:`compile_step` (a training step) or
+    :func:`compile_forward` (a forward-only inference function).  A
+    training step called with positional input arrays returns
     ``(loss, grads, aux)``: the loss as a float, one gradient array per
-    parameter (executor-owned; copy before mutating), and the auxiliary
-    tensors returned by the step function as arrays.  Executors are
-    cached by input structure key; unsupported ops or a failed validation
-    permanently revert to define-by-run (never an exception).
+    parameter, and the auxiliary tensors returned by the step function
+    as arrays.  A forward-only step returns the output array.  Returned
+    arrays are executor-owned, valid until the next call with the same
+    input structure: copy before mutating or keeping them.
+
+    Executors are cached by input structure key.  The first replay of
+    every executor is validated against a fresh define-by-run
+    evaluation; unsupported ops, a failed code generation or validation,
+    and any replay error permanently revert to define-by-run (never an
+    exception), with the reason in :attr:`disabled`.  Thread-safe: calls
+    are serialised, because replay mutates executor-owned buffers.
     """
 
     def __init__(
@@ -1325,23 +1237,16 @@ class CompiledStep:
         fn,
         params: Sequence[Tensor],
         name: str = "step",
-        validate: bool = True,
-        tol: float = 1e-12,
         cache_size: int = 8,
         precision: str = "float64",
     ):
-        if precision not in _PRECISION_TIERS:
-            raise ValueError(
-                f"unknown precision tier {precision!r}; "
-                f"available: {_PRECISION_TIERS}"
-            )
+        _check_precision(precision)
         self._fn = fn
         self._params = list(params)
         self._name = name
-        self._validate = bool(validate)
-        self._tol = float(tol)
         self._precision = str(precision)
         self._cache_size = int(cache_size)
+        self._forward_only = False  # set by compile_forward
         self._cache: OrderedDict[tuple, TapeExecutor] = OrderedDict()
         self._disabled: str | None = None
         self._hits = 0
@@ -1370,6 +1275,7 @@ class CompiledStep:
             return {
                 "step": self._name,
                 "precision": self._precision,
+                "forward_only": self._forward_only,
                 "size": len(self._cache),
                 "max_size": self._cache_size,
                 "hits": self._hits,
@@ -1412,7 +1318,16 @@ class CompiledStep:
                 f"autodiff.tape.{event}", step=self._name
             ).inc()
 
-    def _direct(self, arrays):
+    def _direct(self, arrays) -> tuple:
+        """Define-by-run ``(loss, grads, aux)``; forward-only runs under
+        :func:`~repro.autodiff.no_grad` and returns the output array as
+        its loss."""
+        if self._forward_only:
+            from .tensor import no_grad
+
+            with no_grad():
+                out, aux = _split_output(self._fn(*arrays))
+            return out.data, [], {k: v.data for k, v in aux.items()}
         loss, aux = _split_output(self._fn(*arrays))
         grads = _grad(loss, self._params, allow_unused=True)
         return (
@@ -1426,52 +1341,30 @@ class CompiledStep:
         self._cache.clear()
         self._count("fallbacks")
 
-    def _tolerance(self, executor: TapeExecutor) -> float:
-        """Validation tolerance: bitwise ``tol`` for float64, the
-        normalised :func:`repro.lower.budget.tape_budget` for tiers."""
-        if self._precision == "float64":
-            return self._tol
-        from ..lower.budget import tape_budget
-
-        return max(
-            self._tol, tape_budget(self._precision, executor.stats["recorded"])
-        )
-
-    def _check(self, replayed, direct) -> float:
-        # For reduced-precision tiers the diff is normalised per output,
-        # max|r - d| / (1 + max|d|) — relative for large values, absolute
-        # near zero — to match the tape_budget contract.
+    def _mismatch(self, executor: TapeExecutor, replayed, direct) -> bool:
+        """Whether a replay deviates from define-by-run beyond tolerance:
+        ``_TOL`` at float64, the normalised
+        :func:`repro.lower.budget.tape_budget` for reduced tiers."""
+        tol = _TOL
         normalize = self._precision != "float64"
-
-        def one(r, d) -> float:
-            err = float(np.max(np.abs(np.subtract(r, d))))
-            if normalize:
-                err /= 1.0 + float(np.max(np.abs(d)))
-            return err
-
-        r_loss, r_grads, r_aux = replayed
-        d_loss, d_grads, d_aux = direct
-        diff = abs(r_loss - d_loss)
         if normalize:
-            diff /= 1.0 + abs(d_loss)
-        for rg, dg in zip(r_grads, d_grads):
-            if np.shape(rg) != np.shape(dg):
-                return float("inf")
-            if np.size(rg):
-                diff = max(diff, one(rg, dg))
-        for key, rv in r_aux.items():
-            dv = d_aux.get(key)
-            if dv is None or np.shape(rv) != np.shape(dv):
-                return float("inf")
-            if np.size(rv):
-                diff = max(diff, one(rv, dv))
-        return diff
+            from ..lower.budget import tape_budget
+
+            tol = max(tol, tape_budget(self._precision,
+                                       executor.stats["recorded"]))
+        (r_loss, r_grads, r_aux), (d_loss, d_grads, d_aux) = replayed, direct
+        if r_aux.keys() != d_aux.keys():
+            return True
+        pairs = [(r_loss, d_loss), *zip(r_grads, d_grads),
+                 *((v, d_aux[k]) for k, v in r_aux.items())]
+        return any(_deviation(r, d, normalize) > tol for r, d in pairs)
 
     def __call__(self, *arrays):
         with self._lock:
-            return self._call_locked(arrays)
+            out = self._call_locked(arrays)
+        return out[0] if self._forward_only else out
 
-    def _call_locked(self, arrays):
+    def _call_locked(self, arrays) -> tuple:
         if self._disabled is not None:
             return self._direct(arrays)
         struct = tuple((a.shape, a.dtype.str) for a in arrays
@@ -1484,12 +1377,25 @@ class CompiledStep:
         if executor is None:
             self._count("retraces" if self._cache else "misses")
             try:
-                tape, result = trace(self._fn, arrays, self._params)
+                # A forward-only trace still runs with gradients enabled,
+                # so analytic-gradient layers raise TapeFallback instead
+                # of freezing their outputs as constants (see trace()).
+                tape, result = trace(self._fn, arrays, self._params,
+                                     forward_only=self._forward_only)
+                if self._forward_only and not any(
+                    kind == "input" for kind, _ in tape.binds
+                ):
+                    # The forward never touched a traced input (e.g. it
+                    # captured op references that bypass the trace
+                    # shims): replay would return the trace's values as
+                    # constants forever.
+                    raise TapeFallback(
+                        "forward does not depend on any traced input"
+                    )
                 executor = tape.compile(precision=self._precision)
             except TapeFallback as exc:
                 self._disable(str(exc))
                 return self._direct(arrays)
-            executor.needs_validation = self._validate
             self._cache[key] = executor
             while len(self._cache) > self._cache_size:
                 self._cache.popitem(last=False)
@@ -1504,8 +1410,9 @@ class CompiledStep:
         if executor.needs_validation:
             executor.needs_validation = False
             direct = self._direct(arrays)
-            if self._check(replayed, direct) > self._tolerance(executor):
-                self._disable("replay mismatch vs define-by-run")
+            if self._mismatch(executor, replayed, direct):
+                self._disable(("forward " if self._forward_only else "")
+                              + "replay mismatch vs define-by-run")
                 return direct
         return replayed
 
@@ -1514,8 +1421,6 @@ def compile_step(
     fn,
     params: Sequence[Tensor],
     name: str = "step",
-    validate: bool = True,
-    tol: float = 1e-12,
     cache_size: int = 8,
     precision: str = "float64",
 ) -> CompiledStep:
@@ -1530,229 +1435,33 @@ def compile_step(
     parameter reads are demoted per replay, folded constants once) and
     promotes the loss/gradients/aux back to float64; validation then uses
     the normalised :func:`repro.lower.budget.tape_budget` tolerance
-    instead of the bitwise default.
+    instead of the bitwise one.
     """
-    return CompiledStep(
-        fn, params, name=name, validate=validate, tol=tol,
-        cache_size=cache_size, precision=precision,
-    )
-
-
-class CompiledForward:
-    """A forward-only inference function compiled on first call.
-
-    Wraps a batched model forward ``fn(*arrays) -> Tensor`` for serving:
-    each input structure is traced once *without a backward pass* (the
-    tape carries no gradient schedule, so replay allocates no grad or
-    residual buffers at all) and replayed thereafter.  Calling the
-    compiled object returns the output **array**.
-
-    ``row_stable=True`` (the serving default) replaces every recorded
-    2-D ``matmul`` with the batch-invariant blocked kernel
-    (:func:`_k_matmul_rowstable`), so each row of the output is bitwise
-    identical no matter what batch it rides in — the property the
-    micro-batching server's coalescing contract rests on.  Note this
-    makes the replay differ from plain define-by-run BLAS by up to ~1
-    ulp on shapes BLAS handles batch-dependently; validation therefore
-    compares to ``tol`` (default ``1e-12``) rather than bitwise.
-
-    Thread-safe (calls are serialised — replay mutates executor-owned
-    buffers).  Tracing failures and validation mismatches permanently
-    revert to define-by-run under :func:`~repro.autodiff.no_grad`, never
-    an exception.  The returned array is executor-owned and only valid
-    until the next call with the same input structure — copy it before
-    storing.
-    """
-
-    def __init__(
-        self,
-        fn,
-        name: str = "forward",
-        validate: bool = True,
-        tol: float = 1e-12,
-        cache_size: int = 8,
-        precision: str = "float64",
-        row_stable: bool = True,
-    ):
-        if precision not in _PRECISION_TIERS:
-            raise ValueError(
-                f"unknown precision tier {precision!r}; "
-                f"available: {_PRECISION_TIERS}"
-            )
-        self._fn = fn
-        self._name = name
-        self._validate = bool(validate)
-        self._tol = float(tol)
-        self._precision = str(precision)
-        self._row_stable = bool(row_stable)
-        self._cache_size = int(cache_size)
-        self._cache: OrderedDict[tuple, TapeExecutor] = OrderedDict()
-        self._disabled: str | None = None
-        self._hits = 0
-        self._misses = 0
-        self._retraces = 0
-        self._fallbacks = 0
-        self._lock = threading.RLock()
-
-    @property
-    def disabled(self) -> str | None:
-        """Fallback reason when permanently reverted, else ``None``."""
-        return self._disabled
-
-    @property
-    def precision(self) -> str:
-        return self._precision
-
-    def cache_info(self) -> dict:
-        """Cache statistics mirroring :meth:`CompiledStep.cache_info`."""
-        with self._lock:
-            return {
-                "step": self._name,
-                "precision": self._precision,
-                "forward_only": True,
-                "row_stable": self._row_stable,
-                "size": len(self._cache),
-                "max_size": self._cache_size,
-                "hits": self._hits,
-                "misses": self._misses,
-                "retraces": self._retraces,
-                "fallbacks": self._fallbacks,
-                "disabled": self._disabled,
-                **_executor_info(self._cache),
-            }
-
-    def clear(self) -> None:
-        """Drop every cached executor (the next call re-traces)."""
-        with self._lock:
-            self._cache.clear()
-
-    def invalidate(self) -> None:
-        """Drop compiled state after parameters/buffers were replaced."""
-        with self._lock:
-            self._cache.clear()
-            self._disabled = None
-
-    # ------------------------------------------------------------------
-    def _count(self, event: str) -> None:
-        setattr(self, f"_{event}", getattr(self, f"_{event}") + 1)
-        from ..obs.profile import is_profiling
-
-        if is_profiling():
-            from ..obs.registry import metrics
-
-            metrics().counter(
-                f"autodiff.tape.{event}", step=self._name
-            ).inc()
-
-    def _direct(self, arrays) -> np.ndarray:
-        from .tensor import no_grad
-
-        with no_grad():
-            out, _aux = _split_output(self._fn(*arrays))
-        return out.data
-
-    def _disable(self, reason: str) -> None:
-        self._disabled = reason
-        self._cache.clear()
-        self._count("fallbacks")
-
-    def _tolerance(self, executor: TapeExecutor) -> float:
-        if self._precision == "float64":
-            return self._tol
-        from ..lower.budget import tape_budget
-
-        return max(
-            self._tol, tape_budget(self._precision, executor.stats["recorded"])
-        )
-
-    def _check(self, replayed, direct, normalize: bool) -> float:
-        if np.shape(replayed) != np.shape(direct):
-            return float("inf")
-        if not np.size(replayed):
-            return 0.0
-        err = float(np.max(np.abs(np.subtract(replayed, direct))))
-        if normalize:
-            err /= 1.0 + float(np.max(np.abs(direct)))
-        return err
-
-    def __call__(self, *arrays) -> np.ndarray:
-        with self._lock:
-            return self._call_locked(arrays)
-
-    def _call_locked(self, arrays) -> np.ndarray:
-        if self._disabled is not None:
-            return self._direct(arrays)
-        struct = tuple((a.shape, a.dtype.str) for a in arrays
-                       if isinstance(a, np.ndarray))
-        if len(struct) != len(arrays):
-            self._disable("non-array forward input")
-            return self._direct(arrays)
-        key = (self._precision,) + struct
-        executor = self._cache.get(key)
-        if executor is None:
-            self._count("retraces" if self._cache else "misses")
-            try:
-                # Traced with gradients *enabled* so analytic-gradient
-                # layers raise TapeFallback instead of freezing their
-                # outputs as constants (see trace()).
-                tape, result = trace(
-                    self._fn, arrays, [], forward_only=True
-                )
-                if not any(kind == "input" for kind, _ in tape.binds):
-                    # The forward never touched a traced input (e.g. it
-                    # captured op references that bypass the trace
-                    # shims): replay would return the trace's values as
-                    # constants forever.
-                    raise TapeFallback(
-                        "forward does not depend on any traced input"
-                    )
-                executor = tape.compile(
-                    precision=self._precision,
-                    row_stable=self._row_stable,
-                )
-            except TapeFallback as exc:
-                self._disable(str(exc))
-                return self._direct(arrays)
-            executor.needs_validation = self._validate
-            self._cache[key] = executor
-            while len(self._cache) > self._cache_size:
-                self._cache.popitem(last=False)
-            return result[0]
-        self._cache.move_to_end(key)
-        self._count("hits")
-        try:
-            out, _grads, _aux = executor.replay(arrays)
-        except Exception as exc:  # correctness first: any replay error reverts
-            self._disable(f"replay error: {exc}")
-            return self._direct(arrays)
-        if executor.needs_validation:
-            executor.needs_validation = False
-            out = np.array(out, copy=True)
-            direct = self._direct(arrays)
-            err = self._check(out, direct, self._precision != "float64")
-            if err > self._tolerance(executor):
-                self._disable("forward replay mismatch vs define-by-run")
-                return direct
-        return out
+    return CompiledStep(fn, params, name=name, cache_size=cache_size,
+                        precision=precision)
 
 
 def compile_forward(
     fn,
     name: str = "forward",
-    validate: bool = True,
-    tol: float = 1e-12,
     cache_size: int = 8,
     precision: str = "float64",
-    row_stable: bool = True,
-) -> CompiledForward:
+) -> CompiledStep:
     """Wrap a batched forward ``fn(*arrays) -> Tensor`` for inference.
 
-    Returns a :class:`CompiledForward`: forward-only tape replay (no
-    gradient schedule, no grad buffers) cached per input structure, with
-    batch-invariant matmuls by default (``row_stable=True``) so a row's
-    result does not depend on the batch it was coalesced into.
+    Returns a forward-only :class:`CompiledStep`: each input structure
+    is traced once *without a backward pass* (the tape carries no
+    gradient schedule, so replay allocates no grad or residual buffers)
+    and replayed thereafter; calling it returns the output **array**.
+    Replay is row-stable (:class:`TapeExecutor`), so a row's result does
+    not depend on the batch it was coalesced into — the property the
+    micro-batching server rests on.  That makes the replay differ from
+    plain define-by-run BLAS by up to ~1 ulp on shapes BLAS handles
+    batch-dependently, which validation's ``1e-12`` tolerance admits.
+    Every leaf is a constant: weights are read live but no gradient is
+    taken.
     """
-    return CompiledForward(
-        fn, name=name, validate=validate, tol=tol, cache_size=cache_size,
-        precision=precision, row_stable=row_stable,
-    )
+    step = CompiledStep(fn, (), name=name, cache_size=cache_size,
+                        precision=precision)
+    step._forward_only = True
+    return step

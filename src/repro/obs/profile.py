@@ -87,18 +87,11 @@ def enable_profiling(reg: _registry.MetricsRegistry | None = None) -> None:
     global _active
     if _active:
         return
-    from ..autodiff import ops as ops_mod
     from ..autodiff import tensor as tensor_mod
-    import repro.autodiff as ad_pkg
+    from ..autodiff.ops import rebind_ops
 
     reg = reg if reg is not None else _registry.metrics()
-    for name in ops_mod.PROFILED_OPS:
-        fn = getattr(ops_mod, name)
-        _originals[name] = fn
-        wrapped = _wrap_op(name, fn, reg)
-        setattr(ops_mod, name, wrapped)
-        if getattr(ad_pkg, name, None) is fn:
-            setattr(ad_pkg, name, wrapped)
+    _originals.update(rebind_ops(lambda name, fn: _wrap_op(name, fn, reg)))
     tensor_mod.set_backward_hook(_backward_hook_factory(reg))
     _active = True
 
@@ -108,15 +101,10 @@ def disable_profiling() -> None:
     global _active
     if not _active:
         return
-    from ..autodiff import ops as ops_mod
     from ..autodiff import tensor as tensor_mod
-    import repro.autodiff as ad_pkg
+    from ..autodiff.ops import rebind_ops
 
-    for name, fn in _originals.items():
-        wrapped = getattr(ops_mod, name)
-        setattr(ops_mod, name, fn)
-        if getattr(ad_pkg, name, None) is wrapped:
-            setattr(ad_pkg, name, fn)
+    rebind_ops(lambda name, _wrapped: _originals[name])
     _originals.clear()
     tensor_mod.set_backward_hook(None)
     _active = False

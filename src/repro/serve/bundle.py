@@ -480,7 +480,7 @@ def _rebuild(path: Path, payload: dict, meta: dict):
 
 
 def load_bundle(path, precision: str | None = None, max_batch: int = 1024,
-                min_batch: int = 32, validate: bool = True):
+                min_batch: int = 32):
     """Load a ``.rqb`` bundle into a ready-to-serve ``FrozenModel``.
 
     Verifies the checksum, rebuilds the architecture from the stored
@@ -505,5 +505,4 @@ def load_bundle(path, precision: str | None = None, max_batch: int = 1024,
         precision=precision or meta.get("precision", "float64"),
         max_batch=max_batch,
         min_batch=min_batch,
-        validate=validate,
     )

@@ -7,14 +7,14 @@ The serving contract has three legs:
   so the whole steady state fits a handful of compiled artifacts:
   forward-only tape executors (float64), or lowered planned executions
   and pinned TorQ plans (float32).  :meth:`warmup` drives every bucket
-  through trace → validate → frozen-codegen up front; after it returns,
-  ``predict`` never compiles, traces, or plans again.
+  through its trace and its validated first replay up front; after it
+  returns, ``predict`` never compiles, traces, or plans again.
 
 * **Batch-invariant rows.**  The float64 tier replays through
-  :func:`repro.autodiff.tape.compile_forward` with ``row_stable=True``:
-  every row of a prediction is bitwise identical no matter which batch
-  (or padding) it was coalesced into.  This is the property the
-  micro-batching server's split-and-scatter rests on — a request's
+  :func:`repro.autodiff.tape.compile_forward`, whose kernels are
+  row-stable: every row of a prediction is bitwise identical no matter
+  which batch (or padding) it was coalesced into.  This is the property
+  the micro-batching server's split-and-scatter rests on — a request's
   answer cannot depend on its batch neighbours.
 
 * **No gradient residue.**  Forward-only tapes carry no backward
@@ -73,7 +73,7 @@ class FrozenModel:
 
     def __init__(self, model, model_type, spec: dict, meta: dict | None = None,
                  precision: str = "float64", max_batch: int = 1024,
-                 min_batch: int = 32, validate: bool = True):
+                 min_batch: int = 32):
         if max_batch < 1 or min_batch < 1 or min_batch > max_batch:
             raise ValueError(
                 f"need 1 <= min_batch <= max_batch, got "
@@ -106,9 +106,7 @@ class FrozenModel:
             self._compiled = compile_forward(
                 self._forward,
                 name=f"serve.{model_type.name}",
-                validate=validate,
                 precision="float64",
-                row_stable=True,
                 cache_size=len(buckets) + 2,
             )
         else:
@@ -146,11 +144,11 @@ class FrozenModel:
     def warmup(self, batch_sizes=None) -> tuple[int, ...]:
         """Compile every serving bucket ahead of traffic.
 
-        For the float64 tier each bucket is driven through all four
-        compilation stages (trace, validated replay, frozen-codegen
-        check, steady state); for lowered tiers the planned executions
-        are bound and quantum plans pinned into the TorQ cache so later
-        compile traffic cannot evict them.  Returns the warmed buckets.
+        Each bucket runs two passes.  For the float64 tier they are the
+        trace and the first replay, checked against define-by-run; for
+        lowered tiers they bind the planned executions, and quantum plans
+        are pinned into the TorQ cache so later compile traffic cannot
+        evict them.  Returns the warmed buckets.
         """
         buckets = tuple(
             sorted({self.bucket_for(int(b)) for b in batch_sizes})
@@ -167,9 +165,8 @@ class FrozenModel:
                 key = (layer.embedded_gate_sequence(), layer.n_qubits)
                 pin_plan(*key)
                 self._pinned.append(key)
-            passes = 4 if self._compiled is not None else 2
             for bucket in buckets:
-                for _ in range(passes):
+                for _ in range(2):
                     batch = rng.uniform(
                         -1.0, 1.0, size=(bucket, self.in_dim)
                     )

@@ -300,9 +300,11 @@ class QuantumLayer(Module):
             lowered = lower_plan(gates, n)
         angles = scale_input(self.scaling, activations)  # graph-recorded
         method = self.grad_method
+        # The plan run and the analytic VJPs read numbers: plain arrays
+        # and floats, not a Tensor per value.
+        values = [angles.data[:, q] for q in range(n)]
+        values += list(self.params.data)
         with no_grad():
-            values = [angles[:, q] for q in range(n)]
-            values += [self.params[i] for i in range(self.ansatz.param_count)]
             if lowered is not None:
                 planes = lowered.run_planes(batch, lambda i: values[i])
                 z_data = np.asarray(

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro import autodiff as ad
 from repro.autodiff import Tensor, backward, grad, make_node
+from repro.autodiff import tape as tape_mod
 from repro.autodiff import tensor as tensor_mod
 from repro.autodiff.tape import (
     CompiledStep,
@@ -247,6 +248,69 @@ class TestFallback:
         l2, _, _ = step(*arrays)
         assert l2 > l1 > 0.0
 
+    @pytest.mark.parametrize("forward_only", [False, True])
+    def test_nan_replay_caught_by_validation(self, rng, monkeypatch,
+                                             forward_only):
+        """A replay kernel that writes NaN disables the step, which
+        returns the define-by-run values instead of the NaN."""
+        def nan_tanh(a, out=None):
+            out = np.tanh(a, out=out)
+            out[...] = np.nan
+            return out
+
+        monkeypatch.setitem(tape_mod.KERNELS, "tanh", (nan_tanh, 1))
+        w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        arrays = (rng.normal(size=(5, 3)),)
+        if forward_only:
+            step = compile_forward(lambda a: ad.tanh(ad.as_tensor(a) @ w))
+            with ad.no_grad():
+                expected = ad.tanh(ad.as_tensor(arrays[0]) @ w).data
+            for _ in range(3):  # trace, validated replay, define-by-run
+                assert np.array_equal(step(*arrays), expected)
+            assert step.disabled == "forward replay mismatch vs define-by-run"
+            return
+
+        def fn(a):
+            return ad.tanh(Tensor(a) @ w).mean()
+
+        step = compile_step(fn, [w])
+        _assert_step_matches(step, fn, arrays, [w], replays=3)
+        assert step.disabled == "replay mismatch vs define-by-run"
+
+    def test_nan_on_both_sides_is_equal(self, rng):
+        """A NaN the model itself produces replays as a NaN and passes
+        validation; only a one-sided NaN is a mismatch."""
+        w = Tensor(rng.normal(size=(3, 2)))
+        forward = compile_forward(lambda a: ad.tanh(ad.as_tensor(a) @ w))
+        x = rng.normal(size=(4, 3))
+        x[1, 0] = np.nan
+        for _ in range(3):
+            out = forward(x)
+        assert forward.disabled is None
+        assert np.isnan(out[1]).all() and np.isfinite(out[[0, 2, 3]]).all()
+        assert tape_mod._deviation([np.nan, 1.0], [np.nan, 1.0], False) == 0
+        assert tape_mod._deviation([np.nan, 1.0], [0.0, 1.0], False) == np.inf
+        assert tape_mod._deviation([0.0, 1.0], [np.nan, 1.0], True) == np.inf
+        assert tape_mod._deviation(np.inf, np.inf, False) == 0
+
+    def test_codegen_failure_is_a_reported_fallback(self, rng, monkeypatch):
+        """An error while generating the replay function disables the
+        step with a reason naming codegen, and counts a fallback."""
+        def broken_compile(*args, **kwargs):
+            raise SyntaxError("generator broke")
+
+        monkeypatch.setattr(tape_mod, "compile", broken_compile,
+                            raising=False)
+        w = Tensor(rng.normal(size=(3, 1)), requires_grad=True)
+
+        def fn(a):
+            return ((Tensor(a) @ w) ** 2).mean()
+
+        step = compile_step(fn, [w])
+        _assert_step_matches(step, fn, (rng.normal(size=(4, 3)),), [w])
+        assert "codegen" in step.disabled
+        assert step.cache_info()["fallbacks"] == 1
+
     def test_trace_raises_tapefallback_directly(self, rng):
         def fn(a):
             return ad.relu(Tensor(a)).sum()
@@ -267,7 +331,7 @@ class TestZeroAllocReplay:
 
         arrays = (rng.normal(size=(8, 3)),)
         step = compile_step(fn, params)
-        for _ in range(3):  # trace, validated replay, frozen-replay check
+        for _ in range(3):  # trace, validated replay, steady replay
             step(*arrays)
         counter = {"n": 0}
         orig = tensor_mod.Tensor.__init__
@@ -285,7 +349,8 @@ class TestZeroAllocReplay:
         assert not step.disabled
 
     def test_frozen_replay_engaged(self, rng):
-        """The codegen freeze takes over after its bitwise self-check."""
+        """The first replay, the one checked against define-by-run,
+        already runs the generated function."""
         params = _mlp_params(rng)
 
         def fn(a):
@@ -293,12 +358,23 @@ class TestZeroAllocReplay:
 
         arrays = (rng.normal(size=(4, 3)),)
         step = compile_step(fn, params)
-        for _ in range(3):
-            step(*arrays)
+        step(*arrays)  # trace
         (executor,) = step._cache.values()
-        assert executor._fast is not None
-        assert executor._fast_checked
+        generated = executor._replay
+        assert generated.__code__.co_filename == "<tape-codegen>"
+        pending = []
+
+        def watched(arrays):
+            pending.append(executor.needs_validation)
+            return generated(arrays)
+
+        executor._replay = watched
+        step(*arrays)  # first replay, validated against define-by-run
+        assert pending == [True]
+        assert not executor.needs_validation
+        assert step.disabled is None
         _assert_step_matches(step, fn, arrays, params)
+        assert pending == [True] + [False] * 4
 
     def test_unary_chains_fuse_into_one_kernel(self, rng):
         """Single-use unary runs collapse to a __fused_chain entry and
@@ -447,7 +523,7 @@ class TestCompiledStepApi:
         def fn(a):
             return ((Tensor(a) @ w) ** 2).mean()
 
-        step = CompiledStep(fn, [w], validate=False)
+        step = CompiledStep(fn, [w])
         arrays = (rng.normal(size=(4, 2)),)
         _assert_step_matches(step, fn, arrays, [w])
 
@@ -609,7 +685,7 @@ class TestForwardOnly:
         params = _mlp_params(rng, sizes=(64, 128, 1))
         cf = compile_forward(_mlp_forward(params), name="tm")
         x = rng.uniform(-1.0, 1.0, size=(32, 64))
-        for _ in range(6):  # trace, validate, freeze-check, steady
+        for _ in range(6):  # trace, validated replay, steady replays
             cf(x)
         assert cf.disabled is None
         grad_buffer_bytes = params[0].data.nbytes  # (64, 128) float64

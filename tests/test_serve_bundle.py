@@ -153,6 +153,41 @@ def test_float32_predict_never_rebinds_after_warmup(tmp_path, rng,
     frozen.unpin()
 
 
+def test_float64_predict_never_traces_after_warmup(tmp_path, rng,
+                                                  monkeypatch):
+    """Warmup traces one forward-only tape executor per bucket of the
+    default ladder (32…1024, six buckets) and runs its checked first
+    replay; mixed-size predicts afterwards, some above ``max_batch``,
+    must replay them — zero ``TapeExecutor`` constructions, and no new
+    tape miss, retrace, fallback or disabled reason."""
+    from repro.autodiff.tape import TapeExecutor
+
+    path = serve.freeze_model(make_model(), tmp_path / "m.rqb",
+                              precision="float64")
+    frozen = serve.load_bundle(path)
+    frozen.warmup()
+    executors = list(frozen._compiled._cache.values())
+    assert len(executors) == 6
+    assert not any(ex.needs_validation for ex in executors)
+    keys = ("misses", "retraces", "fallbacks", "disabled")
+    before = {k: frozen.cache_info()["tape"][k] for k in keys}
+    assert before["disabled"] is None
+    built = []
+    original = TapeExecutor.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(TapeExecutor, "__init__", counting)
+    for n in (1, 700, 40, 300, 1024, 90, 2000, 33):
+        out = frozen.predict(rng.uniform(-1, 1, size=(n, 2)))
+        assert out.shape == (n, 1)
+    assert built == []
+    assert {k: frozen.cache_info()["tape"][k] for k in keys} == before
+    frozen.unpin()
+
+
 # ----------------------------------------------------------------------
 # Corruption and bad inputs
 # ----------------------------------------------------------------------

@@ -162,7 +162,7 @@ def test_compiled_forward_concurrent_replay():
     xs = [rng.uniform(-1, 1, size=(n, 3)) for n in (4, 6, 9)]
     expected = []
     for x in xs:
-        for _ in range(4):  # trace, validate, codegen-check, steady
+        for _ in range(4):  # trace, validated replay, steady replays
             out = cf(x)
         expected.append(np.array(out, copy=True))
 

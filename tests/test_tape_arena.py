@@ -1,10 +1,11 @@
 """Tape replay runs in one liveness-planned ``lower.memplan`` arena.
 
 * A warm float64 serving tier holds its arenas and the folded constants
-  its schedules read, nothing else: no executor keeps an op output past
-  a replay or a folded intermediate past compilation, and the reported
-  ``arena_bytes`` and ``folded_bytes`` are the real footprint.
-* The replay that ``CompiledStep`` and ``CompiledForward`` validate
+  its schedules read, nothing else: no generated replay function keeps
+  an op output past a replay or a folded intermediate past compilation,
+  and the reported ``arena_bytes`` and ``folded_bytes`` are the real
+  footprint.
+* The replay that ``compile_step`` and ``compile_forward`` validate
   against define-by-run already runs in the arena, so a wrong plan is
   caught on that replay and never served.
 * Tape arenas are counted under ``lower.arena.bytes{executor="tape"}``,
@@ -30,18 +31,34 @@ def _frozen_qpinn(tmp_path, max_batch: int):
     return serve.load_bundle(path, min_batch=1, max_batch=max_batch)
 
 
+def _stray(ex) -> list:
+    """Arrays and tensors the generated replay function's namespace
+    holds between replays beyond arena views, folded values, the
+    schedule's scalar literal operands and the leaf tensors it reads
+    live."""
+    kept = [b for b in ex._bufs if b is not None]
+    kept += [value for _slot, value in ex._value_binds]
+    stray = []
+    for value in ex._replay.__globals__.values():
+        if isinstance(value, Tensor):
+            if value._parents:
+                stray.append(value)
+        elif isinstance(value, np.ndarray):
+            if value.ndim and not any(value is k for k in kept):
+                stray.append(value)
+    return stray
+
+
 def test_warm_float64_tier_holds_only_its_arenas(tmp_path):
     frozen = _frozen_qpinn(tmp_path, max_batch=256)
     assert frozen.warmup() == (1, 2, 4, 8, 16, 32, 64, 128, 256)
     executors = list(frozen._compiled._cache.values())
     assert len(executors) == 9
     for ex in executors:
-        # Between replays the slot table holds constants only: every op
-        # output (and every per-replay input/parameter read) is dropped.
-        constants = {slot for slot, _value in ex._value_binds}
-        held = [slot for slot, value in enumerate(ex._slots)
-                if value is not None and slot not in constants]
-        assert held == []
+        # Every op output (and every per-replay input/parameter read) is
+        # a local of the generated function, gone when it returns.
+        assert ex._replay.__code__.co_filename == "<tape-codegen>"
+        assert _stray(ex) == []
         assert ex.stats["arena_bytes"] <= ex.stats["unplanned_bytes"] / 2
     info = frozen.cache_info()
     assert info["tape"]["disabled"] is None
@@ -72,8 +89,14 @@ def test_a_folded_chain_keeps_only_the_value_it_folds_to():
     (held,) = [value for _slot, value in ex._value_binds]
     matrix = np.tanh(np.sin(w.data) * 2.0 + 1.0)
     assert np.array_equal(held, matrix)
-    assert [slot for slot, value in enumerate(ex._slots)
-            if value is not None] == [ex._value_binds[0][0]]
+    # The generated function holds the folded matrix and its arena, not
+    # the chain's intermediates or the weight the chain folded from.
+    namespace = ex._replay.__globals__.values()
+    arena = [b for b in ex._bufs if b is not None]
+    arrays = [v for v in namespace if isinstance(v, np.ndarray)
+              and not any(v is b for b in arena)]
+    assert len(arrays) == 1 and arrays[0] is held
+    assert not any(isinstance(v, Tensor) for v in namespace)
     assert ex.stats["folded_bytes"] == matrix.nbytes
     assert forward.cache_info()["folded_bytes"] == matrix.nbytes
     np.testing.assert_allclose(out, a @ matrix, rtol=1e-14)
