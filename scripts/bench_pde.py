@@ -32,6 +32,10 @@ Usage::
     PYTHONPATH=src python scripts/bench_pde.py --toy         # CI smoke
     PYTHONPATH=src python scripts/bench_pde.py --toy --check-alloc
 
+A ``--toy`` run without ``--out`` writes ``.bench_tmp/BENCH_autodiff.toy.json``
+(gitignored), so smoke runs never overwrite the committed full-size
+report.
+
 ``--check-alloc`` exits non-zero unless a steady-state tape replay
 constructs exactly zero ``Tensor`` graph nodes and the ``trainer`` row's
 compiled side really replayed a tape (its ``disabled`` reason is unset,
@@ -397,9 +401,13 @@ def main(argv=None) -> int:
                              "default 2 with --toy, 5 otherwise)")
     parser.add_argument("--seed", type=int, default=0,
                         help="base seed for parameters and sampling")
-    parser.add_argument("--out", type=Path,
-                        default=REPO_ROOT / "BENCH_autodiff.json")
+    parser.add_argument("--out", type=Path, default=None,
+                        help="report path (default BENCH_autodiff.json, or "
+                             ".bench_tmp/BENCH_autodiff.toy.json with --toy)")
     args = parser.parse_args(argv)
+    out = args.out or REPO_ROOT / (
+        ".bench_tmp/BENCH_autodiff.toy.json" if args.toy
+        else "BENCH_autodiff.json")
 
     if args.toy:
         hidden, n_hidden, n_col, n_data, epochs, reps = 8, 2, 32, 16, 10, 2
@@ -455,8 +463,9 @@ def main(argv=None) -> int:
         "trainer": trainer_row,
         "sentinel": sentinel_row,
     }
-    args.out.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {args.out}")
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(json.dumps(report, indent=2) + "\n")
+    print(f"wrote {out}")
 
     if args.check_alloc:
         if check_zero_alloc(hidden, n_hidden, n_col, n_data, args.seed,

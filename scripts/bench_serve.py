@@ -30,6 +30,10 @@ Usage::
 
     python scripts/bench_serve.py                      # full configs
     python scripts/bench_serve.py --toy --check-parity # CI smoke
+
+A ``--toy`` run without ``--out`` writes ``.bench_tmp/BENCH_serve.toy.json``
+(gitignored), so smoke runs never overwrite the committed full-size
+report.
 """
 
 from __future__ import annotations
@@ -258,9 +262,13 @@ def main(argv=None) -> int:
                         help="assert batched == isolated answers, bundle "
                              "round trip, deadline handling, and the float64 "
                              "arena footprint")
-    parser.add_argument("--out", type=Path,
-                        default=REPO_ROOT / "BENCH_serve.json")
+    parser.add_argument("--out", type=Path, default=None,
+                        help="report path (default BENCH_serve.json, or "
+                             ".bench_tmp/BENCH_serve.toy.json with --toy)")
     args = parser.parse_args(argv)
+    out = args.out or REPO_ROOT / (
+        ".bench_tmp/BENCH_serve.toy.json" if args.toy
+        else "BENCH_serve.json")
     configs = TOY_CONFIGS if args.toy else FULL_CONFIGS
 
     results = []
@@ -317,8 +325,9 @@ def main(argv=None) -> int:
         "serve_stats": serve.stats(),
         "benchmarks": results,
     }
-    args.out.write_text(json.dumps(report, indent=2, default=float) + "\n")
-    print(f"wrote {args.out}")
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(json.dumps(report, indent=2, default=float) + "\n")
+    print(f"wrote {out}")
     return 0 if (all_ok or not args.check_parity) else 1
 
 

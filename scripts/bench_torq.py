@@ -17,10 +17,10 @@ ALL parameters), the structural fusion counts (gates vs. kernel steps)
 for all six paper ansätze, the ``QuantumLayer`` transfer-matrix path
 against the gate-by-gate plan across qubit counts (``transfer_sweep``:
 no-grad forward and second-order step, which set the layer's
-``_TRANSFER_MAX_QUBITS``), and the ``repro.lower`` float32 tier: the
-float32 layer step, a 10+ qubit float32 forward against the seed float64
-plan, and the in-place planned executor (step time, peak traced memory,
-arena bytes) against the seed float64 adjoint, optionally across a qubit
+``_TRANSFER_MAX_QUBITS``), and the ``repro.lower`` float32 inference
+tier: a 10+ qubit float32 forward against the seed float64 plan, and the
+in-place planned executor's forward + ⟨Z⟩ (time, peak traced memory,
+arena bytes) against the seed float64 plan's, optionally across a qubit
 sweep.  Wall times are the median of ``--repeats`` timed runs after a
 warm-up call.
 
@@ -30,6 +30,10 @@ Usage::
     PYTHONPATH=src python scripts/bench_torq.py --toy        # CI smoke
     PYTHONPATH=src python scripts/bench_torq.py --check-structure
     PYTHONPATH=src python scripts/bench_torq.py --toy --check-adjoint
+
+A ``--toy`` run without ``--out`` writes ``.bench_tmp/BENCH_torq.toy.json``
+(gitignored), so smoke runs never overwrite the committed full-size
+report.
 
 The ``paper_residual_step`` row times the second-order path the paper's
 training epoch runs: a ``MaxwellQPINN``'s fields plus the three
@@ -99,7 +103,6 @@ from repro.torq import (  # noqa: E402
 )
 from repro.torq import compile as torq_compile  # noqa: E402
 from repro.torq import layer as torq_layer  # noqa: E402
-from repro.torq.adjoint import adjoint_state_vjp  # noqa: E402
 from repro.torq.measure import pauli_z_expectations  # noqa: E402
 from repro.torq.state import zero_state  # noqa: E402
 
@@ -469,72 +472,6 @@ def bench_adjoint(shift_result: dict, reps: int, seed: int = 2) -> dict:
     return result
 
 
-def _adjoint_layer_step(batch: int, n_qubits: int, n_layers: int,
-                        precision: str = "float64", seed: int = 0):
-    """One adjoint-backend training step at ``precision`` (float32 runs
-    the lowered planned executor)."""
-    layer = QuantumLayer(
-        n_qubits=n_qubits, n_layers=n_layers, ansatz=ANSATZ,
-        scaling="acos", rng=np.random.default_rng(seed), compiled=True,
-        grad_method="adjoint", precision=precision,
-    )
-    acts = ad.Tensor(
-        np.random.default_rng(seed + 1).uniform(-0.9, 0.9, (batch, n_qubits))
-    )
-    params = layer.parameters()
-
-    def run() -> None:
-        layer.zero_grad()
-        out = layer(acts)
-        backward((out * out).mean(), params)
-
-    return run, layer, acts
-
-
-def bench_lowering(batch: int, n_qubits: int, n_layers: int, reps: int,
-                   seed: int = 0) -> dict:
-    """Precision-tier rows: seed float64 adjoint vs the float32 tier.
-
-    The float32 row is the quantum layer on the lowered planned
-    executor, reported with its measured ⟨Z⟩ deviation against the
-    documented budget (asserted here, not assumed).
-    """
-    rows = []
-    z_ref = None
-    times: dict[str, float] = {}
-    for name, precision in (("adjoint_f64", "float64"),
-                            ("lowered_f32", "float32")):
-        run, layer, acts = _adjoint_layer_step(
-            batch, n_qubits, n_layers, precision, seed=seed
-        )
-        times[name] = _median_time(run, reps)
-        with ad.no_grad():
-            z = layer(acts).data
-        n_gates = len(layer.embedded_gate_sequence())
-        row = {"tier": name, "precision": precision, "step_s": times[name]}
-        if z_ref is None:
-            z_ref = z
-        else:
-            err = float(np.max(np.abs(z - z_ref)))
-            budget = expectation_budget(precision, n_qubits, n_gates)
-            row["max_abs_z_err"] = err
-            row["z_budget"] = budget
-            assert err <= budget, f"f32 z error {err} over budget {budget}"
-        row["speedup_vs_adjoint_f64"] = times["adjoint_f64"] / times[name]
-        rows.append(row)
-        print(f"  {name}: {times[name]*1e3:.1f} ms "
-              f"({row['speedup_vs_adjoint_f64']:.2f}x vs adjoint f64"
-              + (f", z err {row['max_abs_z_err']:.1e}"
-                 if "max_abs_z_err" in row else "") + ")")
-    return {
-        "batch": batch,
-        "n_qubits": n_qubits,
-        "n_layers": n_layers,
-        "speedup_f32_vs_f64": times["adjoint_f64"] / times["lowered_f32"],
-        "tiers": rows,
-    }
-
-
 def bench_big_statevector(n_qubits: int, n_layers: int, batch: int,
                           reps: int, seed: int = 0) -> dict:
     """A 10+ qubit statevector row under the float32 tier.
@@ -559,8 +496,9 @@ def bench_big_statevector(n_qubits: int, n_layers: int, batch: int,
     with ad.no_grad():
         t64 = _median_time(run64, reps)
         amp64 = run64().numpy()
-    t32 = _median_time(lambda: lo32.run_planes(batch, resolve), reps)
-    amp32 = lo32.amplitudes(lo32.run_planes(batch, resolve))
+    forward32 = lo32.planned_execution(batch).run_forward
+    t32 = _median_time(lambda: forward32(resolve), reps)
+    amp32 = lo32.amplitudes(batch, resolve)
     err = float(np.max(np.abs(amp32.astype(np.complex128) - amp64)))
     budget = amplitude_budget("float32", n_qubits, len(gates))
     row = {
@@ -583,28 +521,13 @@ def bench_big_statevector(n_qubits: int, n_layers: int, batch: int,
     return row
 
 
-def _full_step(plan, values, weights, batch):
-    """One forward + readout + adjoint step on a lowered plan."""
-    def resolve(i):
-        return values[i]
-
-    def run():
-        planes = plan.run_planes(batch, resolve)
-        plan.z_expectations(planes)
-        return plan.adjoint_vjp(values, weights, planes=planes)
-
-    return run
-
-
-def _seed_step(gates, n_qubits, values, weights, batch):
-    """The same step on the seed float64 plan and ``torq.adjoint``."""
+def _seed_forward(gates, n_qubits, values, batch):
+    """Forward + ⟨Z⟩ on the seed float64 plan."""
     plan = compile_gates(gates, n_qubits)
 
     def run():
         final = plan.run(zero_state(batch, n_qubits), lambda i: values[i])
-        pauli_z_expectations(final)
-        return adjoint_state_vjp(gates, n_qubits, values, weights,
-                                 plan=plan, final_state=final)
+        return pauli_z_expectations(final)
 
     return run
 
@@ -621,35 +544,36 @@ def _peak_traced_bytes(run) -> int:
 
 def bench_planned(n_qubits: int, n_layers: int, batch: int, reps: int,
                   seed: int = 0) -> dict:
-    """The in-place planned executor against the seed float64 adjoint.
+    """The in-place planned executor against the seed float64 plan.
 
-    Forward + ⟨Z⟩ + adjoint at ``n_qubits``: step time, peak traced
-    memory of one warm step, and the arena footprint of the planned
-    float32 tier.
+    Forward + ⟨Z⟩ at ``n_qubits``: time, peak traced memory of one warm
+    call, and the arena footprint of the planned float32 tier.
     """
     ansatz = make_ansatz(ANSATZ, n_qubits=n_qubits, n_layers=n_layers)
     gates = ansatz.gate_sequence()
     rng = np.random.default_rng(seed)
     values = [float(v) for v in rng.uniform(0, 2 * np.pi, ansatz.param_count)]
-    weights = np.ones((batch, n_qubits))
     with ad.no_grad():
-        seed_run = _seed_step(gates, n_qubits, values, weights, batch)
+        seed_run = _seed_forward(gates, n_qubits, values, batch)
         t_seed = _median_time(seed_run, reps)
         peak_seed = _peak_traced_bytes(seed_run)
-        plan = lower_plan(gates, n_qubits)
-        run = _full_step(plan, values, weights, batch)
-        t = _median_time(run, reps)
-        peak = _peak_traced_bytes(run)
+    plan = lower_plan(gates, n_qubits)
+
+    def run():
+        return plan.z_expectations(batch, lambda i: values[i])
+
+    t = _median_time(run, reps)
+    peak = _peak_traced_bytes(run)
     report = plan.memory_report()[batch]
     row = {
         "n_qubits": n_qubits,
         "n_layers": n_layers,
         "n_gates": len(gates),
         "batch": batch,
-        "seed_f64_step_s": t_seed,
+        "seed_f64_forward_s": t_seed,
         "seed_f64_peak_traced_bytes": peak_seed,
         "planned_f32": {
-            "step_s": t,
+            "forward_s": t,
             "speedup_vs_seed_f64": t_seed / t,
             "peak_traced_bytes": peak,
             "peak_memory_ratio_vs_seed_f64": peak_seed / max(1, peak),
@@ -692,8 +616,8 @@ def check_lowering() -> int:
     * every lowered step of the six ansätze's embedded circuits is a
       fused, phase-mask or permutation step, so every step runs in the
       arena (a lone gate lowers to the one-gate step of its kind),
-    * the float32 layer's ⟨Z⟩ deviation from the seed float64 adjoint
-      layer is within its documented budget.
+    * the float32 layer's ⟨Z⟩ deviation from the float64 layer is within
+      its documented budget.
     """
     n_qubits, n_layers, batch = 4, 2, 16
     in_place = {"fused_1q", "phase_mask", "permutation"}
@@ -705,8 +629,13 @@ def check_lowering() -> int:
             layer.embedded_gate_sequence(), n_qubits).steps}
         if kinds - in_place:
             other[name] = sorted(kinds - in_place)
-    _, base, acts = _adjoint_layer_step(batch, n_qubits, n_layers)
-    _, l32, _ = _adjoint_layer_step(batch, n_qubits, n_layers, "float32")
+    base, l32 = (
+        QuantumLayer(n_qubits=n_qubits, n_layers=n_layers, ansatz=ANSATZ,
+                     rng=np.random.default_rng(0), precision=precision)
+        for precision in ("float64", "float32")
+    )
+    acts = ad.Tensor(
+        np.random.default_rng(1).uniform(-0.9, 0.9, (batch, n_qubits)))
     with ad.no_grad():
         z0 = base(acts).data
         z32 = l32(acts).data
@@ -785,9 +714,13 @@ def main(argv=None) -> int:
                              "runs, off with --toy")
     parser.add_argument("--seed", type=int, default=0,
                         help="base seed for parameters and activations")
-    parser.add_argument("--out", type=Path,
-                        default=REPO_ROOT / "BENCH_torq.json")
+    parser.add_argument("--out", type=Path, default=None,
+                        help="report path (default BENCH_torq.json, or "
+                             ".bench_tmp/BENCH_torq.toy.json with --toy)")
     args = parser.parse_args(argv)
+    out = args.out or REPO_ROOT / (
+        ".bench_tmp/BENCH_torq.toy.json" if args.toy
+        else "BENCH_torq.json")
 
     if args.toy:
         n_qubits, n_layers, batches, reps, naive_cap = 4, 2, (16,), 2, 16
@@ -826,16 +759,12 @@ def main(argv=None) -> int:
     )
     print("adjoint gradient:")
     adjoint = bench_adjoint(shift, reps, seed=args.seed + 2)
-    print("lowering tiers (adjoint step):")
-    lowering = bench_lowering(
-        batches[0], n_qubits, n_layers, reps, seed=args.seed
-    )
     print("big statevector (float32 tier):")
     big_n, big_batch = (10, 4) if args.toy else (11, 8)
     big_row = bench_big_statevector(
         big_n, 2, big_batch, max(1, reps - 1), seed=args.seed
     )
-    print("planned in-place execution vs seed float64 adjoint:")
+    print("planned in-place forward + <Z> vs seed float64 plan:")
     plan_n, plan_batch = (6, 8) if args.toy else (14, 32)
     planned_row = bench_planned(
         plan_n, n_layers, plan_batch, max(1, reps - 1), seed=args.seed
@@ -862,7 +791,7 @@ def main(argv=None) -> int:
             "repeats": reps,
             "seed": args.seed,
         },
-        # CPU/BLAS fingerprint; the "lowering", "big_statevector" and
+        # CPU/BLAS fingerprint; the "big_statevector" and
         # "planned_execution" sections compare float32 with the seed.
         "environment": obs.environment_info(),
         "table2_step": step_rows,
@@ -871,13 +800,13 @@ def main(argv=None) -> int:
         "parameter_shift": shift,
         "adjoint": adjoint,
         "plan_structure": structure,
-        "lowering": lowering,
         "big_statevector": big_row,
         "planned_execution": planned_row,
         "qubit_sweep": sweep_rows,
     }
-    args.out.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {args.out}")
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(json.dumps(report, indent=2) + "\n")
+    print(f"wrote {out}")
 
     if args.check_structure:
         failures = [r for r in structure if r["n_steps"] >= r["n_gates"]]

@@ -144,16 +144,14 @@ class TapeFallback(RuntimeError):
     """Raised during tracing when a step cannot be tape-compiled."""
 
 
-#: replay precision tiers (mirrors ``repro.lower.PRECISION_TIERS``
-#: without importing it — :mod:`repro.lower` depends on this package).
-_PRECISION_TIERS = ("float64", "float32")
-
-
 def _check_precision(precision: str) -> None:
-    if precision not in _PRECISION_TIERS:
+    # Imported lazily: :mod:`repro.lower` depends on this package.
+    from ..lower.budget import PRECISION_TIERS
+
+    if precision not in PRECISION_TIERS:
         raise ValueError(
             f"unknown precision tier {precision!r}; "
-            f"available: {_PRECISION_TIERS}"
+            f"available: {PRECISION_TIERS}"
         )
 
 

@@ -1,11 +1,11 @@
 """Backend lowering: the float32 tier, executed in place.
 
 ``repro.lower`` takes a compiled TorQ
-:class:`~repro.torq.compile.ExecutionPlan` and runs it as raw NumPy
-kernels over split real/imaginary float32 statevector planes — the
-measured (tape-free) path behind
-``QuantumLayer(precision="float32", grad_method="adjoint")`` and
-float32 serving.  Lowering takes nothing but the circuit: there are no
+:class:`~repro.torq.compile.ExecutionPlan` and runs its forward as raw
+NumPy kernels over split real/imaginary float32 statevector planes — the
+inference-only path behind ``QuantumLayer(precision="float32")`` and
+float32 serving.  The tier has no gradient: a float32 layer refuses to
+run in grad mode.  Lowering takes nothing but the circuit: there are no
 passes, kernel variants, tiers or environment switches to choose among.
 Float64 work does not lower: ``QuantumLayer`` runs the seed plan and
 :mod:`repro.torq.adjoint`, ``FrozenModel`` the compiled tape.
@@ -20,7 +20,8 @@ Entry points:
 * :mod:`repro.lower.budget` — the documented error budgets the float32
   tier is tested against.
 * :data:`PRECISION_TIERS` — the ``precision=`` vocabulary of
-  ``QuantumLayer``, ``FrozenModel`` and the tape.
+  ``QuantumLayer``, ``FrozenModel`` and the tape (defined in
+  :mod:`repro.lower.budget`).
 
 One executor.  Every :class:`LoweredPlan` runs through the
 :class:`~repro.lower.inplace.PlannedExecution` bound to its batch size,
@@ -29,27 +30,23 @@ size served, so a serving bucket ladder binds each arena once).  Every
 lowered step is a fused single-qubit block GEMM, a phase mask or a
 permutation — a lone gate lowers to the one-gate step of its kind — and
 all intermediates (plane ping-pongs, SoA pack buffers, phase scratches,
-complex adjoint carriers) are liveness-planned into shared arena slots
-(:mod:`repro.lower.memplan`), so after the first run forward, readout
-and adjoint perform **zero statevector-sized allocations**.
+the readout scratch) are liveness-planned into shared arena slots
+(:mod:`repro.lower.memplan`), so after the first run forward and
+readout perform **zero statevector-sized allocations**.
 ``LoweredPlan.memory_report()`` returns the arena audit per bound batch.
-State-sized work runs in float32/complex64 and parameter-space algebra
-in float64, inside the :mod:`~repro.lower.budget` error budgets.
+State-sized work runs in float32/complex64 and the 2×2 factor matrices
+are built in float64, inside the :mod:`~repro.lower.budget` error
+budgets.  ``LoweredPlan.z_expectations(batch, resolve)`` and
+``amplitudes(batch, resolve)`` run the forward and return fresh arrays;
+no arena view leaves the package.
 
-``run_planes`` returns arena views stamped with their run;
-``adjoint_vjp(values, weights, planes=...)`` re-runs the forward for
-``values`` in place when a later forward at the same batch size has
-overwritten the arena, so two forwards before one backward still give
-the first forward's gradient.
-
-Config surfaces: ``QuantumLayer(precision="float32")`` (requires
-``grad_method="adjoint"``), ``FrozenModel``/``load_bundle(precision=)``,
+Config surfaces: ``QuantumLayer(precision="float32")`` (inference only,
+any ``grad_method``), ``FrozenModel``/``load_bundle(precision=)``,
 ``TrainerConfig.precision`` / ``PDETrainerConfig.precision`` (the tape
 replay tier), and ``compile_step(fn, params, precision=...)`` directly.
 Tape lowering (the float32 replay tier) lives in
 :func:`repro.autodiff.tape.compile_step`, whose executor cache keys on
-the tier; this package supplies its budget and shares the tier
-vocabulary.
+the tier; this package supplies its budget and the tier vocabulary.
 """
 
 from __future__ import annotations
@@ -60,9 +57,9 @@ from collections import OrderedDict
 import numpy as np
 
 from .budget import (
+    PRECISION_TIERS,
     amplitude_budget,
     expectation_budget,
-    gradient_budget,
     tape_budget,
 )
 from .inplace import LoweredPlan, PlannedExecution
@@ -77,7 +74,6 @@ __all__ = [
     "lowered_cache_info",
     "amplitude_budget",
     "expectation_budget",
-    "gradient_budget",
     "tape_budget",
     "BufferSpec",
     "MemoryPlan",
@@ -85,12 +81,6 @@ __all__ = [
     "plan_buffers",
     "PlannedExecution",
 ]
-
-
-#: Precision tiers of the measured paths: ``float64`` runs the seed
-#: arithmetic (the compiled plan, or the serving tape), ``float32`` the
-#: lowered plan (or the float32 tape replay).
-PRECISION_TIERS: tuple[str, ...] = ("float64", "float32")
 
 # Lowered plans are tiny (they borrow the seed plan's precomputed
 # buffers) but each owns its bound arenas, so repeated lowering must hit
@@ -102,19 +92,16 @@ _LOWERED_CACHE_MAX = 512
 _lowered_cache_lock = threading.RLock()
 
 
-def lower_plan(gates, n_qubits: int, *, cache: bool = True) -> LoweredPlan:
+def lower_plan(gates, n_qubits: int) -> LoweredPlan:
     """Compile a gate sequence and lower it to the float32 tier.
 
     Keyed on the plan cache's circuit-structure key, so lowering one
     structure again returns the same plan and its bound arenas.
-    ``cache=False`` builds a fresh, unshared plan.
     """
     from ..torq.compile import _plan_key, compile_gates
 
     gates = tuple(gates)
-    plan = compile_gates(gates, n_qubits, cache=cache)
-    if not cache:
-        return LoweredPlan(plan)
+    plan = compile_gates(gates, n_qubits)
     key = _plan_key(gates, n_qubits)
     with _lowered_cache_lock:
         lowered = _LOWERED_CACHE.get(key)

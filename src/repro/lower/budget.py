@@ -24,13 +24,19 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "PRECISION_TIERS",
     "amplitude_budget",
     "expectation_budget",
-    "gradient_budget",
     "tape_budget",
 ]
 
 _EPS = {"float64": 0.0, "float32": float(np.finfo(np.float32).eps)}
+
+#: Precision tiers of the measured paths: ``float64`` runs the seed
+#: arithmetic (the compiled plan, or the serving tape), ``float32`` the
+#: lowered plan (or the float32 tape replay).  The ``precision=``
+#: vocabulary of ``QuantumLayer``, ``FrozenModel`` and the tape.
+PRECISION_TIERS: tuple[str, ...] = tuple(_EPS)
 
 
 def _eps(precision: str) -> float:
@@ -61,13 +67,6 @@ def expectation_budget(precision: str, n_qubits: int, n_gates: int) -> float:
     rule, ``2 * sqrt(2**n_qubits)`` worse in the worst case."""
     amp = amplitude_budget(precision, n_qubits, n_gates)
     return float(2.0 * np.sqrt(2.0 ** int(n_qubits)) * amp)
-
-
-def gradient_budget(precision: str, n_qubits: int, n_gates: int) -> float:
-    """Adjoint-gradient tolerance.  Carriers are tier-precision but all
-    parameter-space 2×2 algebra stays float64, so gradients track the
-    expectation budget with one extra reverse sweep's accumulation."""
-    return float(2.0 * expectation_budget(precision, n_qubits, n_gates))
 
 
 def tape_budget(precision: str, n_entries: int = 256) -> float:

@@ -3,7 +3,7 @@
 One planner serves both executors that replay a fixed schedule:
 
 * the lowered statevector executor (:mod:`repro.lower.inplace`), whose
-  pack buffers, GEMM outputs, gathered planes and adjoint carriers are
+  plane ping-pongs, pack buffers and phase-mask scratches are
   megabyte-class at 14 qubits — page-fault and zeroing cost on every
   step, and a transient peak of many live statevectors, if allocated
   per step;
@@ -15,8 +15,8 @@ Both declare their buffers the same way:
 
 * Every intermediate a planned execution will ever need is declared up
   front as a :class:`BufferSpec` — a byte size plus a live interval over
-  a virtual timeline of execution positions (forward steps, readout,
-  adjoint init, reverse steps; or tape schedule entries).
+  a virtual timeline of execution positions (forward steps and readout;
+  or tape schedule entries).
 * :func:`plan_buffers` runs a linear-scan liveness analysis over the
   specs (classic register allocation on intervals): two requests share
   one arena *slot* whenever their live intervals are disjoint, and each
@@ -26,9 +26,9 @@ Both declare their buffers the same way:
   allocated after construction; re-running a planned execution reuses
   the same memory.
 
-Slots are raw bytes, so a float32 pack buffer from the forward sweep can
-be reused as a complex64 adjoint carrier later on the timeline — the
-liveness analysis, not the dtype, decides reuse.  Each arena reports its
+Slots are raw bytes, so a float32 buffer can be reused as a float64 or
+complex64 one later on the timeline — the liveness analysis, not the
+dtype, decides reuse.  Each arena reports its
 footprint through the ``lower.arena.bytes`` counter (under profiling),
 labelled ``executor="lowered"`` or ``executor="tape"`` so the two tiers'
 figures stay apart, and via :attr:`Arena.total_bytes` for benchmark

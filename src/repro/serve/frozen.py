@@ -119,7 +119,6 @@ class FrozenModel:
                 )
             # Route every quantum layer through the lowered planned tier.
             for layer in self._quantum:
-                layer.grad_method = "adjoint"
                 layer.precision = self.precision
         _LIVE.add(self)
 

@@ -63,26 +63,6 @@ from .state import QuantumState, zero_state
 __all__ = ["adjoint_state_vjp", "adjoint_grad"]
 
 
-def _z_weight_mask_into(weights: np.ndarray, n_qubits: int,
-                        out: np.ndarray) -> np.ndarray:
-    """:func:`_z_weight_mask` accumulated into a caller-owned buffer.
-
-    The lowered in-place executor preallocates the mask buffer in its
-    arena; writing through ``out`` keeps the adjoint warm path free of
-    statevector-sized allocations.  The accumulation order is identical
-    to the allocating version, so the two masks are bitwise equal.
-    """
-    batch = weights.shape[0]
-    out.fill(0.0)
-    bshape = (batch,) + (1,) * n_qubits
-    for q in range(n_qubits):
-        shape = [1] * (n_qubits + 1)
-        shape[q + 1] = 2
-        sign = np.array([1.0, -1.0]).reshape(shape)
-        out += weights[:, q].reshape(bshape) * sign
-    return out
-
-
 def _z_weight_mask(weights: np.ndarray, n_qubits: int) -> np.ndarray:
     """Dense mask of the weighted-Z observable Σ_q w_bq·Z_q.
 
@@ -92,17 +72,21 @@ def _z_weight_mask(weights: np.ndarray, n_qubits: int) -> np.ndarray:
     """
     batch = weights.shape[0]
     mask = np.zeros((batch,) + (2,) * n_qubits)
-    return _z_weight_mask_into(weights, n_qubits, mask)
+    bshape = (batch,) + (1,) * n_qubits
+    for q in range(n_qubits):
+        shape = [1] * (n_qubits + 1)
+        shape[q + 1] = 2
+        sign = np.array([1.0, -1.0]).reshape(shape)
+        mask += weights[:, q].reshape(bshape) * sign
+    return mask
 
 
 class _GradientSums:
-    """The gradient bookkeeping of one adjoint reverse sweep.
-
-    Shared by :func:`adjoint_state_vjp` and the lowered float32 sweep
-    (:meth:`repro.lower.inplace.LoweredPlan.adjoint_vjp`): validates the
-    ``(batch, n_qubits)`` readout cotangent ``weights``, sums each flat
-    parameter's ``accumulate(ref, g)`` contributions in call order, and
-    formats one gradient per entry of ``values``.
+    """The gradient bookkeeping of one adjoint reverse sweep
+    (:func:`adjoint_state_vjp`): validates the ``(batch, n_qubits)``
+    readout cotangent ``weights``, sums each flat parameter's
+    ``accumulate(ref, g)`` contributions in call order, and formats one
+    gradient per entry of ``values``.
     """
 
     def __init__(self, values: Sequence, weights, n_qubits: int):

@@ -762,7 +762,7 @@ class _SingleGateStep:
 # listed once, when the plan compiles, with its kind and flat parameter
 # index.  A run gathers the angles, takes one cos and one sin of the half
 # angles, and builds every fused block from those two arrays.  The
-# adjoint sweeps read lone rotations' U and dU from the table too; a
+# adjoint sweep reads lone rotations' U and dU from the table too; a
 # lone rotation's autodiff forward (`_SingleGateStep`) takes its own.
 # ----------------------------------------------------------------------
 
@@ -803,7 +803,7 @@ class _GateTable:
     vector, then ``L − 1`` batched matmuls.  Per-batch angles (batched
     parameter shift) build each run's block when the plan reaches it,
     from that run's angles alone, so no per-row array outlives its run.
-    The NumPy side (:meth:`numpy`) gives the adjoint sweeps and the
+    The NumPy side (:meth:`numpy`) gives the adjoint sweep and the
     lowered tier their factor matrices.
     """
 
@@ -931,7 +931,7 @@ def _run_block(angles: Tensor, consts: tuple, index, sign):
 
 
 class _NumpyGates:
-    """The gate table of one NumPy sweep (the adjoint sweeps, the lowered
+    """The gate table of one NumPy sweep (the adjoint sweep, the lowered
     float32 forward): one cos and one sin of every rotation factor's half
     angle, in float64, and each step's factor matrices built from them.
     ``resolve`` stays available to steps with other parameters."""

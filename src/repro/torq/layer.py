@@ -130,9 +130,15 @@ class QuantumLayer(Module):
     transfer matrix (:meth:`transfer_matrix`): the ansatz runs on the 2ⁿ
     basis rows only, and the batch sees a few wide GEMMs, in the forward,
     in ``create_graph`` derivative passes and in the second-order
-    backward.  Larger circuits, ``compiled=False``, the adjoint and
-    parameter-shift backends and the float32 tier run the ansatz gate by
-    gate on every row.  The two paths agree to rounding, not bitwise.
+    backward.  Larger circuits, ``compiled=False`` and the adjoint and
+    parameter-shift backends run the ansatz gate by gate on every row.
+    The two paths agree to rounding, not bitwise.
+
+    ``precision="float32"`` makes the layer inference-only, whatever its
+    ``grad_method``: :meth:`forward` runs the lowered float32 plan
+    (:mod:`repro.lower`) on every row and returns ⟨Z⟩ with no graph, and
+    raises ``RuntimeError`` in grad mode rather than return a zero
+    gradient.
     """
 
     def __init__(
@@ -160,12 +166,6 @@ class QuantumLayer(Module):
                 f"unknown precision tier {precision!r}; "
                 f"available: {PRECISION_TIERS}"
             )
-        if precision != "float64" and grad_method != "adjoint":
-            raise ValueError(
-                f"lowered execution (precision={precision!r}) is "
-                "measured-path only; it requires grad_method='adjoint' "
-                f"(got grad_method={grad_method!r})"
-            )
         self.ansatz = ansatz if isinstance(ansatz, Ansatz) else make_ansatz(
             ansatz, n_qubits=n_qubits, n_layers=n_layers
         )
@@ -175,9 +175,9 @@ class QuantumLayer(Module):
         self.init_strategy = str(init)
         self.compiled = bool(compiled)
         self.grad_method = str(grad_method)
-        #: ``"float32"`` runs the measured path through the lowered
-        #: planned executor (:mod:`repro.lower`); ``"float64"`` through
-        #: the seed plan.
+        #: ``"float32"`` makes :meth:`forward` inference-only, through
+        #: the lowered planned executor (:mod:`repro.lower`); ``"float64"``
+        #: runs ``grad_method``'s path.
         self.precision = str(precision)
         self.params = Parameter(
             initial_circuit_params(init, self.ansatz.param_count, rng=rng),
@@ -293,11 +293,6 @@ class QuantumLayer(Module):
         batch = activations.shape[0]
         gates = self.embedded_gate_sequence()
         plan = compile_gates(gates, n)
-        lowered = None
-        if self.precision != "float64":
-            from ..lower import lower_plan
-
-            lowered = lower_plan(gates, n)
         angles = scale_input(self.scaling, activations)  # graph-recorded
         method = self.grad_method
         # The plan run and the analytic VJPs read numbers: plain arrays
@@ -305,14 +300,8 @@ class QuantumLayer(Module):
         values = [angles.data[:, q] for q in range(n)]
         values += list(self.params.data)
         with no_grad():
-            if lowered is not None:
-                planes = lowered.run_planes(batch, lambda i: values[i])
-                z_data = np.asarray(
-                    lowered.z_expectations(planes), dtype=np.float64
-                )
-            else:
-                final = plan.run(zero_state(batch, n), lambda i: values[i])
-                z_data = pauli_z_expectations(final).data
+            final = plan.run(zero_state(batch, n), lambda i: values[i])
+            z_data = pauli_z_expectations(final).data
 
         memo: dict[int, list] = {}
 
@@ -327,9 +316,7 @@ class QuantumLayer(Module):
             key = id(ct)
             if key not in memo:
                 w = np.asarray(ct.data, dtype=np.float64)
-                if lowered is not None:
-                    memo[key] = lowered.adjoint_vjp(values, w, planes=planes)
-                elif method == "adjoint":
+                if method == "adjoint":
                     memo[key] = adjoint_state_vjp(
                         gates, n, values, w, plan=plan, final_state=final
                     )
@@ -354,8 +341,29 @@ class QuantumLayer(Module):
             z_data, [(angles, vjp_angles), (self.params, vjp_params)]
         )
 
+    def _forward_lowered(self, activations: Tensor) -> Tensor:
+        """Inference on the float32 tier: ⟨Z⟩ from the lowered plan, as a
+        Tensor with no graph."""
+        if ad.is_grad_enabled():
+            raise RuntimeError(
+                f"precision={self.precision!r} is an inference-only tier "
+                "with no gradient; call the layer under no_grad(), or use "
+                "precision='float64' to train"
+            )
+        from ..lower import lower_plan
+
+        self._check_activations(activations)
+        n = self.n_qubits
+        angles = scale_input(self.scaling, activations).data
+        values = [angles[:, q] for q in range(n)] + list(self.params.data)
+        lowered = lower_plan(self.embedded_gate_sequence(), n)
+        return Tensor(lowered.z_expectations(activations.shape[0],
+                                             lambda i: values[i]))
+
     def forward(self, activations: Tensor) -> Tensor:
         """Per-qubit ⟨Z⟩ readout, shape ``(batch, n_qubits)``."""
+        if self.precision != "float64":
+            return self._forward_lowered(activations)
         if self.grad_method != "backprop":
             return self._forward_measured(activations)
         if self.uses_transfer_matrix:

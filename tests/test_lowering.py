@@ -1,12 +1,12 @@
 """Tests for ``repro.lower``'s float32 tier and the precision surfaces.
 
-Covers the lowering contract end to end: the float32 tier stays inside
-the documented budgets of :mod:`repro.lower.budget` against the float64
-seed executors (the seed ``ExecutionPlan`` and ``torq.adjoint`` are the
-oracle); unknown tiers raise and the lowered-plan cache shares one plan
-per circuit structure; the shared ``zero_state`` bases; the
-no-hidden-copy regressions for compiled epochs and warm phase masks;
-and the ``QuantumLayer`` / tape ``precision`` integration surfaces.
+Covers the lowering contract end to end: the float32 tier's forward
+stays inside the documented budgets of :mod:`repro.lower.budget` against
+the float64 seed ``ExecutionPlan`` (the oracle); unknown tiers raise and
+the lowered-plan cache shares one plan per circuit structure; the shared
+``zero_state`` bases; the no-hidden-copy regressions for compiled epochs
+and warm phase masks; and the ``QuantumLayer`` / tape ``precision``
+integration surfaces (a float32 layer is inference-only).
 """
 
 import numpy as np
@@ -20,13 +20,11 @@ from repro.lower import (
     amplitude_budget,
     clear_lowered_cache,
     expectation_budget,
-    gradient_budget,
     lower_plan,
     lowered_cache_info,
     tape_budget,
 )
 from repro.torq import Circuit, QuantumLayer
-from repro.torq.adjoint import adjoint_state_vjp
 from repro.torq.state import zero_state
 
 
@@ -50,14 +48,6 @@ def _mixed_circuit(n_qubits=4, batch=6, seed=3):
     return qc, params, batch
 
 
-def _lowered_run(qc, params, batch):
-    gates = qc.gate_sequence()
-    values = qc.flat_parameter_values(params)
-    lowered = lower_plan(gates, qc.n_qubits)
-    planes = lowered.run_planes(batch, lambda i: values[i])
-    return lowered, planes, values
-
-
 class TestFloat32Budgets:
     def test_forward_within_budget(self):
         qc, params, batch = _mixed_circuit()
@@ -67,31 +57,16 @@ class TestFloat32Budgets:
                                compiled=True).numpy()
             seed_z = qc.z_expectations(params=params, batch=batch,
                                        compiled=True).data
-        lowered, planes, values = _lowered_run(qc, params, batch)
-        amps = lowered.amplitudes(planes)
+        values = qc.flat_parameter_values(params)
+        lowered = lower_plan(qc.gate_sequence(), qc.n_qubits)
+        amps = lowered.amplitudes(batch, lambda i: values[i])
         assert amps.dtype == np.complex64
         err = float(np.max(np.abs(amps.astype(np.complex128) - seed_amps)))
         assert 0 < err <= amplitude_budget("float32", qc.n_qubits, n_gates)
-        z_err = float(np.max(np.abs(
-            lowered.z_expectations(planes).astype(np.float64) - seed_z)))
+        z = lowered.z_expectations(batch, lambda i: values[i])
+        assert z.dtype == np.float64
+        z_err = float(np.max(np.abs(z - seed_z)))
         assert z_err <= expectation_budget("float32", qc.n_qubits, n_gates)
-
-    def test_adjoint_within_budget(self):
-        qc, params, batch = _mixed_circuit()
-        gates = qc.gate_sequence()
-        values = qc.flat_parameter_values(params)
-        n_gates = qc.execution_plan().n_gates
-        weights = np.random.default_rng(12).standard_normal(
-            (batch, qc.n_qubits))
-        grads_seed = adjoint_state_vjp(gates, qc.n_qubits, values, weights)
-        lowered = lower_plan(gates, qc.n_qubits)
-        err = max(
-            float(np.max(np.abs(np.asarray(a, dtype=np.float64)
-                                - np.asarray(b, dtype=np.float64))))
-            for a, b in zip(grads_seed,
-                            lowered.adjoint_vjp(values, weights))
-        )
-        assert err <= gradient_budget("float32", qc.n_qubits, n_gates)
 
     def test_audit_per_op_accounting(self):
         qc, params, batch = _mixed_circuit()
@@ -122,9 +97,6 @@ class TestRegistryAndCache:
         assert lower_plan(gates, qc.n_qubits) is lowered
         assert lowered_cache_info()["size"] == 1
         assert lowered.plan is qc.execution_plan()
-        fresh = lower_plan(gates, qc.n_qubits, cache=False)
-        assert fresh is not lowered
-        assert lowered_cache_info()["size"] == 1
 
 
 class TestZeroStateDtypeKey:
@@ -180,12 +152,13 @@ class TestNoHiddenCopies:
         layer = QuantumLayer(n_qubits=5, n_layers=1, ansatz="cross_mesh_2rot",
                              rng=np.random.default_rng(0))
         gates = layer.embedded_gate_sequence()
-        lowered = lower_plan(gates, 5, cache=False)
+        clear_lowered_cache()
+        lowered = lower_plan(gates, 5)
         assert "phase_mask" in {s.kind for s in lowered.steps}
         rng = np.random.default_rng(1)
         values = [rng.uniform(0, np.pi, 4) for _ in range(5)]
         values += [float(v) for v in layer.params.data]
-        lowered.run_planes(4, lambda i: values[i])  # warm: binds the arena
+        lowered.z_expectations(4, lambda i: values[i])  # warm: binds the arena
 
         calls = {"n": 0}
         original = np.broadcast_shapes
@@ -195,43 +168,32 @@ class TestNoHiddenCopies:
             return original(*args)
 
         monkeypatch.setattr(np, "broadcast_shapes", counting)
-        lowered.run_planes(4, lambda i: values[i])
+        lowered.z_expectations(4, lambda i: values[i])
         assert calls["n"] == 0
 
 
 class TestQuantumLayerPrecision:
-    def _pair(self, precision, seed=5):
-        layer = QuantumLayer(
-            n_qubits=4, n_layers=2, ansatz="basic_entangling",
-            scaling="acos", rng=np.random.default_rng(seed),
-            compiled=True, grad_method="adjoint", precision=precision,
-        )
-        acts = Tensor(
-            np.random.default_rng(seed + 1).uniform(-0.9, 0.9, (6, 4)),
-            requires_grad=True,
-        )
-        params = layer.parameters() + [acts]
-        for p in params:
-            p.grad = None
-        out = layer(acts)
-        backward((out * out).mean(), params)
-        return out.data.copy(), layer.params.grad.copy(), acts.grad.copy()
+    def test_f32_layer_is_inference_only(self):
+        """A float32 layer with the default ``grad_method`` predicts
+        under ``no_grad`` within the ⟨Z⟩ budget of the float64 layer,
+        and refuses grad mode instead of returning a zero gradient."""
+        def layer(precision):
+            return QuantumLayer(n_qubits=4, n_layers=2,
+                                rng=np.random.default_rng(5),
+                                precision=precision)
 
-    def test_f32_tier_tracks_f64_within_budget(self):
-        z64, gp64, gx64 = self._pair("float64")
-        z32, gp32, gx32 = self._pair("float32")
-        n_gates = 4 * (4 + 4)  # budget scale only needs the magnitude
-        zb = expectation_budget("float32", 4, n_gates)
-        gb = gradient_budget("float32", 4, n_gates)
-        assert float(np.max(np.abs(z32 - z64))) <= zb
-        assert float(np.max(np.abs(gp32 - gp64))) <= gb
-        assert float(np.max(np.abs(gx32 - gx64))) <= gb
-
-    def test_precision_requires_adjoint(self):
-        with pytest.raises(ValueError, match="adjoint"):
-            QuantumLayer(n_qubits=3, n_layers=1, ansatz="basic_entangling",
-                         scaling="acos", rng=np.random.default_rng(0),
-                         precision="float32", grad_method="backprop")
+        l64, l32 = layer("float64"), layer("float32")
+        assert l32.grad_method == "backprop"
+        acts = Tensor(np.random.default_rng(6).uniform(-0.9, 0.9, (6, 4)))
+        with no_grad():
+            z64 = l64(acts).data
+            z32 = l32(acts)
+        assert not z32.requires_grad
+        n_gates = len(l32.embedded_gate_sequence())
+        err = float(np.max(np.abs(z32.data - z64)))
+        assert 0 < err <= expectation_budget("float32", 4, n_gates)
+        with pytest.raises(RuntimeError, match="float32"):
+            l32(acts)
 
     def test_repr_reports_tier(self):
         layer = QuantumLayer(n_qubits=3, n_layers=1,

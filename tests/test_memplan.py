@@ -5,15 +5,14 @@ The contract under test:
 * the liveness planner packs disjoint-interval buffers into shared arena
   slots (footprint strictly below naive per-buffer allocation);
 * the planned float32 path stays inside the documented budgets against
-  the float64 seed ``ExecutionPlan`` and ``torq.adjoint``, and its warm
-  loop performs **zero statevector-sized allocations**, transient or
-  live (forward + readout + adjoint, measured with tracemalloc's peak);
+  the float64 seed ``ExecutionPlan``, and its warm loop performs **zero
+  statevector-sized allocations**, transient or live (forward + readout,
+  measured with tracemalloc's peak);
 * every lowered step runs in the arena: a lone gate the seed plan keeps
   unfused lowers to the fused, phase-mask or permutation step of its
   kind;
-* a plan keeps one bound execution per batch size, and a backward after
-  a second forward at the same batch size still differentiates the
-  first forward (the stale-arena regression).
+* a plan keeps one bound execution per batch size, and its arena holds
+  only what the forward and the readout need.
 """
 
 import tracemalloc
@@ -21,17 +20,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.autodiff import Tensor, backward, no_grad
+from repro.autodiff import no_grad
 from repro.lower import (
     Arena,
     BufferSpec,
     amplitude_budget,
-    gradient_budget,
+    clear_lowered_cache,
     lower_plan,
     plan_buffers,
 )
-from repro.torq import Circuit, QuantumLayer
-from repro.torq.adjoint import adjoint_state_vjp
+from repro.torq import ANSATZ_NAMES, Circuit, QuantumLayer
 from repro.torq.reference import run_circuit
 from repro.torq.state import zero_state
 
@@ -75,15 +73,12 @@ def _cross_mesh_case(n_qubits, batch):
     return layer.embedded_gate_sequence(), n_qubits, values, batch
 
 
-def _seed_oracle(qc, values, batch, weights):
-    """The float64 seed plan: final planes and adjoint gradients."""
-    plan = qc.execution_plan()
+def _seed_amplitudes(qc, values, batch):
+    """The float64 seed plan's final state, ``(batch, 2**n)``."""
     with no_grad():
-        final = plan.run(zero_state(batch, qc.n_qubits), lambda i: values[i])
-    grads = adjoint_state_vjp(qc.gate_sequence(), qc.n_qubits, values,
-                              weights, plan=plan, final_state=final)
-    planes = (final.tensor.re.data, final.tensor.im.data)
-    return planes, grads
+        final = qc.execution_plan().run(
+            zero_state(batch, qc.n_qubits), lambda i: values[i])
+    return final.numpy()
 
 
 class TestBufferPlanner:
@@ -140,17 +135,11 @@ class TestPlannedFloat32:
         gates = qc.gate_sequence()
         values = qc.flat_parameter_values(params)
         planned = lower_plan(gates, qc.n_qubits)
-        weights = np.ones((batch, qc.n_qubits))
-        po, go = _seed_oracle(qc, values, batch, weights)
+        seed = _seed_amplitudes(qc, values, batch)
         amp_tol = amplitude_budget("float32", qc.n_qubits, len(gates))
-        grad_tol = gradient_budget("float32", qc.n_qubits, len(gates))
-        with no_grad():
-            pf = planned.run_planes(batch, lambda i: values[i])
-            assert np.max(np.abs(pf[0].astype(np.float64) - po[0])) <= amp_tol
-            assert np.max(np.abs(pf[1].astype(np.float64) - po[1])) <= amp_tol
-            gp = planned.adjoint_vjp(values, weights, planes=pf)
-            for a, b in zip(gp, go):
-                assert np.max(np.abs(np.asarray(a) - np.asarray(b))) <= grad_tol
+        amps = planned.amplitudes(batch, lambda i: values[i])
+        for got, want in ((amps.real, seed.real), (amps.imag, seed.imag)):
+            assert np.max(np.abs(got.astype(np.float64) - want)) <= amp_tol
 
     @pytest.mark.parametrize("case", [_mixed_case, _cross_mesh_case],
                              ids=["mixed", "cross_mesh"])
@@ -160,34 +149,28 @@ class TestPlannedFloat32:
         # elements per broadcast operand), so the traced peak of a warm
         # step sees any transient statevector-sized array.
         gates, n_qubits, values, batch = case(12, 16)
-        planned = lower_plan(gates, n_qubits, cache=False)
-        weights = np.ones((batch, n_qubits))
+        clear_lowered_cache()
+        planned = lower_plan(gates, n_qubits)
         plane_bytes = batch * 2 ** n_qubits * np.dtype(np.float32).itemsize
         peaks = []
-        with no_grad():
-            # Warmup binds the arena.
-            pp = planned.run_planes(batch, lambda i: values[i])
-            planned.z_expectations(pp)
-            planned.adjoint_vjp(values, weights, planes=pp)
-            tracemalloc.start()
-            try:
-                for _ in range(3):
-                    tracemalloc.reset_peak()
-                    base, _ = tracemalloc.get_traced_memory()
-                    pp = planned.run_planes(batch, lambda i: values[i])
-                    planned.z_expectations(pp)
-                    planned.adjoint_vjp(values, weights, planes=pp)
-                    peaks.append(tracemalloc.get_traced_memory()[1] - base)
-            finally:
-                tracemalloc.stop()
+        # Warmup binds the arena.
+        planned.z_expectations(batch, lambda i: values[i])
+        tracemalloc.start()
+        try:
+            for _ in range(3):
+                tracemalloc.reset_peak()
+                base, _ = tracemalloc.get_traced_memory()
+                planned.z_expectations(batch, lambda i: values[i])
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
         assert max(peaks) < plane_bytes, (peaks, plane_bytes)
 
     def test_arena_is_smaller_than_naive_allocation(self):
         qc, params, batch = _mixed_circuit()
         values = qc.flat_parameter_values(params)
         planned = lower_plan(qc.gate_sequence(), qc.n_qubits)
-        with no_grad():
-            planned.run_planes(batch, lambda i: values[i])
+        planned.z_expectations(batch, lambda i: values[i])
         report = planned.memory_report()[batch]
         mp = report["memory_plan"]
         assert mp["total_bytes"] < mp["naive_bytes"]
@@ -197,22 +180,23 @@ class TestPlannedFloat32:
         qc, params, batch = _mixed_circuit()
         values = qc.flat_parameter_values(params)
         planned = lower_plan(qc.gate_sequence(), qc.n_qubits)
-        with no_grad():
-            first = [np.array(p, copy=True)
-                     for p in planned.run_planes(batch, lambda i: values[i])]
-            for _ in range(3):
-                pp = planned.run_planes(batch, lambda i: values[i])
-                assert np.array_equal(pp[0], first[0])
-                assert np.array_equal(pp[1], first[1])
+        first = planned.amplitudes(batch, lambda i: values[i])
+        for _ in range(3):
+            assert np.array_equal(
+                planned.amplitudes(batch, lambda i: values[i]), first)
 
-    def test_returned_planes_alias_the_arena(self):
-        qc, params, batch = _mixed_circuit()
-        values = qc.flat_parameter_values(params)
-        planned = lower_plan(qc.gate_sequence(), qc.n_qubits)
-        with no_grad():
-            a = planned.run_planes(batch, lambda i: values[i])
-            b = planned.run_planes(batch, lambda i: values[i])
-        assert a[0] is b[0] and a[1] is b[1]
+    def test_ansatz_arenas_hold_at_most_15_planes(self):
+        # One plane is batch · 2ⁿ float32 values.  A forward-only arena
+        # holds two ping-pong plane pairs plus the scratch of one step:
+        # 8–15 planes over these circuits.
+        n_qubits, batch = 8, 32
+        plane = batch * 2 ** n_qubits * np.dtype(np.float32).itemsize
+        for name in ANSATZ_NAMES:
+            layer = QuantumLayer(n_qubits=n_qubits, n_layers=4, ansatz=name,
+                                 rng=np.random.default_rng(0))
+            lowered = lower_plan(layer.embedded_gate_sequence(), n_qubits)
+            arena = lowered.planned_execution(batch).arena.total_bytes
+            assert arena <= 15 * plane, (name, arena / plane)
 
 
 class TestPassGating:
@@ -236,19 +220,11 @@ class TestPassGating:
         params = {"a": np.array([0.1, 0.2]), "b": 0.7, "w": 0.3,
                   "v": np.array([-1.2, 2.5]), "c": np.array([0.4, 0.5])}
         values = qc.flat_parameter_values(params)
-        weights = np.random.default_rng(4).standard_normal((2, 3))
         n_gates = len(qc.gate_sequence())
-        with no_grad():
-            planes = plan.run_planes(2, lambda i: values[i])
-        amps = plan.amplitudes(planes).astype(np.complex128)
+        amps = plan.amplitudes(2, lambda i: values[i]).astype(np.complex128)
         dense = run_circuit(qc, params=params, batch=2)
         assert np.max(np.abs(amps - dense)) <= amplitude_budget(
             "float32", 3, n_gates)
-        oracle = adjoint_state_vjp(qc.gate_sequence(), 3, values, weights)
-        grads = plan.adjoint_vjp(values, weights, planes=planes)
-        tol = gradient_budget("float32", 3, n_gates)
-        for a, b in zip(oracle, grads):
-            assert np.max(np.abs(np.asarray(a) - np.asarray(b))) <= tol
         assert set(plan.memory_report()[2]) == {
             "batch", "memory_plan", "arena_bytes"}
 
@@ -256,62 +232,14 @@ class TestPassGating:
         # One bound execution per batch size served, kept for the plan's
         # lifetime: revisiting a size reuses its execution and arena.
         qc, params, _ = _mixed_circuit()
-        planned = lower_plan(qc.gate_sequence(), qc.n_qubits, cache=False)
+        clear_lowered_cache()
+        planned = lower_plan(qc.gate_sequence(), qc.n_qubits)
         seen = {}
-        with no_grad():
-            for b in (2, 3, 4, 2, 3, 4, 5):
-                vals = {k: np.asarray(v)[:b] for k, v in params.items()}
-                flat = qc.flat_parameter_values(vals)
-                planned.run_planes(b, lambda i: flat[i])
-                pe = planned.planned_execution(b)
-                assert seen.setdefault(b, pe) is pe
+        for b in (2, 3, 4, 2, 3, 4, 5):
+            vals = {k: np.asarray(v)[:b] for k, v in params.items()}
+            flat = qc.flat_parameter_values(vals)
+            planned.z_expectations(b, lambda i: flat[i])
+            pe = planned.planned_execution(b)
+            assert seen.setdefault(b, pe) is pe
         assert set(planned.memory_report()) == {2, 3, 4, 5}
 
-
-class TestStaleArena:
-    """Two forwards at one batch size, then a backward for the first."""
-
-    def _two_circuits(self):
-        qc, params, batch = _mixed_circuit()
-        other = {k: v[::-1] + 0.5 for k, v in params.items()}
-        return (qc, qc.flat_parameter_values(params),
-                qc.flat_parameter_values(other), batch)
-
-    def test_adjoint_vjp_differentiates_the_stamped_forward(self):
-        qc, first, second, batch = self._two_circuits()
-        gates = qc.gate_sequence()
-        weights = np.random.default_rng(3).standard_normal(
-            (batch, qc.n_qubits))
-        lowered = lower_plan(gates, qc.n_qubits)
-        fresh = lowered.adjoint_vjp(first, weights)
-        with no_grad():
-            planes = lowered.run_planes(batch, lambda i: first[i])
-            lowered.run_planes(batch, lambda i: second[i])
-        stale = lowered.adjoint_vjp(first, weights, planes=planes)
-        for a, b in zip(fresh, stale):
-            assert np.array_equal(np.asarray(a), np.asarray(b))
-        oracle = adjoint_state_vjp(gates, qc.n_qubits, first, weights)
-        tol = gradient_budget("float32", qc.n_qubits, len(gates))
-        for a, b in zip(oracle, stale):
-            err = np.max(np.abs(np.asarray(a) - np.asarray(b)))
-            assert err <= tol
-        with pytest.raises(ValueError, match="latest forward"):
-            lowered.z_expectations(planes)
-
-    def test_quantum_layer_two_forwards_one_backward(self):
-        def grads(twice):
-            layer = QuantumLayer(
-                n_qubits=4, n_layers=2, rng=np.random.default_rng(0),
-                grad_method="adjoint", precision="float32")
-            x1 = Tensor(np.random.default_rng(1).uniform(-0.9, 0.9, (8, 4)),
-                        requires_grad=True)
-            out = layer(x1)
-            if twice:
-                layer(Tensor(np.random.default_rng(2).uniform(
-                    -0.9, 0.9, (8, 4))))
-            backward((out * out).sum(), [layer.params, x1])
-            return layer.params.grad, x1.grad
-
-        once, twice = grads(False), grads(True)
-        assert np.array_equal(once[0], twice[0])
-        assert np.array_equal(once[1], twice[1])

@@ -125,6 +125,20 @@ def test_float32_tier_roundtrip(tmp_path, rng):
     f64.unpin()
 
 
+def test_float32_tier_keeps_grad_method(rng):
+    """A float32 FrozenModel sets only each quantum layer's precision:
+    the inference-only tier runs whatever ``grad_method`` the layers
+    were built with."""
+    model = make_model()
+    assert model.quantum.grad_method == "backprop"
+    f32 = frozen_from_live(model, precision="float32", min_batch=2,
+                           max_batch=4)
+    out = f32.predict(rng.uniform(-1, 1, size=(3, 2)))
+    assert out.shape == (3, 1)
+    assert (model.quantum.precision, model.quantum.grad_method) == (
+        "float32", "backprop")
+
+
 def test_float32_predict_never_rebinds_after_warmup(tmp_path, rng,
                                                    monkeypatch):
     """Warmup binds one planned execution per bucket of the default
