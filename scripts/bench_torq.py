@@ -41,12 +41,15 @@ training epoch runs: a ``MaxwellQPINN``'s fields plus the three
 the parameter backward through them.
 
 ``--check-structure`` exits non-zero unless every fusing ansatz's compiled
-plan executes fewer kernel steps than gates, the paper layer runs its
+plan executes fewer kernel steps than gates, every step of the six
+ansätze's plans (bare and behind the RX embedding) is a fused, phase-mask
+or permutation step, the paper layer runs its
 ansatz on the 2ⁿ basis rows of the transfer matrix only (whatever the
 batch), a whole ``MaxwellLoss`` call at 64 points runs it once (one
-``W`` for both forwards), one ``transfer_matrix()`` build records no
-more graph nodes than its budget (the gate table: per-gate builders
-recorded 1,144), the residual step's graph at 64 points holds no more
+``W`` for both forwards), one ``transfer_matrix()`` build of the paper
+layer and one of a 7-qubit, 4-layer ``cross_mesh`` layer record no more
+graph nodes than their budgets (the gate table: per-gate builders
+recorded 1,144 and 1,147), the residual step's graph at 64 points holds no more
 traced bytes than its budget, and its three ``create_graph`` passes
 record no more graph nodes than theirs (all deterministic sizes: they
 catch a return to the gate-by-gate plan on every row, to per-gate
@@ -121,6 +124,12 @@ GRAPH_NODE_BUDGET = 485
 #: Graph nodes of one paper-layer ``transfer_matrix()`` build: 176
 #: through the gate table (1,144 with per-gate builders), budget +15%.
 TRANSFER_NODE_BUDGET = 202
+#: The same for a 7-qubit, 4-layer ``cross_mesh`` layer: 708 with its
+#: lone RX gates as one-gate fused steps of the gate table (1,147 with
+#: per-gate rotations), budget +15%.
+CROSS_MESH_NODE_BUDGET = 814
+#: The three plan kernels, the only step kinds a plan may hold.
+KERNEL_KINDS = {"fused_1q", "phase_mask", "permutation"}
 #: ``transfer_sweep``: qubit counts and batch.  The second-order step
 #: runs up to ``TRANSFER_STEP_MAX_QUBITS`` only: the gate-by-gate graph
 #: holds 1.4 GB at 9 qubits and about doubles per qubit.
@@ -277,6 +286,14 @@ def transfer_build_nodes(seed: int = 0) -> int:
     """Graph nodes one ``transfer_matrix()`` build of the paper layer
     records."""
     layer = MaxwellQPINN(rng=np.random.default_rng(seed)).quantum
+    return _graph_nodes(layer.transfer_matrix)
+
+
+def cross_mesh_build_nodes(seed: int = 0) -> int:
+    """Graph nodes one ``transfer_matrix()`` build of a 7-qubit, 4-layer
+    ``cross_mesh`` layer records."""
+    layer = QuantumLayer(n_qubits=N_QUBITS, n_layers=N_LAYERS,
+                         ansatz="cross_mesh", rng=np.random.default_rng(seed))
     return _graph_nodes(layer.transfer_matrix)
 
 
@@ -615,20 +632,19 @@ def check_lowering() -> int:
 
     * every lowered step of the six ansätze's embedded circuits is a
       fused, phase-mask or permutation step, so every step runs in the
-      arena (a lone gate lowers to the one-gate step of its kind),
+      arena,
     * the float32 layer's ⟨Z⟩ deviation from the float64 layer is within
       its documented budget.
     """
     n_qubits, n_layers, batch = 4, 2, 16
-    in_place = {"fused_1q", "phase_mask", "permutation"}
     other = {}
     for name in ANSATZ_NAMES:
         layer = QuantumLayer(n_qubits=n_qubits, n_layers=n_layers,
                              ansatz=name, rng=np.random.default_rng(0))
         kinds = {s.kind for s in lower_plan(
             layer.embedded_gate_sequence(), n_qubits).steps}
-        if kinds - in_place:
-            other[name] = sorted(kinds - in_place)
+        if kinds - KERNEL_KINDS:
+            other[name] = sorted(kinds - KERNEL_KINDS)
     base, l32 = (
         QuantumLayer(n_qubits=n_qubits, n_layers=n_layers, ansatz=ANSATZ,
                      rng=np.random.default_rng(0), precision=precision)
@@ -677,6 +693,21 @@ def check_adjoint_sweeps(report_adjoint: dict) -> int:
           f"sweep(s) for {ansatz.param_count} params "
           f"(parameter-shift needs {columns} columns); Δ={diff:.1e}")
     return 0 if ok else 1
+
+
+def check_kernel_kinds(n_qubits: int, n_layers: int) -> dict:
+    """Step kinds outside :data:`KERNEL_KINDS` per plan of the six
+    ansätze, bare and behind the RX embedding (empty when none)."""
+    other = {}
+    for name in ANSATZ_NAMES:
+        layer = QuantumLayer(n_qubits=n_qubits, n_layers=n_layers,
+                             ansatz=name, rng=np.random.default_rng(0))
+        for form, gates in (("bare", layer.ansatz.gate_sequence()),
+                            ("embedded", layer.embedded_gate_sequence())):
+            kinds = {s.kind for s in compile_gates(gates, n_qubits).steps}
+            if kinds - KERNEL_KINDS:
+                other[f"{name} ({form})"] = sorted(kinds - KERNEL_KINDS)
+    return other
 
 
 def plan_structure(n_qubits: int, n_layers: int) -> list[dict]:
@@ -814,6 +845,14 @@ def main(argv=None) -> int:
             print(f"STRUCTURE CHECK FAILED: {failures}")
             return 1
         print("structure check passed: compiled plans execute fewer kernels")
+        other = check_kernel_kinds(n_qubits, n_layers)
+        if other:
+            print(f"KERNEL CHECK FAILED: plan steps outside "
+                  f"{sorted(KERNEL_KINDS)}: {other}")
+            return 1
+        print(f"kernel check passed: every step of the {len(ANSATZ_NAMES)} "
+              f"ansätze's plans, bare and embedded, is one of "
+              f"{sorted(KERNEL_KINDS)}")
         ok, seen = check_transfer_path()
         if not ok:
             print(f"TRANSFER CHECK FAILED: the paper layer's plan ran on "
@@ -837,6 +876,13 @@ def main(argv=None) -> int:
             return 1
         print(f"transfer check passed: one transfer_matrix() build "
               f"records {nodes} nodes <= {TRANSFER_NODE_BUDGET}")
+        nodes = cross_mesh_build_nodes()
+        if nodes > CROSS_MESH_NODE_BUDGET:
+            print(f"TRANSFER CHECK FAILED: one cross_mesh transfer_matrix() "
+                  f"build records {nodes} nodes > {CROSS_MESH_NODE_BUDGET}")
+            return 1
+        print(f"transfer check passed: one cross_mesh transfer_matrix() "
+              f"build records {nodes} nodes <= {CROSS_MESH_NODE_BUDGET}")
         held = residual_row["graph_bytes"]
         if held > GRAPH_BUDGET_BYTES:
             print(f"GRAPH CHECK FAILED: residual graph at {GRAPH_BATCH} "

@@ -27,10 +27,10 @@ One executor.  Every :class:`LoweredPlan` runs through the
 :class:`~repro.lower.inplace.PlannedExecution` bound to its batch size,
 created on first use and kept for the plan's lifetime (one per batch
 size served, so a serving bucket ladder binds each arena once).  Every
-lowered step is a fused single-qubit block GEMM, a phase mask or a
-permutation — a lone gate lowers to the one-gate step of its kind — and
-all intermediates (plane ping-pongs, SoA pack buffers, phase scratches,
-the readout scratch) are liveness-planned into shared arena slots
+lowered step wraps one step of the seed plan — a fused single-qubit
+block GEMM, a phase mask or a permutation — and all intermediates
+(plane ping-pongs, SoA pack buffers, phase scratches, the readout
+scratch) are liveness-planned into shared arena slots
 (:mod:`repro.lower.memplan`), so after the first run forward and
 readout perform **zero statevector-sized allocations**.
 ``LoweredPlan.memory_report()`` returns the arena audit per bound batch.

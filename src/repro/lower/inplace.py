@@ -6,14 +6,15 @@ of ``QuantumLayer(precision="float32")`` and float32 serving: forward
 statevector simulation and the ⟨Z⟩ readout over *split real/imaginary
 planes* (two float32 arrays of shape ``(batch, 2, ..., 2)``).  The tier
 has no gradient.  State-sized work runs in float32/complex64; the 2×2
-factor matrices are built in float64 from the gate table of the seed
-steps (one cos and one sin per run) and cast once, so the deviation
+factor matrices are built in float64 from the seed plan's own gate
+table (one cos and one sin per run) and cast once, so the deviation
 from the float64 seed plan is bounded by the documented budgets
 (:mod:`repro.lower.budget`).
 
-Every lowered step is one of three kernels, reading the precomputed
-index and factor fields of its seed step (the two modules evolve
-together by design):
+Every lowered step wraps one step of the seed plan, one to one, and
+reads its precomputed index and factor fields (the two modules evolve
+together by design); the seed plan's three kernels are the three
+lowered ones:
 
 * **fused_1q** — a run of single-qubit gates as one real 4×4 block GEMM
   over SoA-packed planes: broadcast over ``(batch, pre, 4, post)``, or —
@@ -23,10 +24,6 @@ together by design):
   column GEMM;
 * **phase_mask** — a run of diagonal gates as one phase multiply;
 * **permutation** — a run of X/CNOT gates as one gather per plane.
-
-A lone gate, which the seed plan keeps as an unfused ``gate`` step, is
-lowered to the one-gate step of its kind (a single-qubit gate to
-``fused_1q``, CRZ to ``phase_mask``, CNOT to ``permutation``).
 
 :class:`PlannedExecution` binds a lowered plan to one batch size.  All
 carriers — plane ping-pongs, SoA pack buffers, phase-mask scratches and
@@ -47,7 +44,6 @@ from __future__ import annotations
 import numpy as np
 
 from .. import obs
-from ..torq import compile as torq_compile
 from ..torq.compile import _np_angle, _real_block, _row_gemm
 from ..torq.state import zero_planes_into
 from .memplan import Arena, BufferSpec, plan_buffers
@@ -116,23 +112,6 @@ class _Phase(_Step):
 _STEPS = {"fused_1q": _Fused, "phase_mask": _Phase, "permutation": _Step}
 
 
-def _lower_step(seed, n_qubits: int) -> _Step:
-    """The lowered step of seed step ``seed``.  A lone ``gate`` step is
-    first rebuilt as the one-gate fused, phase-mask or permutation step
-    its gate compiles to in a run."""
-    if seed.kind == "gate":
-        gate = seed._gate
-        if gate.name in torq_compile._SINGLE_QUBIT:
-            seed = torq_compile._FusedSingleQubitStep(
-                (gate,), gate.qubits[0], n_qubits
-            )
-        elif gate.name in torq_compile._DIAGONAL:
-            seed = torq_compile._PhaseMaskStep((gate,), n_qubits)
-        else:
-            seed = torq_compile._PermutationStep((gate,), n_qubits)
-    return _STEPS[seed.kind](seed)
-
-
 # ----------------------------------------------------------------------
 # The lowered plan
 # ----------------------------------------------------------------------
@@ -152,10 +131,8 @@ class LoweredPlan:
     def __init__(self, plan):
         self.plan = plan
         self.n_qubits = plan.n_qubits
-        self.steps = [_lower_step(s, plan.n_qubits) for s in plan.steps]
-        # The gate table of the lowered steps' seeds (a lone gate's seed
-        # is the one-gate fused step it was rebuilt as).
-        self._table = torq_compile._GateTable(tuple(s.seed for s in self.steps))
+        self.steps = [_STEPS[s.kind](s) for s in plan.steps]
+        self._table = plan._table
         self._planned: dict[int, PlannedExecution] = {}
 
     def planned_execution(self, batch: int) -> "PlannedExecution":

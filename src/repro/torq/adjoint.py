@@ -34,14 +34,15 @@ via ``QuantumLayer(grad_method=...)``:
   gradients, so losses that need derivatives *through* the gradient
   (``create_graph=True``) must use backprop.
 
-The fused plan steps of :mod:`repro.torq.compile` each implement
+The three plan step kinds of :mod:`repro.torq.compile` each implement
 ``adjoint_step(psi, mu, gates, accumulate)`` — the exact inverse of the
 step applied to both carriers, plus per-parameter derivative contributions
 (``gates`` is the plan's gate table evaluated once for the sweep):
 fused single-qubit runs differentiate factor-by-factor through a 2×2
 prefix/suffix decomposition against a per-batch overlap matrix computed
-once per step; diagonal phase masks and CRZ use the diagonal-generator
-shortcut ∂U/∂θ = i·C·U; permutations invert with the argsort gather.
+once per step; phase masks (a lone CRZ is one) use the
+diagonal-generator shortcut ∂U/∂θ = i·C·U; permutations invert with the
+argsort gather.
 
 The observable is the paper's readout — per-qubit ⟨Z_q⟩ — generalised to an
 arbitrary per-batch weighting so one sweep serves both loss gradients and

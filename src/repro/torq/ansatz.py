@@ -30,9 +30,14 @@ from .state import (
     QuantumState,
     apply_cnot,
     apply_crz,
+    apply_hadamard,
     apply_rot,
     apply_rx,
+    apply_ry,
     apply_rz,
+    apply_x,
+    apply_y,
+    apply_z,
 )
 
 __all__ = [
@@ -54,7 +59,7 @@ __all__ = [
 class GateSpec:
     """One gate in a circuit: name, acted-on qubits, flat parameter indices."""
 
-    name: str  # "rx" | "rz" | "rot" | "cnot" | "crz"
+    name: str  # "h" | "x" | "y" | "z" | "rx" | "ry" | "rz" | "rot" | "cnot" | "crz"
     qubits: tuple[int, ...]
     params: tuple[int, ...] = ()
 
@@ -237,19 +242,39 @@ def make_ansatz(name: str, n_qubits: int = 7, n_layers: int = 4) -> Ansatz:
     return cls(n_qubits=n_qubits, n_layers=n_layers)
 
 
+#: The interpreted primitive of every gate name; each takes the state,
+#: the gate's qubits and then its angles.
+_PRIMITIVES = {
+    "h": apply_hadamard, "x": apply_x, "y": apply_y, "z": apply_z,
+    "rx": apply_rx, "ry": apply_ry, "rz": apply_rz, "rot": apply_rot,
+    "cnot": apply_cnot, "crz": apply_crz,
+}
+
+
 def _apply_gate(state: QuantumState, gate: GateSpec, resolve) -> QuantumState:
-    if gate.name == "rot":
-        a, b, g = (resolve(i) for i in gate.params)
-        return apply_rot(state, gate.qubits[0], a, b, g)
-    if gate.name == "rx":
-        return apply_rx(state, gate.qubits[0], resolve(gate.params[0]))
-    if gate.name == "rz":
-        return apply_rz(state, gate.qubits[0], resolve(gate.params[0]))
-    if gate.name == "cnot":
-        return apply_cnot(state, gate.qubits[0], gate.qubits[1])
-    if gate.name == "crz":
-        return apply_crz(state, gate.qubits[0], gate.qubits[1], resolve(gate.params[0]))
-    raise ValueError(f"unknown gate {gate.name!r}")  # pragma: no cover
+    """Apply one gate through its :mod:`repro.torq.state` primitive,
+    resolving its flat parameter indices in order."""
+    angles = [resolve(i) for i in gate.params]
+    return _PRIMITIVES[gate.name](state, *gate.qubits, *angles)
+
+
+def _interpret(state: QuantumState, gates, resolve, scope: str,
+               **labels) -> QuantumState:
+    """The interpreted (``compiled=False``) per-gate loop; under
+    :func:`repro.obs.profile` it runs inside ``scope`` with gate counts,
+    the batch size and per-gate timing."""
+    if not obs.is_profiling():
+        for gate in gates:
+            state = _apply_gate(state, gate, resolve)
+        return state
+    reg = obs.metrics()
+    reg.histogram("torq.circuit.batch").observe(state.batch)
+    with reg.scope(scope, **labels):
+        for gate in gates:
+            reg.counter("torq.gates", gate=gate.name).inc()
+            with reg.timer("torq.apply", gate=gate.name).time():
+                state = _apply_gate(state, gate, resolve)
+    return state
 
 
 def apply_ansatz(
@@ -280,15 +305,5 @@ def apply_ansatz(
         # The plan gathers every angle it needs from the flat tensor.
         return ansatz.execution_plan().run(state, params)
     resolve, _ = _resolver(params)
-    if obs.is_profiling():
-        reg = obs.metrics()
-        reg.histogram("torq.circuit.batch").observe(state.batch)
-        with reg.scope("torq.ansatz.run", ansatz=type(ansatz).__name__):
-            for gate in ansatz.gate_sequence():
-                reg.counter("torq.gates", gate=gate.name).inc()
-                with reg.timer("torq.apply", gate=gate.name).time():
-                    state = _apply_gate(state, gate, resolve)
-        return state
-    for gate in ansatz.gate_sequence():
-        state = _apply_gate(state, gate, resolve)
-    return state
+    return _interpret(state, ansatz.gate_sequence(), resolve,
+                      "torq.ansatz.run", ansatz=type(ansatz).__name__)

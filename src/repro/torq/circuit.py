@@ -18,29 +18,13 @@ loop like any other module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
-import numpy as np
-
-from .. import obs
-from ..autodiff import Tensor, as_tensor
-from .ansatz import GateSpec
+from ..autodiff import Tensor
+from .ansatz import GateSpec, _interpret
 from .compile import ExecutionPlan, compile_gates
 from .measure import pauli_z_expectations
-from .state import (
-    QuantumState,
-    apply_cnot,
-    apply_crz,
-    apply_hadamard,
-    apply_rot,
-    apply_rx,
-    apply_ry,
-    apply_rz,
-    apply_x,
-    apply_y,
-    apply_z,
-    zero_state,
-)
+from .state import QuantumState, zero_state
 
 __all__ = ["Circuit"]
 
@@ -50,14 +34,6 @@ class _Op:
     name: str
     qubits: tuple[int, ...]
     params: tuple[object, ...]  # floats, tensors, or parameter-name strings
-
-
-_FIXED = {
-    "h": apply_hadamard,
-    "x": apply_x,
-    "y": apply_y,
-    "z": apply_z,
-}
 
 
 class Circuit:
@@ -202,29 +178,6 @@ class Circuit:
             return params[value]
         return value
 
-    def _apply_op(
-        self, state: QuantumState, op: _Op, params: Mapping[str, object] | None
-    ) -> QuantumState:
-        if op.name in _FIXED:
-            return _FIXED[op.name](state, op.qubits[0])
-        if op.name == "rx":
-            return apply_rx(state, op.qubits[0], self._resolve(op.params[0], params))
-        if op.name == "ry":
-            return apply_ry(state, op.qubits[0], self._resolve(op.params[0], params))
-        if op.name == "rz":
-            return apply_rz(state, op.qubits[0], self._resolve(op.params[0], params))
-        if op.name == "rot":
-            a, b, g = (self._resolve(p, params) for p in op.params)
-            return apply_rot(state, op.qubits[0], a, b, g)
-        if op.name == "cnot":
-            return apply_cnot(state, op.qubits[0], op.qubits[1])
-        if op.name == "crz":
-            return apply_crz(
-                state, op.qubits[0], op.qubits[1],
-                self._resolve(op.params[0], params),
-            )
-        raise ValueError(f"unknown op {op.name!r}")  # pragma: no cover
-
     def run(
         self,
         params: Mapping[str, object] | None = None,
@@ -241,27 +194,11 @@ class Circuit:
         state = initial if initial is not None else zero_state(batch, self.n_qubits)
         if state.n_qubits != self.n_qubits:
             raise ValueError("initial state has the wrong qubit count")
+        resolve = self.flat_parameter_values(params).__getitem__
         if compiled:
-            values = self.flat_parameter_values(params)
-            return self.execution_plan().run(state, values.__getitem__)
-        if obs.is_profiling():
-            return self._run_profiled(state, params)
-        for op in self._ops:
-            state = self._apply_op(state, op, params)
-        return state
-
-    def _run_profiled(
-        self, state: QuantumState, params: Mapping[str, object] | None
-    ) -> QuantumState:
-        """Execution with gate counts, batch-size, and state-apply timing."""
-        reg = obs.metrics()
-        reg.histogram("torq.circuit.batch").observe(state.batch)
-        with reg.scope("torq.circuit.run", n_qubits=self.n_qubits):
-            for op in self._ops:
-                reg.counter("torq.gates", gate=op.name).inc()
-                with reg.timer("torq.apply", gate=op.name).time():
-                    state = self._apply_op(state, op, params)
-        return state
+            return self.execution_plan().run(state, resolve)
+        return _interpret(state, self.gate_sequence(), resolve,
+                          "torq.circuit.run", n_qubits=self.n_qubits)
 
     def z_expectations(
         self,

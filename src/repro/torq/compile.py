@@ -25,8 +25,9 @@ three fusion passes along the way:
   (:func:`repro.autodiff.ops.permute_last`) whose VJP is the inverse
   gather, with no scatter-add buffering.
 
-Everything else becomes a specialized step that reproduces the
-uncompiled backend's arithmetic bit-for-bit with precomputed indices.
+These three kernels are the only step kinds: a gate no run absorbs
+becomes the one-gate step of its kind (a lone single-qubit gate a
+fused step, a lone CRZ a phase mask, a lone CNOT a permutation).
 
 Plans are cached process-wide on circuit *structure* (the gate tuple), so
 a training loop compiles once and replays every step.  Parameter values
@@ -88,20 +89,6 @@ _CONST_MATS = {
     "y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128),
     "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128),
 }
-
-
-def _angle(resolve: Callable, ref: int, bshape: tuple) -> Tensor:
-    """Resolve one flat parameter to a broadcast-ready angle tensor.
-
-    Scalars pass through; per-batch 1-D angles gain trailing singleton
-    axes (``bshape``) so they broadcast over the qubit axes of the state.
-    """
-    theta = as_tensor(resolve(ref))
-    if theta.ndim == 0:
-        return theta
-    if theta.ndim != 1:
-        raise ValueError("angles must be scalar or per-batch 1-D")
-    return ad.reshape(theta, (theta.shape[0],) + bshape)
 
 
 #: Generators of the rotation factors: ``R(θ) = cos(θ/2)·I + sin(θ/2)·G``.
@@ -173,18 +160,18 @@ def _np_angle(resolve, ref: int) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# The packed state.  Between fused and permutation steps a plan carries
-# the statevector as ONE real tensor of shape ``(batch, 2, ..., 2)``: a
-# re/im axis plus one axis per qubit.  Its axis *order* is fixed per step
-# when the plan compiles.  An order lists logical axes in physical order
-# — 0 is the batch, 1 re/im and ``2 + q`` qubit ``q`` — and the canonical
-# order ``(0, 1, ..., n + 1)`` is ``stack([re, im], axis=1)``.  A fused
-# step transposes/reshapes the state straight into its GEMM layout and
-# leaves the product in that order; a permutation step's gather reads one
-# order and writes the next.  Every layout change is thus a transpose, a
-# reshape or a gather, whose VJP is the inverse transpose, reshape or
-# gather.  Phase-mask and lone-gate steps keep the ComplexTensor planes;
-# the plan unpacks and repacks at their boundary.
+# The packed state.  A plan carries the statevector through every step
+# as ONE real tensor of shape ``(batch, 2, ..., 2)``: a re/im axis plus
+# one axis per qubit.  Its axis *order* is fixed per step when the plan
+# compiles.  An order lists logical axes in physical order — 0 is the
+# batch, 1 re/im and ``2 + q`` qubit ``q`` — and the canonical order
+# ``(0, 1, ..., n + 1)`` is ``stack([re, im], axis=1)``.  A fused step
+# transposes/reshapes the state straight into its GEMM layout and leaves
+# the product in that order; a permutation step's gather reads one order
+# and writes the next; a phase mask views the planes of the order it
+# reads and stacks its product in the canonical order.  Every layout
+# change is thus a transpose, a reshape, a gather or a stack, whose VJP
+# is the inverse.  The plan packs once on entry and unpacks once on exit.
 # ----------------------------------------------------------------------
 
 def _gemm_order(n_qubits: int, qubit: int, rows: bool) -> tuple:
@@ -233,37 +220,24 @@ class _Unpack:
         return ComplexTensor(t[:, 0], t[:, 1])
 
 
-def _bind_layouts(steps: tuple, n_qubits: int):
-    """Fix the axis order every packed step receives and emits.
-
-    Returns the boundary conversion to run before each step (``None``,
-    :func:`_pack` or an :class:`_Unpack`) and the one after the last.  A
-    packed step emits its ``order``: a fused step its GEMM layout, a
-    permutation step whatever the next step reads — a fused step's GEMM
-    layout, else the canonical order.
-    """
-    canonical = tuple(range(n_qubits + 2))
-    converts = []
-    order = None  # None: the state is ComplexTensor planes
+def _bind_layouts(steps: tuple, n_qubits: int) -> _Unpack:
+    """Fix the axis order every step receives and emits; returns the
+    unpack of the last step's order.  A fused step emits its GEMM
+    layout, a phase mask the canonical order, a permutation step
+    whatever the next step reads — a fused step's GEMM layout, else the
+    canonical order."""
+    canonical = order = tuple(range(n_qubits + 2))
     for step, nxt in zip(steps, steps[1:] + (None,)):
-        convert = None
-        if step.packed:
-            if order is None:
-                convert, order = _pack, canonical
-            wanted = (nxt.order if isinstance(nxt, _FusedSingleQubitStep)
-                      else canonical)
-            order = step.bind(order, wanted)
-        elif order is not None:
-            convert, order = _Unpack(order), None
-        converts.append(convert)
-    return tuple(converts), (None if order is None else _Unpack(order))
+        wanted = (nxt.order if isinstance(nxt, _FusedSingleQubitStep)
+                  else canonical)
+        order = step.bind(order, wanted)
+    return _Unpack(order)
 
 
 # ----------------------------------------------------------------------
-# Plan steps.  Each step maps ``(state, operand) -> state`` with every
-# index precomputed at compile time: packed steps (``packed = True``) on
-# the packed real tensor, the others on ComplexTensor planes.  A fused
-# step's operand is its block from the gate table, any other step's the
+# Plan steps.  Each step maps the packed state ``(state, operand) ->
+# state`` with every index precomputed at compile time.  A fused step's
+# operand is its block from the gate table, any other step's the
 # ``resolve`` callable.
 # ----------------------------------------------------------------------
 
@@ -281,15 +255,6 @@ def _c_contig(arr: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(arr)
     assert out.flags["C_CONTIGUOUS"]
     return out
-
-
-def _half_indices(n_qubits: int, qubit: int) -> tuple[tuple, tuple, int]:
-    axis = qubit + 1
-    idx0 = [slice(None)] * (n_qubits + 1)
-    idx1 = [slice(None)] * (n_qubits + 1)
-    idx0[axis] = 0
-    idx1[axis] = 1
-    return tuple(idx0), tuple(idx1), axis
 
 
 def _row_gemm(m, post: int) -> bool:
@@ -326,7 +291,6 @@ class _FusedSingleQubitStep:
     """
 
     kind = "fused_1q"
-    packed = True
 
     def __init__(self, gates, qubit: int, n_qubits: int):
         self.gates = tuple(g.name for g in gates)
@@ -436,15 +400,20 @@ def _overlap_grad(d: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 
 class _PhaseMaskStep:
-    """A run of diagonal gates (Z/RZ/CRZ) as one phase-mask multiply."""
+    """A run of diagonal gates (Z/RZ/CRZ) as one phase-mask multiply.
+
+    It views the re/im planes of the order it reads, multiplies them by
+    the mask and stacks the product in the canonical order.
+    """
 
     kind = "phase_mask"
-    packed = False
 
     def __init__(self, gates, n_qubits: int):
         self.gates = tuple(g.name for g in gates)
         self.n_gates = len(gates)
         self._bshape = (1,) * n_qubits
+        self.order = tuple(range(n_qubits + 2))
+        self._unpack = None
         terms: list[tuple[np.ndarray, int]] = []
         const_mask: np.ndarray | None = None
         for g in gates:
@@ -495,7 +464,13 @@ class _PhaseMaskStep:
         shape[qubit + 1] = 2
         return np.asarray(values, dtype=np.float64).reshape(shape)
 
-    def __call__(self, tensor: ComplexTensor, resolve) -> ComplexTensor:
+    def bind(self, order_in: tuple, order_next: tuple) -> tuple:
+        """Read ``order_in``; returns the canonical order it emits."""
+        self._unpack = _Unpack(order_in)
+        return self.order
+
+    def __call__(self, state: Tensor, resolve) -> Tensor:
+        tensor = self._unpack(state)
         total = None
         for coeff, ref in self._terms:
             theta = as_tensor(resolve(ref))
@@ -506,11 +481,11 @@ class _PhaseMaskStep:
             term = theta * coeff
             total = term if total is None else total + term
         if total is None:  # all-Z run: the mask is the constant ±1 pattern
-            return tensor * self._const
+            return _pack(tensor * self._const)
         mask = cplx.expi(total)
         if self._const is not None:
             mask = mask * self._const
-        return tensor * mask
+        return _pack(tensor * mask)
 
     def adjoint_step(self, psi, mu, gates, accumulate):
         """Un-apply the mask; grads follow from ∂U/∂θ_t = i·C_t·U, so ALL
@@ -550,7 +525,6 @@ class _PermutationStep:
     """
 
     kind = "permutation"
-    packed = True
 
     def __init__(self, gates, n_qubits: int):
         self.gates = tuple(g.name for g in gates)
@@ -614,156 +588,14 @@ class _PermutationStep:
         )
 
 
-class _SingleGateStep:
-    """One unfused gate, replaying the interpreted arithmetic with
-    precomputed indices (bit-compatible with the uncompiled path)."""
-
-    kind = "gate"
-    packed = False
-
-    def __init__(self, gate, n_qubits: int):
-        self.gates = (gate.name,)
-        self.n_gates = 1
-        self._gate = gate  # the lowered tier rebuilds it as a kernel step
-        self._name = gate.name
-        self._params = gate.params
-        # A lone RX/RY/RZ's adjoint reads U and dU from the gate table.
-        self._factors = (
-            ((gate.name, gate.params[0]),) if gate.name in _GENERATORS else ()
-        )
-        n = n_qubits
-        if len(gate.qubits) == 1:
-            q = gate.qubits[0]
-            self._idx0, self._idx1, self._axis = _half_indices(n, q)
-            self._bshape = (1,) * (n - 1)
-            self._pack_shape = (-1, 2 ** q, 2, 2 ** (n - 1 - q))
-        else:
-            control, target = gate.qubits
-            self._idx0, self._idx1, self._axis = _half_indices(n, control)
-            taxis = target + 1
-            self._taxis = taxis - 1 if taxis > control + 1 else taxis
-            tidx0 = [slice(None)] * n
-            tidx1 = [slice(None)] * n
-            tidx0[self._taxis] = 0
-            tidx1[self._taxis] = 1
-            self._tidx0, self._tidx1 = tuple(tidx0), tuple(tidx1)
-            self._bshape = (1,) * (n - 2)
-
-    def __call__(self, tensor: ComplexTensor, resolve) -> ComplexTensor:
-        name = self._name
-        if name == "cnot":
-            c0 = tensor[self._idx0]
-            c1 = tensor[self._idx1].flip(self._taxis)
-            return cplx.stack([c0, c1], axis=self._axis)
-        if name == "crz":
-            c0 = tensor[self._idx0]
-            c1 = tensor[self._idx1]
-            t0 = c1[self._tidx0]
-            t1 = c1[self._tidx1]
-            half = _angle(resolve, self._params[0], self._bshape) * 0.5
-            t0 = t0 * cplx.expi(-half)
-            t1 = t1 * cplx.expi(half)
-            c1 = cplx.stack([t0, t1], axis=self._taxis)
-            return cplx.stack([c0, c1], axis=self._axis)
-        if name == "x":
-            return tensor.flip(self._axis)
-        a0 = tensor[self._idx0]
-        a1 = tensor[self._idx1]
-        if name == "h":
-            n0 = (a0 + a1) * _INV_SQRT2
-            n1 = (a0 - a1) * _INV_SQRT2
-        elif name == "y":
-            n0 = ComplexTensor(a1.im, -a1.re)
-            n1 = ComplexTensor(-a0.im, a0.re)
-        elif name == "z":
-            n0, n1 = a0, -a1
-        elif name == "rx":
-            half = _angle(resolve, self._params[0], self._bshape) * 0.5
-            c, s = ad.cos(half), ad.sin(half)
-            n0 = ComplexTensor(a0.re * c + a1.im * s, a0.im * c - a1.re * s)
-            n1 = ComplexTensor(a1.re * c + a0.im * s, a1.im * c - a0.re * s)
-        elif name == "ry":
-            half = _angle(resolve, self._params[0], self._bshape) * 0.5
-            c, s = ad.cos(half), ad.sin(half)
-            n0 = ComplexTensor(a0.re * c - a1.re * s, a0.im * c - a1.im * s)
-            n1 = ComplexTensor(a0.re * s + a1.re * c, a0.im * s + a1.im * c)
-        elif name == "rz":
-            half = _angle(resolve, self._params[0], self._bshape) * 0.5
-            c, s = ad.cos(half), ad.sin(half)
-            n0 = ComplexTensor(a0.re * c + a0.im * s, a0.im * c - a0.re * s)
-            n1 = ComplexTensor(a1.re * c - a1.im * s, a1.im * c + a1.re * s)
-        else:  # pragma: no cover - closed gate set; a lone Rot is fused
-            raise ValueError(f"unknown gate {name!r}")
-        return cplx.stack([n0, n1], axis=self._axis)
-
-    def _np_apply(self, t: np.ndarray) -> np.ndarray:
-        """Replay a constant (self-adjoint) gate on a raw complex state."""
-        name = self._name
-        if name == "x":
-            # Materialize: a lazy flip view has a negative stride, and
-            # the next step's carrier reshape would copy it silently —
-            # twice (ψ and μ).  One explicit dense copy here is cheaper.
-            return np.flip(t, self._axis).copy()
-        if name == "cnot":
-            c0 = t[self._idx0]
-            c1 = np.flip(t[self._idx1], self._taxis)
-            return np.stack([c0, c1], axis=self._axis)
-        a0 = t[self._idx0]
-        a1 = t[self._idx1]
-        if name == "h":
-            return np.stack(
-                [(a0 + a1) * _INV_SQRT2, (a0 - a1) * _INV_SQRT2],
-                axis=self._axis,
-            )
-        if name == "y":
-            return np.stack([-1j * a1, 1j * a0], axis=self._axis)
-        return np.stack([a0, -a1], axis=self._axis)  # z
-
-    def adjoint_step(self, psi, mu, gates, accumulate):
-        """Un-apply one gate; rotation angles get the ⟨μ|dU|ψ⟩ overlap
-        gradient, CRZ the diagonal-generator rule, constants only invert."""
-        name = self._name
-        if name in ("h", "x", "y", "z", "cnot"):
-            # All self-adjoint (Y† = Y), so the forward application IS the
-            # inverse — replay it on both carriers.
-            return self._np_apply(psi), self._np_apply(mu)
-        if name == "crz":
-            # ∂U/∂θ = i·C·U with C = ∓1/2 on the control=1 target halves,
-            # evaluated against ψ_k before un-phasing.
-            p1 = psi[self._idx1]
-            m1 = mu[self._idx1]
-            w = (np.conj(p1) * m1).imag
-            w0 = w[self._tidx0]
-            w1 = w[self._tidx1]
-            axes = tuple(range(1, w0.ndim))
-            accumulate(self._params[0], (w1 - w0).sum(axis=axes))
-            half = _np_angle(gates.resolve, self._params[0]) * 0.5
-            if half.ndim:
-                half = half.reshape((-1,) + self._bshape)
-            e_pos = np.cos(half) + 1j * np.sin(half)
-            out = []
-            for t in (psi, mu):
-                c0 = t[self._idx0]
-                c1 = t[self._idx1]
-                t0 = c1[self._tidx0] * e_pos
-                t1 = c1[self._tidx1] * np.conj(e_pos)
-                c1 = np.stack([t0, t1], axis=self._taxis)
-                out.append(np.stack([c0, c1], axis=self._axis))
-            return out[0], out[1]
-        # rx / ry / rz (lone rot gates compile to the fused step)
-        udag, derivatives = gates.derivatives(self)
-        return _unapply(self._pack_shape, psi, mu, udag, derivatives,
-                        accumulate)
-
-
 # ----------------------------------------------------------------------
-# The gate table: the one place fused-step blocks come from angles.
-# Every rotation factor of its fused runs and lone RX/RY/RZ gates is
-# listed once, when the plan compiles, with its kind and flat parameter
-# index.  A run gathers the angles, takes one cos and one sin of the half
-# angles, and builds every fused block from those two arrays.  The
-# adjoint sweep reads lone rotations' U and dU from the table too; a
-# lone rotation's autodiff forward (`_SingleGateStep`) takes its own.
+# The gate table: the one place a plan turns rotation angles into
+# matrices.  Every rotation factor of its fused steps (a lone rotation
+# is a one-gate fused step) is listed once, when the plan compiles, with
+# its kind and flat parameter index.  A run gathers the angles, takes one
+# cos and one sin of the half angles, and builds every fused block from
+# those two arrays; the adjoint sweep and the lowered tier read U (and
+# the sweep dU) from the same cos and sin in NumPy.
 # ----------------------------------------------------------------------
 
 def _resolver(resolve):
@@ -948,8 +780,9 @@ class _NumpyGates:
         self._batched = [t.ndim == 1 for t in thetas]
 
     def _factors(self, step):
-        """``(U, dU, ref)`` per factor of ``step`` in application order;
-        a constant factor's dU and ref are None."""
+        """``(U, ref, (c, s, kind))`` per factor of ``step`` in application
+        order, with the rotation's half-angle cosine and sine; a constant
+        factor's ref and rotation are None."""
         f = self._start[id(step)]
         for kind, payload in step._factors:
             if kind == "const":
@@ -960,7 +793,7 @@ class _NumpyGates:
             c = self._cos[span].reshape(shape)
             s = self._sin[span].reshape(shape)
             f += 1
-            yield _rotation(c, s, kind), 0.5 * _rotation(-s, c, kind), payload
+            yield _rotation(c, s, kind), payload, (c, s, kind)
 
     def unitary(self, step) -> np.ndarray:
         """``step``'s composed complex unitary: ``(2, 2)``, or
@@ -980,8 +813,10 @@ class _NumpyGates:
             prefixes.append(np.matmul(u, prefixes[-1]))
         derivatives = []
         suffix = _EYE2
-        for (u, du, ref), prefix in zip(reversed(mats), reversed(prefixes[:-1])):
+        for (u, ref, rot), prefix in zip(reversed(mats), reversed(prefixes[:-1])):
             if ref is not None:
+                c, s, kind = rot
+                du = 0.5 * _rotation(-s, c, kind)
                 derivatives.append(
                     (ref, np.matmul(suffix, np.matmul(du, prefix)))
                 )
@@ -1065,14 +900,15 @@ class ExecutionPlan:
     """A compiled gate sequence: prepared steps replayed per execution.
 
     Compiling fixes the packed-state axis order at every step boundary
-    (:func:`_bind_layouts`), so a run is a plain loop over prepared steps.
+    (:func:`_bind_layouts`), so a run packs the state, loops over the
+    prepared steps and unpacks the result.
     """
 
     def __init__(self, steps: tuple, n_qubits: int, n_gates: int):
         self.steps = steps
         self.n_qubits = n_qubits
         self.n_gates = n_gates
-        self._converts, self._exit = _bind_layouts(steps, n_qubits)
+        self._exit = _bind_layouts(steps, n_qubits)
         self._table = _GateTable(steps)
 
     @property
@@ -1121,23 +957,22 @@ class ExecutionPlan:
         """Run the plan, yielding the state after every step as
         :class:`ComplexTensor` planes (the per-step view
         :func:`repro.lower.audit_plan` compares)."""
-        for step, x in self._walk(state.tensor, resolve, None):
-            yield _Unpack(step.order)(x) if step.packed else x
+        for step, x in self._walk(_pack(state.tensor), resolve, None):
+            yield _Unpack(step.order)(x)
 
-    def _execute(self, x, resolve, reg) -> ComplexTensor:
+    def _execute(self, tensor: ComplexTensor, resolve, reg) -> ComplexTensor:
+        x = _pack(tensor)
         for _, x in self._walk(x, resolve, reg):
             pass
-        return x if self._exit is None else self._exit(x)
+        return self._exit(x)
 
-    def _walk(self, x, resolve, reg):
-        """The step loop: yields ``(step, state)`` after each step, timing
-        each one into ``reg`` when given.  Every step is called with its
-        operand from the gate table (:meth:`_GateTable.operands`)."""
+    def _walk(self, x: Tensor, resolve, reg):
+        """The step loop on the packed state ``x``: yields ``(step,
+        state)`` after each step, timing each one into ``reg`` when
+        given.  Every step is called with its operand from the gate table
+        (:meth:`_GateTable.operands`)."""
         operands = self._table.operands(resolve)
-        for step, convert in zip(self.steps, self._converts):
-            if convert is not None:
-                x = convert(x)
-            operand = next(operands)
+        for step, operand in zip(self.steps, operands):
             if reg is None:
                 x = step(x, operand)
             else:
@@ -1159,15 +994,7 @@ class ExecutionPlan:
 def _compile(gates, n_qubits: int) -> ExecutionPlan:
     steps = []
     for group in _segment(gates):
-        if len(group.gates) == 1 and group.gates[0].name == "rot":
-            # A lone Rot is the hot path of the paper's ansätze; the
-            # block-matrix application beats the elementwise arithmetic.
-            steps.append(
-                _FusedSingleQubitStep(group.gates, group.qubit, n_qubits)
-            )
-        elif len(group.gates) == 1 and group.kind in ("1q", "diag", "perm"):
-            steps.append(_SingleGateStep(group.gates[0], n_qubits))
-        elif group.kind == "1q":
+        if group.kind == "1q":
             steps.append(_FusedSingleQubitStep(group.gates, group.qubit, n_qubits))
         elif group.kind == "diag":
             steps.append(_PhaseMaskStep(group.gates, n_qubits))

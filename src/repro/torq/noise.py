@@ -24,22 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..autodiff import Tensor, no_grad
-from .ansatz import Ansatz
+from .ansatz import Ansatz, _apply_gate
 from .embedding import scaling_fn
 from .layer import QuantumLayer
 from .measure import pauli_z_expectations
-from .state import (
-    QuantumState,
-    apply_rot,
-    apply_rx,
-    apply_rz,
-    apply_cnot,
-    apply_crz,
-    apply_x,
-    apply_y,
-    apply_z,
-    zero_state,
-)
+from .state import QuantumState, apply_rx, apply_x, apply_y, apply_z, zero_state
 
 __all__ = ["NoiseModel", "noisy_z_expectations"]
 
@@ -88,18 +77,7 @@ def _run_trajectory(
             rng.normal(0.0, noise.angle_sigma) if noise.angle_sigma else 0.0)))
         state = _maybe_pauli(state, (q,), noise.depolarizing, rng)
     for gate in ansatz.gate_sequence():
-        if gate.name == "rot":
-            a, b, g = (jitter(params[i]) for i in gate.params)
-            state = apply_rot(state, gate.qubits[0], a, b, g)
-        elif gate.name == "rx":
-            state = apply_rx(state, gate.qubits[0], jitter(params[gate.params[0]]))
-        elif gate.name == "rz":
-            state = apply_rz(state, gate.qubits[0], jitter(params[gate.params[0]]))
-        elif gate.name == "cnot":
-            state = apply_cnot(state, gate.qubits[0], gate.qubits[1])
-        elif gate.name == "crz":
-            state = apply_crz(state, gate.qubits[0], gate.qubits[1],
-                              jitter(params[gate.params[0]]))
+        state = _apply_gate(state, gate, lambda i: jitter(params[i]))
         state = _maybe_pauli(state, gate.qubits, noise.depolarizing, rng)
     return pauli_z_expectations(state).data
 

@@ -83,6 +83,8 @@ def test_random_circuit_equivalence(seed):
     rng = np.random.default_rng(1000 + seed)
     batch = int(rng.integers(2, 7))
     qc, named = _random_circuit(rng, batch)
+    assert {s.kind for s in qc.execution_plan().steps} <= {
+        "fused_1q", "phase_mask", "permutation"}
 
     with no_grad():
         compiled_amps = qc.run(params=named, batch=batch, compiled=True).numpy()
@@ -110,9 +112,9 @@ def test_random_circuit_equivalence(seed):
 def test_random_circuit_lowered_tiers(seed):
     """Lowered float32 execution of the same random programs.
 
-    Every lone gate the seed plan keeps unfused lowers to an in-place
-    step; amplitudes and Z-expectations must land within the size-scaled
-    budgets against the dense float64 oracle.
+    Every lowered step runs in place; amplitudes and Z-expectations must
+    land within the size-scaled budgets against the dense float64
+    oracle.
     """
     rng = np.random.default_rng(1000 + seed)
     batch = int(rng.integers(2, 7))

@@ -17,6 +17,7 @@ from repro import lower
 from repro.autodiff import Tensor, backward, no_grad
 from repro.autodiff.tape import compile_step
 from repro.lower import (
+    LoweredPlan,
     amplitude_budget,
     clear_lowered_cache,
     expectation_budget,
@@ -25,6 +26,7 @@ from repro.lower import (
     tape_budget,
 )
 from repro.torq import Circuit, QuantumLayer
+from repro.torq import compile as torq_compile
 from repro.torq.state import zero_state
 
 
@@ -97,6 +99,34 @@ class TestRegistryAndCache:
         assert lower_plan(gates, qc.n_qubits) is lowered
         assert lowered_cache_info()["size"] == 1
         assert lowered.plan is qc.execution_plan()
+
+
+class TestOneGateTable:
+    """The lowered tier runs the seed plan's steps and gate table."""
+
+    def test_lowered_plan_wraps_the_seed_steps(self):
+        qc, _, _ = _mixed_circuit()
+        plan = qc.execution_plan()
+        lowered = LoweredPlan(plan)
+        assert lowered._table is plan._table
+        assert len(lowered.steps) == len(plan.steps)
+        assert all(s.seed is seed for s, seed in zip(lowered.steps, plan.steps))
+
+    def test_forward_builds_each_rotation_once(self, monkeypatch):
+        """A forward of the 12-qubit, 4-layer serving layer builds the U
+        of each of its 156 rotation factors (12 embedding RX, three per
+        Rot) once, and no derivative."""
+        layer = QuantumLayer(n_qubits=12, n_layers=4,
+                             rng=np.random.default_rng(0))
+        lowered = lower_plan(layer.embedded_gate_sequence(), 12)
+        values = [0.3] * 12 + [float(v) for v in layer.params.data]
+        lowered.z_expectations(1, lambda i: values[i])  # warm: binds the arena
+        calls = []
+        rotation = torq_compile._rotation
+        monkeypatch.setattr(torq_compile, "_rotation",
+                            lambda *a: calls.append(a[2]) or rotation(*a))
+        lowered.z_expectations(1, lambda i: values[i])
+        assert len(calls) == 156
 
 
 class TestZeroStateDtypeKey:

@@ -203,19 +203,22 @@ class TestPassGating:
     """What the planned executor runs in place, and how it binds."""
 
     def test_memplan_claims_inplace_steps(self):
-        # Every seed step of this circuit is a lone ``gate`` step; each
-        # lowers to the one-gate in-place step of its kind and matches
-        # the dense oracle within the float32 budgets.
+        # Every gate of this circuit is alone in its step: the seed plan
+        # compiles each to the one-gate step of its kind, the lowered plan
+        # wraps those steps one to one, and it matches the dense oracle
+        # within the float32 budgets.
         qc = (Circuit(3).h(0).cnot(0, 1).y(1).cnot(1, 2).z(2).cnot(2, 0)
               .rz(0, "a").cnot(0, 1).rx(1, "b").crz(1, 2, "w").x(2)
               .crz(2, 0, "v").ry(0, "c"))
         seed = qc.execution_plan().describe()
-        assert {s["kind"] for s in seed} == {"gate"}
-        plan = lower_plan(qc.gate_sequence(), 3)
         kind_of = {"cnot": "permutation", "crz": "phase_mask"}
-        assert [(s.kind, s.gates) for s in plan.steps] == [
-            (kind_of.get(s["gates"][0], "fused_1q"), tuple(s["gates"]))
-            for s in seed
+        assert [(s["kind"], s["gates"]) for s in seed] == [
+            (kind_of.get(g.name, "fused_1q"), [g.name])
+            for g in qc.gate_sequence()
+        ]
+        plan = lower_plan(qc.gate_sequence(), 3)
+        assert [(s.kind, list(s.gates)) for s in plan.steps] == [
+            (s["kind"], s["gates"]) for s in seed
         ]
         params = {"a": np.array([0.1, 0.2]), "b": 0.7, "w": 0.3,
                   "v": np.array([-1.2, 2.5]), "c": np.array([0.4, 0.5])}

@@ -23,8 +23,9 @@ from repro.torq import (
     parameter_shift_grad,
     plan_cache_info,
     run_gates,
+    rx_product_state,
 )
-from repro.torq.ansatz import GateSpec, apply_ansatz
+from repro.torq.ansatz import GateSpec, _apply_gate, apply_ansatz
 from repro.torq.measure import pauli_z_expectations
 from repro.torq.state import zero_state
 
@@ -88,6 +89,31 @@ def test_commutation_past_disjoint_qubits():
     plan = compile_gates(gates, 2, cache=False)
     kinds = [s.kind for s in plan.steps]
     assert plan.num_steps == 2  # two x's fused into one permutation
+
+
+#: The kernel step each gate compiles to when no run absorbs it.
+LONE_GATE_KINDS = {
+    "h": "fused_1q", "x": "fused_1q", "y": "fused_1q", "z": "fused_1q",
+    "rx": "fused_1q", "ry": "fused_1q", "rz": "fused_1q", "rot": "fused_1q",
+    "crz": "phase_mask", "cnot": "permutation",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONE_GATE_KINDS))
+def test_lone_gate_compiles_to_its_kernel_step(name):
+    n_params = {"rot": 3, "rx": 1, "ry": 1, "rz": 1, "crz": 1}.get(name, 0)
+    qubits = (1, 0) if name in ("cnot", "crz") else (1,)
+    gate = GateSpec(name, qubits, tuple(range(n_params)))
+    plan = compile_gates((gate,), 2, cache=False)
+    assert [(s.kind, s.gates) for s in plan.steps] == [
+        (LONE_GATE_KINDS[name], (name,))]
+    values = np.random.default_rng(len(name)).uniform(-3, 3, (n_params, 3))
+    state = rx_product_state(Tensor(np.array([[0.4, 1.1], [2.0, -0.7],
+                                              [0.1, 2.9]])))
+    with no_grad():
+        got = plan.run(state, lambda i: Tensor(values[i])).numpy()
+        want = _apply_gate(state, gate, lambda i: Tensor(values[i])).numpy()
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 # ----------------------------------------------------------------------

@@ -446,6 +446,18 @@ class TestGateTable:
         layer.transfer_matrix()
         assert sorted(calls) == ["cos", "sin"]
 
+    def test_a_cross_mesh_w_build_takes_one_cos_per_kernel(self, monkeypatch):
+        """The 28 lone RX gates of a 7-qubit, 4-layer ``cross_mesh`` are
+        one-gate fused steps of the gate table: a W build takes one cos
+        for the table and one per CRZ mesh (its phase mask's ``expi``)."""
+        layer = QuantumLayer(n_qubits=7, n_layers=4, ansatz="cross_mesh",
+                             rng=np.random.default_rng(0))
+        calls = []
+        cos = ad.cos
+        monkeypatch.setattr(ad, "cos", lambda a: calls.append(a) or cos(a))
+        layer.transfer_matrix()
+        assert len(calls) == 5
+
     def test_batched_shift_forward_peak_does_not_grow(self):
         """Per-batch angles build each run's block from that run's own
         angles, so no per-row cos|sin array outlives its run.  The bound
